@@ -27,7 +27,13 @@ _GRID_POINTS = 1025
 
 @dataclass(frozen=True)
 class BidCapBelief:
-    """Uniform common belief about the highest downpayment the buyer accepts."""
+    """Uniform common belief about the highest downpayment the buyer accepts.
+
+    The uniform bid-cap belief and the resulting optimal-bid rule follow
+    Latacz-Lohmann & Van der Hamsvoort (1997), "Auctioning conservation
+    contracts: a theoretical analysis and an application", American Journal of
+    Agricultural Economics 79(2).
+    """
 
     lo: float
     hi: float
@@ -65,29 +71,14 @@ def _instalment_term(c: float, v1: float, cfg: SchemeConfig) -> float:
     return factor * (v1 - c) / cfg.instalment_count_x
 
 
-def expected_payoff(
-    c: float, site: SiteRecord, owner: LandownerProfile, cfg: SchemeConfig
-) -> float:
-    """Expected net payoff of a risk-neutral landowner bidding c.
-
-    [(v1 - v0) + (a1 - a0) + c + (1+r)^t (v1 - c)/x] * acceptance probability,
-    with the amenity terms zero for Faustmannian owners.
-    """
-    v1 = conservation_payment(site)
-    v0 = site.opportunity_cost_v0
-    bracket = (v1 - v0) + owner.amenity_gain + c + _instalment_term(c, v1, cfg)
-    return bracket * acceptance_probability(c, belief_from_config(cfg))
-
-
 def bid_objective(
     c: float, site: SiteRecord, owner: LandownerProfile, cfg: SchemeConfig
 ) -> float:
     """Bid surplus maximized by the optimal downpayment.
 
     [c + (1+r)^t (v1 - c)/x - v0 + (a1 - a0)] * acceptance probability: cash
-    received if the bid wins, net of the forgone harvest value. Differs from
-    expected_payoff by the constant v1 inside the bracket; the first-order
-    condition, and hence the closed-form bid, follows this form.
+    received if the bid wins, net of the forgone harvest value. The
+    first-order condition, and hence the closed-form bid, follows this form.
     """
     v1 = conservation_payment(site)
     v0 = site.opportunity_cost_v0
@@ -142,7 +133,8 @@ def optimal_downpayment_numeric(
     Coarse grid search localizes the (unimodal) maximum, then golden-section
     refinement narrows the bracket below grid_step, so the result is within
     grid_step/2 of the true maximizer. Serves as the independent check of the
-    closed form, and covers non-uniform belief variants the closed form does not.
+    closed form. It evaluates the same uniform-belief objective (bid_objective
+    under BidCapBelief), so it does not cover non-uniform beliefs.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be > 0")

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -22,8 +23,10 @@ from .dataio import (
     format_console_summary,
     generate_synthetic,
     load_sites,
+    report_cells,
     write_report,
     write_sites,
+    write_sweep,
 )
 from .ecology import DEFAULT_ELITE_TABLE, EliteTable, load_elite_table
 from .finance import match_upfront_budget
@@ -36,7 +39,6 @@ from .model import (
     require_valid_scheme,
 )
 from .simulation import (
-    HarvestSchedule,
     RunOutcome,
     SupplySummary,
     build_offers,
@@ -76,18 +78,47 @@ class Scenario:
     fmt: str
 
 
+def _require_number(value, name: str, integer: bool = False):
+    """Return `value` if it is a JSON number (an integer if asked); else raise ConfigError."""
+    ok = isinstance(value, int) if integer else isinstance(value, (int, float))
+    if not ok or isinstance(value, bool):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
+def _require_object(raw, name: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _check_numbers(cls, raw: dict, prefix: str) -> None:
+    """Type-check the numeric fields of `raw` against the annotations of dataclass `cls`."""
+    for name, hint in typing.get_type_hints(cls).items():
+        kinds = typing.get_args(hint) or (hint,)
+        if name not in raw or (raw[name] is None and type(None) in kinds):
+            continue
+        if int in kinds:
+            _require_number(raw[name], prefix + name, integer=True)
+        elif float in kinds:
+            _require_number(raw[name], prefix + name)
+
+
 def _scheme_from_dict(raw: dict) -> SchemeConfig:
     known = {f.name for f in dataclasses.fields(SchemeConfig)}
-    unknown = set(raw) - known
+    unknown = set(_require_object(raw, "scheme")) - known
     if unknown:
         raise ConfigError(f"unknown scheme fields: {', '.join(sorted(unknown))}")
+    _check_numbers(SchemeConfig, raw, "")
     kwargs = dict(raw)
-    if "amenity" in kwargs and isinstance(kwargs["amenity"], dict):
+    if "amenity" in kwargs:
+        amenity = _require_object(kwargs["amenity"], "amenity")
         amenity_known = {f.name for f in dataclasses.fields(AmenityParams)}
-        amenity_unknown = set(kwargs["amenity"]) - amenity_known
+        amenity_unknown = set(amenity) - amenity_known
         if amenity_unknown:
             raise ConfigError(f"unknown amenity fields: {', '.join(sorted(amenity_unknown))}")
-        kwargs["amenity"] = AmenityParams(**kwargs["amenity"])
+        _check_numbers(AmenityParams, amenity, "amenity.")
+        kwargs["amenity"] = AmenityParams(**amenity)
     try:
         cfg = SchemeConfig(**kwargs)
     except TypeError as err:
@@ -130,7 +161,7 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     if unknown:
         raise ConfigError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
 
-    dataset = raw.get("dataset", {"synthetic": {"n_sites": 400}})
+    dataset = _require_object(raw.get("dataset", {"synthetic": {"n_sites": 400}}), "dataset")
     dataset_path: str | None = None
     synthetic: SyntheticProfile | None = None
     if "path" in dataset:
@@ -144,7 +175,7 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     seed = raw.get("seed", scheme.seed)
     if seed_override is not None:
         seed = seed_override
-    scheme = dataclasses.replace(scheme, seed=int(seed))
+    scheme = dataclasses.replace(scheme, seed=_require_number(seed, "seed", integer=True))
 
     mech_raw = raw.get("mechanisms", "both")
     if mech_raw == "both":
@@ -167,8 +198,9 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     if ranking not in RANKINGS:
         raise ConfigError(f"ranking must be one of {RANKINGS}")
 
-    budget = raw.get("budget", {})
-    initial_budget = float(budget.get("initial", DEFAULT_INITIAL_BUDGET))
+    budget = _require_object(raw.get("budget", {}), "budget")
+    initial = budget.get("initial", DEFAULT_INITIAL_BUDGET)
+    initial_budget = float(_require_number(initial, "budget.initial"))
     if Mechanism.DEFERRED in mechanisms and initial_budget <= 0:
         raise ConfigError("budget.initial must be > 0 for a deferred run")
     upfront_budget = budget.get("upfront", NPV_MATCHED)
@@ -179,7 +211,7 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
                     "an npv-matched up-front budget requires a deferred run in the same scenario"
                 )
         else:
-            upfront_budget = float(upfront_budget)
+            upfront_budget = float(_require_number(upfront_budget, "budget.upfront"))
             if upfront_budget <= 0:
                 raise ConfigError("budget.upfront must be > 0 or 'npv-matched'")
     else:
@@ -251,7 +283,6 @@ def execute_scenario(
 
     outcomes: list[RunOutcome] = []
     supplies: dict[Mechanism, SupplySummary] = {}
-    deferred_outcome: RunOutcome | None = None
 
     for mechanism in scenario.mechanisms:
         offers = build_offers(dataset, cfg, mechanism, rng_stream(cfg.seed, PHI_STREAM), table)
@@ -260,23 +291,18 @@ def execute_scenario(
             offers = select_old_growth(offers)
         ranked = rank_benefit_cost(offers)
         if mechanism is Mechanism.DEFERRED:
-            outcome = run_deferred(dataset, cfg, scenario.initial_budget, ranked, schedule)
-            deferred_outcome = outcome
+            outcome = deferred_outcome = run_deferred(cfg, scenario.initial_budget, ranked, schedule)
         else:
             budget = scenario.upfront_budget
-            if budget == NPV_MATCHED:
-                if deferred_outcome is None:
-                    raise ConfigError("npv-matched budget requires the deferred run to come first")
-                spent0 = deferred_outcome.spending_by_year.get(0, 0.0)
-                instalment = deferred_outcome.spending_by_year.get(1, 0.0)
+            if budget == NPV_MATCHED:  # resolve_scenario puts the deferred run first
                 budget = match_upfront_budget(
-                    spent0,
-                    instalment,
+                    deferred_outcome.spending[0],
+                    deferred_outcome.summary.instalment_cost_per_year,
                     cfg.instalment_count_x,
                     cfg.discount_rate,
                     cfg.horizon,
                 )
-            outcome = run_upfront(dataset, cfg, float(budget), ranked, schedule)
+            outcome = run_upfront(cfg, float(budget), ranked, schedule)
         outcomes.append(outcome)
     return outcomes, supplies
 
@@ -358,47 +384,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _write_manifest(point_dir, "run", point_scenario)
             row["status"] = "ok"
             for outcome in outcomes:
-                prefix = "deferred" if outcome.mechanism is Mechanism.DEFERRED else "upfront"
-                summary = outcome.summary
-                supply = supplies[outcome.mechanism]
-                row[f"{prefix}_offered_area_ha"] = supply.offered_area_ha
-                row[f"{prefix}_offered_sites"] = supply.offered_sites
-                for field_name in (
-                    "area_ha",
-                    "bd_index_sum",
-                    "avg_stand_age",
-                    "avg_downpayment",
-                    "avg_instalment",
-                    "avg_total_payment_npv",
-                    "harvested_area_ha",
-                    "costs_npv",
-                    "benefits_npv",
-                    "lost_benefits",
-                    "ex_post_net_benefits",
-                ):
-                    row[f"{prefix}_{field_name}"] = getattr(summary, field_name)
-        except (ConfigError, LoadError, OSError, ValueError) as err:
+                cells = report_cells(outcome, supplies[outcome.mechanism])
+                row.update((f"{outcome.mechanism.value}_{k}", v) for k, v in cells.items())
+        except (ConfigError, LoadError, OSError) as err:
             row["status"] = f"error: {err}"
         rows.append(row)
 
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    import csv as _csv
-
     sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{v:.2f}" if isinstance(v, float) else v
-                    for v in (row.get(c, "") for c in columns)
-                ]
-            )
+    write_sweep(sweep_path, scenario.mechanisms, rows)
     _write_manifest(
         out_dir,
         "sweep",
@@ -451,12 +444,13 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
         avg_down = deferred["summary"]["avg_downpayment"]
         avg_inst = deferred["summary"]["avg_instalment"]
         avg_upfront = upfront["summary"]["avg_downpayment"] if upfront else None
+        # r, x and the horizon must be the run's own, not the defaults
+        cfg = _read_scenario_file(str(Path(args.from_run).with_name("manifest.json")), None).scheme
     else:
         avg_down = args.avg_downpayment
         avg_inst = args.avg_instalment
         avg_upfront = args.avg_upfront
-
-    cfg = require_valid_scheme(SchemeConfig())
+        cfg = require_valid_scheme(SchemeConfig())
     if args.area is None or args.area <= 0:
         raise ConfigError("--area must be a positive number of hectares")
     if args.upfront_annual_budget is not None:

@@ -7,9 +7,12 @@ round-trip exactly through write_sites/load_sites.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +27,10 @@ from .model import (
     Species,
     validate_site,
 )
-from .simulation import RunOutcome, SupplySummary
+from .simulation import RunOutcome, RunSummary, SupplySummary
 from .streams import SYNTHETIC_STREAM, rng_stream
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 REQUIRED_COLUMNS = (
     "id",
@@ -245,12 +248,14 @@ def load_sites(path: str | Path) -> tuple[list[SiteRecord], list[RowIssue]]:
     """Parse a site CSV into records plus a per-row issue report.
 
     Rows with unparseable cells or invariant violations are excluded and
-    reported; only structural problems (unreadable file, missing required
-    columns) reject the whole file.
+    reported, as is any row repeating the id of an earlier kept row; only
+    structural problems (unreadable file, missing required columns) reject
+    the whole file.
     """
     path = Path(path)
     sites: list[SiteRecord] = []
     issues: list[RowIssue] = []
+    kept_rows: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -270,6 +275,11 @@ def load_sites(path: str | Path) -> tuple[list[SiteRecord], list[RowIssue]]:
                     RowIssue(row=row_no, column=v.field, message=v.rule) for v in violations
                 )
                 continue
+            if site.id in kept_rows:
+                message = f"duplicate site id '{site.id}' (first on row {kept_rows[site.id]})"
+                issues.append(RowIssue(row=row_no, column="id", message=message))
+                continue
+            kept_rows[site.id] = row_no
             sites.append(site)
     return sites, issues
 
@@ -338,85 +348,74 @@ def write_sites(sites: list[SiteRecord], path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for site in sites:
-            writer.writerow(
-                [
-                    site.id,
-                    site.site_type.value,
-                    repr(site.stand_age),
-                    repr(site.stand_volume),
-                    site.dominant_species.value,
-                    repr(site.broadleaf_share),
-                    repr(site.deadwood),
-                    repr(site.timber_value),
-                    repr(site.opportunity_cost_v0),
-                    repr(site.commercial_rotation_age),
-                    repr(site.area_ha),
-                    repr(site.land_payment),
-                ]
-            )
+            cells = (getattr(site, column) for column in columns)
+            writer.writerow([c.value if isinstance(c, Enum) else c for c in cells])
 
 
-_SUMMARY_FIELDS = (
+# Report columns, each declared once. summary.csv and every sweep.csv
+# mechanism block share REPORT_COLUMNS: the run summary, then the supply
+# summary prefixed "offered_".
+SUMMARY_COLUMNS = tuple(f.name for f in fields(RunSummary))
+SUPPLY_COLUMNS = tuple(f.name for f in fields(SupplySummary))
+REPORT_COLUMNS = SUMMARY_COLUMNS + tuple(f"offered_{name}" for name in SUPPLY_COLUMNS)
+TIMESERIES_COLUMNS = (
+    "year",
+    "annual_cost",
+    "cumulative_cost",
+    "annual_area_ha",
+    "cumulative_area_ha",
+    "lost_area_ha",
+)
+LEDGER_COLUMNS = (
+    "site_id",
+    "status",
+    "year",
     "area_ha",
-    "sites_conserved",
-    "bd_index_sum",
-    "avg_stand_age",
-    "avg_downpayment",
-    "avg_instalment",
-    "avg_total_payment_npv",
-    "harvested_area_ha",
-    "instalment_cost_per_year",
-    "budget",
-    "costs_npv",
-    "costs_absolute",
-    "benefits_npv",
-    "lost_benefits",
-    "ex_post_net_benefits",
+    "elite",
+    "downpayment_per_ha",
+    "instalment_per_ha",
+    "total_payment_npv_per_ha",
+    "stand_age",
+    "site_type",
 )
-_SUPPLY_FIELDS = (
-    "offered_sites",
-    "offered_area_ha",
-    "bd_index_sum",
-    "avg_stand_age",
-    "avg_downpayment",
-    "avg_instalment",
-    "avg_total_payment_npv",
-)
+SWEEP_POINT_COLUMNS = ("point", "interest_rate", "payment_periods", "bid_cap_scale", "seed", "status")
 
 
-def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, float]]:
-    offers_by_id = {o.site.id: o for o in outcome.offers}
-    last_year = max(
-        [cfg.horizon - 1]
-        + list(outcome.spending_by_year)
-        + list(outcome.conserved_year.values())
-        + list(outcome.harvested_year.values())
-    )
-    conserved_by_year = outcome.conserved_by_year()
-    harvested_by_year = outcome.harvested_by_year()
+def report_cells(outcome: RunOutcome, supply: SupplySummary | None) -> dict[str, object]:
+    """One mechanism's REPORT_COLUMNS values; supply cells are empty without a supply."""
+    cells: dict[str, object] = {name: getattr(outcome.summary, name) for name in SUMMARY_COLUMNS}
+    for name in SUPPLY_COLUMNS:
+        cells[f"offered_{name}"] = getattr(supply, name) if supply else ""
+    return cells
+
+
+def _area_by_year(years: dict[str, int], area: dict[str, float], n_years: int) -> list[float]:
+    out = [0.0] * n_years
+    for site_id, year in years.items():
+        out[year] += area[site_id]
+    return out
+
+
+def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object]]:
+    """TIMESERIES_COLUMNS rows over the horizon, or the spending stream if longer."""
+    n_years = max(cfg.horizon, len(outcome.spending))
+    area = {o.site.id: o.area_ha for o in outcome.offers}
+    conserved = _area_by_year(outcome.conserved_year, area, n_years)
+    lost = _area_by_year(outcome.harvested_year, area, n_years)
+    spending = outcome.spending + [0.0] * (n_years - len(outcome.spending))
     rows = []
     cum_cost = 0.0
     cum_area = 0.0
-    for year in range(last_year + 1):
-        annual_cost = outcome.spending_by_year.get(year, 0.0)
-        annual_area = sum(offers_by_id[s].area_ha for s in conserved_by_year.get(year, ()))
-        lost_area = sum(offers_by_id[s].area_ha for s in harvested_by_year.get(year, ()))
-        cum_cost += annual_cost
-        cum_area += annual_area
-        rows.append(
-            {
-                "year": year,
-                "annual_cost": annual_cost,
-                "cumulative_cost": cum_cost,
-                "annual_area_ha": annual_area,
-                "cumulative_area_ha": cum_area,
-                "lost_area_ha": lost_area,
-            }
-        )
+    for year in range(n_years):
+        cum_cost += spending[year]
+        cum_area += conserved[year]
+        values = (year, spending[year], cum_cost, conserved[year], cum_area, lost[year])
+        rows.append(dict(zip(TIMESERIES_COLUMNS, values)))
     return rows
 
 
 def _site_ledger(outcome: RunOutcome) -> list[dict[str, object]]:
+    """LEDGER_COLUMNS rows, one per offer, by site id."""
     rows = []
     for offer in sorted(outcome.offers, key=lambda o: o.site.id):
         site_id = offer.site.id
@@ -426,20 +425,19 @@ def _site_ledger(outcome: RunOutcome) -> list[dict[str, object]]:
             status, year = "lost", outcome.harvested_year[site_id]
         else:
             status, year = "unfunded", ""
-        rows.append(
-            {
-                "site_id": site_id,
-                "status": status,
-                "year": year,
-                "area_ha": offer.area_ha,
-                "elite": offer.elite,
-                "downpayment_per_ha": offer.downpayment_per_ha,
-                "instalment_per_ha": offer.instalment_per_ha,
-                "total_payment_npv_per_ha": offer.total_payment_npv_per_ha,
-                "stand_age": offer.site.stand_age,
-                "site_type": offer.site.site_type.value,
-            }
+        values = (
+            site_id,
+            status,
+            year,
+            offer.area_ha,
+            offer.elite,
+            offer.downpayment_per_ha,
+            offer.instalment_per_ha,
+            offer.total_payment_npv_per_ha,
+            offer.site.stand_age,
+            offer.site.site_type.value,
         )
+        rows.append(dict(zip(LEDGER_COLUMNS, values)))
     return rows
 
 
@@ -449,12 +447,13 @@ def _round_cell(value: object) -> object:
     return value
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: list[dict[str, object]]) -> None:
+    """One line per row, cells in `header` order; a cell missing from a row is left empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_round_cell(v) for v in row])
+            writer.writerow([_round_cell(row.get(column, "")) for column in header])
 
 
 def write_report(
@@ -474,83 +473,57 @@ def write_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    runs_payload = []
-    for outcome in outcomes:
-        if outcome.summary is None:
-            raise ValueError("write_report requires accounted outcomes")
-        mech = outcome.mechanism.value
-        supply = supplies.get(outcome.mechanism)
-        runs_payload.append(
-            {
-                "mechanism": mech,
-                "summary": {f: getattr(outcome.summary, f) for f in _SUMMARY_FIELDS},
-                "supply": (
-                    {f: getattr(supply, f) for f in _SUPPLY_FIELDS} if supply else None
-                ),
-                "timeseries": _timeseries(outcome, cfg),
-                "sites": _site_ledger(outcome),
-            }
-        )
+    reports = [
+        (outcome, supplies.get(outcome.mechanism), _timeseries(outcome, cfg), _site_ledger(outcome))
+        for outcome in outcomes
+    ]
 
     if fmt in ("csv", "both"):
-        header = ["mechanism"]
-        header += list(_SUMMARY_FIELDS)
-        header += [f"offered_{f}" for f in _SUPPLY_FIELDS]
-        rows = []
-        for payload in runs_payload:
-            row: list[object] = [payload["mechanism"]]
-            row += [payload["summary"][f] for f in _SUMMARY_FIELDS]
-            supply = payload["supply"]
-            row += [supply[f] if supply else "" for f in _SUPPLY_FIELDS]
-            rows.append(row)
         path = out_dir / "summary.csv"
-        _write_csv(path, header, rows)
+        rows = [
+            {"mechanism": outcome.mechanism.value, **report_cells(outcome, supply)}
+            for outcome, supply, _, _ in reports
+        ]
+        _write_csv(path, ("mechanism",) + REPORT_COLUMNS, rows)
         written.append(path)
-        for payload in runs_payload:
-            ts_path = out_dir / f"timeseries_{payload['mechanism']}.csv"
-            ts_header = [
-                "year",
-                "annual_cost",
-                "cumulative_cost",
-                "annual_area_ha",
-                "cumulative_area_ha",
-                "lost_area_ha",
-            ]
-            _write_csv(
-                ts_path,
-                ts_header,
-                [[r[k] for k in ts_header] for r in payload["timeseries"]],
-            )
-            written.append(ts_path)
-            ledger_path = out_dir / f"sites_{payload['mechanism']}.csv"
-            ledger_header = [
-                "site_id",
-                "status",
-                "year",
-                "area_ha",
-                "elite",
-                "downpayment_per_ha",
-                "instalment_per_ha",
-                "total_payment_npv_per_ha",
-                "stand_age",
-                "site_type",
-            ]
-            _write_csv(
-                ledger_path,
-                ledger_header,
-                [[r[k] for k in ledger_header] for r in payload["sites"]],
-            )
-            written.append(ledger_path)
+        for outcome, _, timeseries, ledger in reports:
+            mech = outcome.mechanism.value
+            for name, header, rows in (
+                (f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, timeseries),
+                (f"sites_{mech}.csv", LEDGER_COLUMNS, ledger),
+            ):
+                _write_csv(out_dir / name, header, rows)
+                written.append(out_dir / name)
 
     if fmt in ("json", "both"):
         path = out_dir / "summary.json"
-        payload = {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs_payload}
+        runs = [
+            {
+                "mechanism": outcome.mechanism.value,
+                "summary": dataclasses.asdict(outcome.summary),
+                "supply": dataclasses.asdict(supply) if supply else None,
+                "timeseries": timeseries,
+                "sites": ledger,
+            }
+            for outcome, supply, timeseries, ledger in reports
+        ]
         with open(path, "w", encoding="utf-8") as fh:
+            payload = {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs}
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(path)
     return written
+
+
+def write_sweep(path: Path, mechanisms: Sequence[Mechanism], rows: list[dict[str, object]]) -> None:
+    """Write sweep.csv: the axis columns, then REPORT_COLUMNS per mechanism as `{mech}_{column}`.
+
+    Cells a row lacks (every result cell of a failed point) are left empty.
+    """
+    columns = SWEEP_POINT_COLUMNS + tuple(
+        f"{mechanism.value}_{name}" for mechanism in mechanisms for name in REPORT_COLUMNS
+    )
+    _write_csv(path, columns, rows)
 
 
 def _round10(value: float) -> int:
@@ -564,14 +537,12 @@ def format_console_summary(
     lines = []
     for outcome in outcomes:
         s = outcome.summary
-        if s is None:
-            continue
         supply = supplies.get(outcome.mechanism)
         head = "Deferred payments" if outcome.mechanism is Mechanism.DEFERRED else "Up-front payments"
         budget_label = "Initial budget" if outcome.mechanism is Mechanism.DEFERRED else "Annual budget"
         lines.append(head)
         if supply is not None:
-            lines.append(f"  Offered area, ha               {supply.offered_area_ha:,.0f}")
+            lines.append(f"  Offered area, ha               {supply.area_ha:,.0f}")
         lines.append(f"  {budget_label}, EUR            {_round10(s.budget):,}")
         lines.append(f"  Cost of instalments, EUR/year  {_round10(s.instalment_cost_per_year):,}")
         lines.append(f"  Area, ha                       {s.area_ha:,.0f}")

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .model import (
     AmenityParams,
+    ConfigError,
     LandownerProfile,
     OwnerKind,
     SchemeConfig,
@@ -157,29 +158,41 @@ def load_elite_table(path: str | Path) -> EliteTable:
     """Load a component table from CSV: component,site_types,weight,reference.
 
     `site_types` is either `all` or a semicolon-separated list of site type
-    names (e.g. `herb_rich;mesic_heath`).
+    names (e.g. `herb_rich;mesic_heath`). A table that cannot serve as the
+    habitat index raises ConfigError naming the component or column at fault.
     """
     components: list[EliteComponent] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"component", "site_types", "weight", "reference"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"elite table must have columns {sorted(required)}")
+            raise ConfigError(f"elite table must have columns {sorted(required)}")
         for row in reader:
+            name = row["component"].strip()
+            if name not in _COMPONENT_SOURCES:
+                raise ConfigError(
+                    f"component {name}: not a site attribute "
+                    f"(one of {', '.join(_COMPONENT_SOURCES)})"
+                )
             raw_types = row["site_types"].strip()
-            if raw_types.lower() == "all":
-                types = _ALL_TYPES
-            else:
-                types = frozenset(SiteType(t.strip()) for t in raw_types.split(";") if t.strip())
-            weight = float(row["weight"])
-            reference = float(row["reference"])
+            try:
+                if raw_types.lower() == "all":
+                    types = _ALL_TYPES
+                else:
+                    types = frozenset(
+                        SiteType(t.strip()) for t in raw_types.split(";") if t.strip()
+                    )
+                weight = float(row["weight"])
+                reference = float(row["reference"])
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"component {name}: {err}") from None
             if not 0.0 < weight <= 1.0:
-                raise ValueError(f"component {row['component']}: weight must be in (0, 1]")
-            if reference <= 0:
-                raise ValueError(f"component {row['component']}: reference must be > 0")
+                raise ConfigError(f"component {name}: weight must be in (0, 1]")
+            if not reference > 0:
+                raise ConfigError(f"component {name}: reference must be > 0")
             components.append(
                 EliteComponent(
-                    name=row["component"].strip(),
+                    name=name,
                     weight=weight,
                     reference=reference,
                     applicable_site_types=types,
@@ -188,5 +201,5 @@ def load_elite_table(path: str | Path) -> EliteTable:
     table = EliteTable(components=tuple(components))
     for site_type in SiteType:
         if not table.for_site_type(site_type):
-            raise ValueError(f"site type {site_type.value} has no applicable component")
+            raise ConfigError(f"site type {site_type.value} has no applicable component")
     return table

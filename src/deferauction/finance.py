@@ -5,35 +5,7 @@ convention: a cash flow in year y is worth amount * (1+delta)^(-y) today.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class CashflowStream:
-    """A sparse stream of (year, amount) cash flows with unique, sorted years."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "CashflowStream":
-        items = sorted((int(y), float(a)) for y, a in pairs)
-        years = [y for y, _ in items]
-        if len(set(years)) != len(years):
-            raise ValueError("cashflow years must be unique")
-        if any(y < 0 for y in years):
-            raise ValueError("cashflow years must be >= 0")
-        return cls(entries=tuple(items))
-
-    def __add__(self, other: "CashflowStream") -> "CashflowStream":
-        merged: dict[int, float] = {}
-        for y, a in self.entries:
-            merged[y] = merged.get(y, 0.0) + a
-        for y, a in other.entries:
-            merged[y] = merged.get(y, 0.0) + a
-        return CashflowStream(entries=tuple(sorted(merged.items())))
-
-    def total(self) -> float:
-        return sum(a for _, a in self.entries)
+from collections.abc import Sequence
 
 
 def compound_factor(r: float, t: int) -> float:
@@ -67,11 +39,11 @@ def total_revenue(v1: float, c: float, r: float, t: int) -> float:
     return c + compound_factor(r, t) * (v1 - c)
 
 
-def npv(stream: CashflowStream, delta: float) -> float:
-    """Net present value of a cashflow stream at discount rate delta."""
+def npv(spending: Sequence[float], delta: float) -> float:
+    """Net present value at discount rate delta of a yearly stream; index = year."""
     if delta < 0:
         raise ValueError("discount rate must be >= 0")
-    return sum(a * (1.0 + delta) ** (-y) for y, a in stream.entries)
+    return sum(a * (1.0 + delta) ** (-y) for y, a in enumerate(spending))
 
 
 def discounted_instalment_sum(m: float, periods: int, delta: float) -> float:

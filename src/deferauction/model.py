@@ -198,20 +198,16 @@ def validate_site(site: SiteRecord) -> list[Violation]:
     return out
 
 
-def validate_owner(owner: LandownerProfile) -> list[Violation]:
-    """Check LandownerProfile invariants."""
-    out: list[Violation] = []
-    if owner.kind is OwnerKind.FAUSTMANNIAN:
-        if owner.a0 != 0.0 or owner.a1 != 0.0:
-            out.append(Violation("a0/a1", "must both be 0 for a Faustmannian owner"))
-    else:
-        if not _finite(owner.phi) or owner.phi <= 0:
-            out.append(Violation("phi", "must be finite and > 0"))
-        if owner.a0 < 0 or owner.a1 < 0:
-            out.append(Violation("a0/a1", "must be >= 0"))
-        if owner.a1 < owner.a0:
-            out.append(Violation("a1", "must be >= a0 (amenity value nondecreasing in stand age)"))
-    return out
+# Lowest acceptance rate allowed for the truncated phi draw: below it the
+# rejection sampler needs over a thousand normal draws per owner on average.
+PHI_ACCEPTANCE_FLOOR = 1e-3
+
+
+def _phi_acceptance(am: AmenityParams) -> float:
+    """P(X >= phi_min) for X ~ N(phi_mean, phi_sd); a step function when phi_sd is 0."""
+    if am.phi_sd == 0:
+        return 1.0 if am.phi_mean >= am.phi_min else 0.0
+    return 0.5 * math.erfc((am.phi_min - am.phi_mean) / (am.phi_sd * math.sqrt(2.0)))
 
 
 def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
@@ -259,7 +255,17 @@ def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
         out.append(Violation("amenity.phi_sd", "must be finite and >= 0"))
     if not _finite(am.phi_min) or am.phi_min <= 0:
         out.append(Violation("amenity.phi_min", "must be finite and > 0"))
+    elif _finite(am.phi_sd) and am.phi_sd >= 0:
+        if not _finite(am.phi_mean) or _phi_acceptance(am) < PHI_ACCEPTANCE_FLOOR:
+            out.append(
+                Violation(
+                    "amenity.phi_mean",
+                    f"must be finite and leave P(phi >= phi_min) >= {PHI_ACCEPTANCE_FLOOR:g} "
+                    "under N(phi_mean, phi_sd)",
+                )
+            )
     return out
+
 
 
 class ConfigError(ValueError):

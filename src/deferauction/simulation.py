@@ -7,9 +7,9 @@ from an annual budget while unconserved stands keep dropping to harvest.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +27,8 @@ from .ecology import (
     is_old_growth,
     make_owner,
 )
-from .finance import CashflowStream, annuity_factor, npv
-from .model import Bid, Mechanism, OwnerKind, SchemeConfig, SiteRecord
-
-
-@dataclass(frozen=True)
-class HarvestSchedule:
-    """Realized harvest year per site id; sites absent from the map are never cut.
-
-    Only stands reaching their commercial rotation age within the harvest
-    window receive a year, always below the window length.
-    """
-
-    harvest_years: dict[str, int]
-
-    def get(self, site_id: str) -> int | None:
-        return self.harvest_years.get(site_id)
-
-    @classmethod
-    def empty(cls) -> "HarvestSchedule":
-        return cls(harvest_years={})
+from .finance import annuity_factor, npv
+from .model import Mechanism, OwnerKind, SchemeConfig, SiteRecord
 
 
 @dataclass(frozen=True)
@@ -63,7 +45,6 @@ class Offer:
     downpayment_per_ha: float
     instalment_per_ha: float
     total_payment_npv_per_ha: float
-    bid: Bid | None = None
 
     @property
     def area_ha(self) -> float:
@@ -82,10 +63,10 @@ class Offer:
 
 @dataclass(frozen=True)
 class SupplySummary:
-    """Aggregates over the offers a mechanism attracted."""
+    """Aggregates over a set of offers: all a mechanism attracted, or those it conserved."""
 
-    offered_sites: int
-    offered_area_ha: float
+    sites: int
+    area_ha: float
     bd_index_sum: float
     avg_stand_age: float
     avg_downpayment: float
@@ -116,30 +97,18 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Everything one mechanism run produced: flows, site fates, and accounting."""
+    """Everything one mechanism run produced: site fates, yearly spending, and accounting.
+
+    ``spending[y]`` is the outlay in year y. Sites in neither year map stayed
+    unfunded.
+    """
 
     mechanism: Mechanism
-    budget: float
     offers: tuple[Offer, ...]
     conserved_year: dict[str, int]
     harvested_year: dict[str, int]
-    spending_by_year: dict[int, float]
-    summary: RunSummary | None = None
-
-    def conserved_by_year(self) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = defaultdict(list)
-        for site_id, year in self.conserved_year.items():
-            out[year].append(site_id)
-        return dict(out)
-
-    def harvested_by_year(self) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = defaultdict(list)
-        for site_id, year in self.harvested_year.items():
-            out[year].append(site_id)
-        return dict(out)
-
-    def spending_stream(self) -> CashflowStream:
-        return CashflowStream.from_pairs(sorted(self.spending_by_year.items()))
+    spending: list[float]
+    summary: RunSummary
 
 
 def build_offers(
@@ -154,10 +123,15 @@ def build_offers(
     Owners are typed from stand age; Hartmanian preference scales come from
     `rng`, one draw per Hartmanian site in dataset order, so runs over the
     same dataset and seed see identical owners regardless of mechanism.
+    Site ids must be unique: a repeated id raises ValueError.
     """
     instalment_pv = annuity_factor(cfg.instalment_count_x, cfg.discount_rate)
+    seen: set[str] = set()
     offers: list[Offer] = []
     for site in dataset:
+        if site.id in seen:
+            raise ValueError(f"duplicate site id {site.id!r}")
+        seen.add(site.id)
         kind = classify_landowner(site)
         phi = draw_phi(rng, cfg.amenity) if kind is OwnerKind.HARTMANIAN else 1.0
         owner = make_owner(site, phi, cfg)
@@ -166,41 +140,25 @@ def build_offers(
             bid = optimal_downpayment(site, owner, cfg)
             if not bid.participates:
                 continue
-            offers.append(
-                Offer(
-                    site=site,
-                    mechanism=mechanism,
-                    elite=elite,
-                    downpayment_per_ha=bid.downpayment_c,
-                    instalment_per_ha=bid.instalment_m,
-                    total_payment_npv_per_ha=bid.downpayment_c + bid.instalment_m * instalment_pv,
-                    bid=bid,
-                )
-            )
+            outlay, instalment = bid.downpayment_c, bid.instalment_m
+            total_npv = outlay + instalment * instalment_pv
         else:
-            payment = upfront_bid(site, owner, cfg.upfront_cap_hi)
-            if not upfront_participates(payment, site, owner):
+            outlay = upfront_bid(site, owner, cfg.upfront_cap_hi)
+            if not upfront_participates(outlay, site, owner):
                 continue
-            offers.append(
-                Offer(
-                    site=site,
-                    mechanism=mechanism,
-                    elite=elite,
-                    downpayment_per_ha=payment,
-                    instalment_per_ha=0.0,
-                    total_payment_npv_per_ha=payment,
-                )
-            )
+            instalment, total_npv = 0.0, outlay
+        offers.append(Offer(site, mechanism, elite, outlay, instalment, total_npv))
     return offers
 
 
 def draw_harvest_schedule(
     dataset: list[SiteRecord], cfg: SchemeConfig, rng: np.random.Generator
-) -> HarvestSchedule:
-    """One harvest realization: every stand maturing within the window is cut.
+) -> dict[str, int]:
+    """One harvest realization: site id to harvest year; sites never cut are absent.
 
-    A stand first eligible in year y0 (when it reaches its rotation age, 0 if
-    already past it) draws a harvest year uniformly from {y0, ..., window-1}.
+    Every stand maturing within the window is cut. A stand first eligible in
+    year y0 (when it reaches its rotation age, 0 if already past it) draws a
+    harvest year uniformly from {y0, ..., window-1}.
     """
     years: dict[str, int] = {}
     for site in dataset:
@@ -208,7 +166,7 @@ def draw_harvest_schedule(
         first_year = max(0, math.ceil(gap))
         if first_year < cfg.harvest_window:
             years[site.id] = int(rng.integers(first_year, cfg.harvest_window))
-    return HarvestSchedule(harvest_years=years)
+    return years
 
 
 def rank_benefit_cost(offers: list[Offer]) -> list[Offer]:
@@ -234,11 +192,10 @@ def select_old_growth(offers: list[Offer]) -> list[Offer]:
 
 
 def run_deferred(
-    dataset: list[SiteRecord],
     cfg: SchemeConfig,
     initial_budget: float,
     ranking: list[Offer],
-    schedule: HarvestSchedule,
+    schedule: dict[str, int],
 ) -> RunOutcome:
     """Fund ranked offers from the initial budget, all at year 0.
 
@@ -252,7 +209,6 @@ def run_deferred(
         raise ValueError("initial_budget must be >= 0")
     remaining = initial_budget
     conserved: dict[str, int] = {}
-    spending: dict[int, float] = {}
     instalment_per_year = 0.0
     spent = 0.0
     for offer in ranking:
@@ -263,27 +219,24 @@ def run_deferred(
             spent += offer.cost
             conserved[offer.site.id] = 0
             instalment_per_year += offer.instalment_per_ha * offer.area_ha
-    spending[0] = spent
+    spending = [spent]
     if instalment_per_year > 0:
-        for year in range(1, cfg.instalment_count_x + 1):
-            spending[year] = instalment_per_year
-    outcome = RunOutcome(
+        spending += [instalment_per_year] * cfg.instalment_count_x
+    return RunOutcome(
         mechanism=Mechanism.DEFERRED,
-        budget=initial_budget,
         offers=tuple(ranking),
         conserved_year=conserved,
         harvested_year={},
-        spending_by_year=spending,
+        spending=spending,
+        summary=account(Mechanism.DEFERRED, initial_budget, ranking, conserved, {}, spending, cfg),
     )
-    return replace(outcome, summary=account(outcome, cfg))
 
 
 def run_upfront(
-    dataset: list[SiteRecord],
     cfg: SchemeConfig,
     annual_budget: float,
     ranking: list[Offer],
-    schedule: HarvestSchedule,
+    schedule: dict[str, int],
 ) -> RunOutcome:
     """Fund ranked offers gradually from an annual budget over the horizon.
 
@@ -296,7 +249,7 @@ def run_upfront(
     pending = list(ranking)
     conserved: dict[str, int] = {}
     harvested: dict[str, int] = {}
-    spending: dict[int, float] = {}
+    spending: list[float] = []
     for year in range(cfg.horizon):
         available: list[Offer] = []
         for offer in pending:
@@ -315,17 +268,18 @@ def run_upfront(
                 conserved[offer.site.id] = year
             else:
                 leftover.append(offer)
-        spending[year] = spent
+        spending.append(spent)
         pending = leftover
-    outcome = RunOutcome(
+    return RunOutcome(
         mechanism=Mechanism.UPFRONT,
-        budget=annual_budget,
         offers=tuple(ranking),
         conserved_year=conserved,
         harvested_year=harvested,
-        spending_by_year=spending,
+        spending=spending,
+        summary=account(
+            Mechanism.UPFRONT, annual_budget, ranking, conserved, harvested, spending, cfg
+        ),
     )
-    return replace(outcome, summary=account(outcome, cfg))
 
 
 def _per_ha_average(pairs: list[tuple[float, float]]) -> float:
@@ -336,19 +290,26 @@ def _per_ha_average(pairs: list[tuple[float, float]]) -> float:
     return sum(value * area for value, area in pairs) / total_area
 
 
-def account(outcome: RunOutcome, cfg: SchemeConfig) -> RunSummary:
+def account(
+    mechanism: Mechanism,
+    budget: float,
+    offers: list[Offer],
+    conserved_year: dict[str, int],
+    harvested_year: dict[str, int],
+    spending: list[float],
+    cfg: SchemeConfig,
+) -> RunSummary:
     """Accounting summary of a completed run.
 
     Benefits accrue at the year each site is conserved; lost benefits are
     booked (negatively) at each lost site's harvest year; both discount at the
     accounting rate. Averages cover conserved sites only.
     """
-    by_id = {offer.site.id: offer for offer in outcome.offers}
-    conserved = [(by_id[sid], year) for sid, year in outcome.conserved_year.items()]
-    lost = [(by_id[sid], year) for sid, year in outcome.harvested_year.items()]
+    by_id = {offer.site.id: offer for offer in offers}
+    conserved = [(by_id[sid], year) for sid, year in conserved_year.items()]
+    lost = [(by_id[sid], year) for sid, year in harvested_year.items()]
     delta = cfg.discount_rate
 
-    area = sum(o.area_ha for o, _ in conserved)
     benefits = sum(
         cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in conserved
     )
@@ -356,27 +317,20 @@ def account(outcome: RunOutcome, cfg: SchemeConfig) -> RunSummary:
         cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in lost
     )
     lost_benefits = -lost_total if lost_total > 0 else 0.0
-    stream = outcome.spending_stream()
-    costs_npv = npv(stream, delta)
-    if outcome.mechanism is Mechanism.DEFERRED:
+    if mechanism is Mechanism.DEFERRED:
         instalment_cost = sum(o.instalment_per_ha * o.area_ha for o, _ in conserved)
     else:
         instalment_cost = 0.0
+    totals = dataclasses.asdict(summarize_supply([o for o, _ in conserved]))
+    sites = totals.pop("sites")
     return RunSummary(
-        area_ha=area,
-        sites_conserved=len(conserved),
-        bd_index_sum=sum(o.elite * o.area_ha for o, _ in conserved),
-        avg_stand_age=_per_ha_average([(o.site.stand_age, o.area_ha) for o, _ in conserved]),
-        avg_downpayment=_per_ha_average([(o.downpayment_per_ha, o.area_ha) for o, _ in conserved]),
-        avg_instalment=_per_ha_average([(o.instalment_per_ha, o.area_ha) for o, _ in conserved]),
-        avg_total_payment_npv=_per_ha_average(
-            [(o.total_payment_npv_per_ha, o.area_ha) for o, _ in conserved]
-        ),
+        sites_conserved=sites,
+        **totals,
         harvested_area_ha=sum(o.area_ha for o, _ in lost),
         instalment_cost_per_year=instalment_cost,
-        budget=outcome.budget,
-        costs_npv=costs_npv,
-        costs_absolute=stream.total(),
+        budget=budget,
+        costs_npv=npv(spending, delta),
+        costs_absolute=sum(spending),
         benefits_npv=benefits,
         lost_benefits=lost_benefits,
         ex_post_net_benefits=benefits + lost_benefits,
@@ -384,10 +338,10 @@ def account(outcome: RunOutcome, cfg: SchemeConfig) -> RunSummary:
 
 
 def summarize_supply(offers: list[Offer]) -> SupplySummary:
-    """Supply-side aggregates over a mechanism's offers."""
+    """Count, area, habitat-index sum, and per-hectare averages over `offers`."""
     return SupplySummary(
-        offered_sites=len(offers),
-        offered_area_ha=sum(o.area_ha for o in offers),
+        sites=len(offers),
+        area_ha=sum(o.area_ha for o in offers),
         bd_index_sum=sum(o.elite * o.area_ha for o in offers),
         avg_stand_age=_per_ha_average([(o.site.stand_age, o.area_ha) for o in offers]),
         avg_downpayment=_per_ha_average([(o.downpayment_per_ha, o.area_ha) for o in offers]),

@@ -20,12 +20,7 @@ from deferauction.bidding import (
 from deferauction.cli import EXIT_OK, main
 from deferauction.dataio import SyntheticProfile, generate_synthetic
 from deferauction.ecology import EliteComponent, EliteTable, amenity_value, elite_index, is_old_growth
-from deferauction.finance import (
-    CashflowStream,
-    discounted_instalment_sum,
-    match_upfront_budget,
-    npv,
-)
+from deferauction.finance import discounted_instalment_sum, match_upfront_budget, npv
 from deferauction.model import (
     FAUSTMANNIAN,
     LandownerProfile,
@@ -208,7 +203,7 @@ def test_criterion_06_budget_matching():
     assert total == pytest.approx(11_482_954, abs=1.0)
     budget = match_upfront_budget(5_000_000, 760_000, 10, 0.03, 11)
     assert budget == pytest.approx(1_204_900, abs=100.0)
-    matched = npv(CashflowStream.from_pairs([(y, budget) for y in range(11)]), 0.03)
+    matched = npv([budget] * 11, 0.03)
     assert matched == pytest.approx(total, abs=0.01)
     rng = np.random.default_rng(606)
     for _ in range(100):
@@ -218,7 +213,7 @@ def test_criterion_06_budget_matching():
         delta = float(rng.uniform(0, 0.08))
         horizon = int(rng.integers(1, 35))
         b = match_upfront_budget(initial, instalment, years, delta, horizon)
-        lhs = npv(CashflowStream.from_pairs([(y, b) for y in range(horizon)]), delta)
+        lhs = npv([b] * horizon, delta)
         rhs = initial + discounted_instalment_sum(instalment, years, delta)
         assert lhs == pytest.approx(rhs, abs=0.01)
     print(f"[criterion 6] PASS: stream NPV {total:,.0f} EUR, matched budget {budget:,.0f} EUR/yr, "
@@ -253,7 +248,7 @@ def test_criterion_07_structural_reproduction_on_synthetic_data():
         offers_deferred = build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(seed, PHI_STREAM))
         offers_upfront = build_offers(dataset, cfg, Mechanism.UPFRONT, rng_stream(seed, PHI_STREAM))
         schedule = draw_harvest_schedule(dataset, cfg, rng_stream(seed, HARVEST_STREAM))
-        deferred = run_deferred(dataset, cfg, 5e6, rank_benefit_cost(offers_deferred), schedule)
+        deferred = run_deferred(cfg, 5e6, rank_benefit_cost(offers_deferred), schedule)
 
         # (a) every funded site conserved at year 0, nothing lost
         assert set(deferred.conserved_year.values()) <= {0}
@@ -262,13 +257,13 @@ def test_criterion_07_structural_reproduction_on_synthetic_data():
         assert deferred.summary.lost_benefits == 0.0
 
         budget = match_upfront_budget(
-            deferred.spending_by_year[0],
-            deferred.spending_by_year.get(1, 0.0),
+            deferred.spending[0],
+            deferred.summary.instalment_cost_per_year,
             cfg.instalment_count_x,
             cfg.discount_rate,
             cfg.horizon,
         )
-        upfront = run_upfront(dataset, cfg, budget, rank_benefit_cost(offers_upfront), schedule)
+        upfront = run_upfront(cfg, budget, rank_benefit_cost(offers_upfront), schedule)
         lost_positive += upfront.summary.harvested_area_ha > 0
         deferred_wins += (
             deferred.summary.ex_post_net_benefits >= upfront.summary.ex_post_net_benefits
@@ -333,7 +328,7 @@ def test_criterion_10_annual_harvest_rate_band():
         yearly = []
         for year in range(cfg.harvest_window):
             eligible = sum(1 for y in first_year.values() if y <= year)
-            cut = sum(1 for y in schedule.harvest_years.values() if y == year)
+            cut = sum(1 for y in schedule.values() if y == year)
             if eligible:
                 yearly.append(cut / eligible)
         mean_rate = sum(yearly) / len(yearly)

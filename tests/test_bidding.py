@@ -10,7 +10,6 @@ from deferauction.bidding import (
     acceptance_probability,
     bid_objective,
     draw_phi,
-    expected_payoff,
     omega,
     optimal_downpayment,
     optimal_downpayment_numeric,
@@ -83,22 +82,6 @@ class TestAcceptanceProbability:
     def test_rejects_bad_support(self):
         with pytest.raises(ValueError):
             BidCapBelief(5.0, 5.0)
-
-
-class TestExpectedPayoff:
-    def test_zero_above_cap(self, base_config):
-        assert expected_payoff(9_000.0, example_site(), FAUSTMANNIAN, base_config) == 0.0
-
-    def test_faustmannian_worked_example(self, base_config):
-        # bracket: 1_000 + 4_000 + 1.343916 * 3_000 / 10 = 5_403.17; times 0.5
-        payoff = expected_payoff(4_000.0, example_site(), FAUSTMANNIAN, base_config)
-        instalment_term = compound_oracle(0.03, 10) * 3_000 / 10
-        assert payoff == pytest.approx((1_000 + 4_000 + instalment_term) * 0.5, abs=1e-9)
-        assert payoff == pytest.approx(2_701.59, abs=0.05)
-
-    def test_hartmanian_adds_amenity_gain(self, base_config):
-        payoff = expected_payoff(4_000.0, example_site(), HARTMANIAN_2000, base_config)
-        assert payoff == pytest.approx(3_701.59, abs=0.05)
 
 
 class TestOptimalDownpayment:

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from deferauction.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from deferauction import cli
+from deferauction.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -49,6 +50,26 @@ class TestRun:
     def test_npv_matched_requires_deferred(self, tmp_path):
         scenario = write_scenario(tmp_path, mechanisms=["upfront"])
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"budget": {"initial": "lots"}}, "budget.initial"),
+            ({"scheme": {"instalment_count_x": 10.5}}, "instalment_count_x"),
+            ({"scheme": {"amenity": {"phi_sd": 0.0, "phi_mean": 0.05}}}, "amenity.phi_mean"),
+            ({"elite_table": "weight2.csv"}, "weight"),
+            ({"seed": "seven"}, "seed"),
+        ],
+        ids=["budget-string", "float-instalment-count", "phi-never-accepted", "elite-weight", "seed"],
+    )
+    def test_configuration_errors_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
+        table = tmp_path / "weight2.csv"
+        table.write_text("component,site_types,weight,reference\ndeadwood,all,2,20\n")
+        if "elite_table" in overrides:
+            overrides = {"elite_table": str(table)}
+        scenario = write_scenario(tmp_path, **overrides)
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
 
     def test_unknown_scenario_key_exits_2(self, tmp_path):
         scenario = write_scenario(tmp_path, extra_knob=1)
@@ -189,6 +210,16 @@ class TestSweep:
         assert rows[1]["status"].startswith("error")
 
 
+    def test_engine_error_in_a_point_exits_4(self, tmp_path, monkeypatch):
+        def broken(scenario):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(cli, "execute_scenario", broken)
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 40}})
+        argv = ["sweep", str(scenario), "--out-dir", str(tmp_path / "sweep")]
+        assert main(argv + ["--interest-rates", "0.03", "--payment-periods", "10"]) == EXIT_INTERNAL
+
+
 class TestGenData:
     def test_deterministic_files(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -211,6 +242,17 @@ class TestGenData:
 
 
 class TestValidateCommand:
+    def test_repeated_ids_reported_and_skipped(self, tmp_path, capsys):
+        path = tmp_path / "sites.csv"
+        assert main(["gen-data", "--n", "10", "--seed", "1", "--out", str(path)]) == EXIT_OK
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([header] + rows + rows) + "\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "10 valid rows, 10 issues" in out
+        assert "row 11, id: duplicate site id 'site-000000' (first on row 1)" in out
+
+
     def test_reports_issues(self, tmp_path, capsys):
         path = tmp_path / "sites.csv"
         path.write_text(
@@ -261,6 +303,15 @@ class TestExtrapolate:
             ["extrapolate", "--area", "54000", "--from-run", str(out_dir / "summary.json")]
         )
         assert code == EXIT_OK
+
+    def test_from_run_uses_the_runs_scheme(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, scheme={"seed": 7, "instalment_count_x": 20})
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        summary = str(out_dir / "summary.json")
+        assert main(["extrapolate", "--area", "54000", "--from-run", summary]) == EXIT_OK
+        assert "for 20 years" in capsys.readouterr().out
 
 
 def test_version_flag():

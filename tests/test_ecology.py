@@ -17,7 +17,7 @@ from deferauction.ecology import (
     load_elite_table,
     make_owner,
 )
-from deferauction.model import OwnerKind, SchemeConfig, SiteType, Species
+from deferauction.model import ConfigError, OwnerKind, SchemeConfig, SiteType, Species
 
 
 def amenity_oracle(h, phi=1.0, d0=0.04, d1=0.95, k_max=23_500.0):
@@ -221,6 +221,18 @@ def test_elite_table_rejects_uncovered_site_type(tmp_path):
         "component,site_types,weight,reference\ndeadwood,herb_rich,0.5,18\n", encoding="utf-8"
     )
     with pytest.raises(ValueError, match="no applicable component"):
+        load_elite_table(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["deadwood,all,2,20", "deadwood,all", "deadwood,swamp,0.5,20", "burnt_area,all,0.5,1"],
+    ids=["weight-above-one", "short-row", "unknown-site-type", "not-a-site-attribute"],
+)
+def test_elite_table_content_errors_are_config_errors(tmp_path, row):
+    path = tmp_path / "elite.csv"
+    path.write_text(f"component,site_types,weight,reference\n{row}\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
         load_elite_table(path)
 
 

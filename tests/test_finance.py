@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from deferauction.finance import (
-    CashflowStream,
     annual_instalment,
     annuity_factor,
     compound_factor,
@@ -94,31 +93,30 @@ class TestTotalRevenue:
 
 class TestNpv:
     def test_year_zero_undiscounted(self):
-        stream = CashflowStream.from_pairs([(0, 100.0)])
-        assert npv(stream, 0.07) == 100.0
+        assert npv([100.0], 0.07) == 100.0
 
     def test_instalment_stream(self):
         pairs = [(y, 760_000.0) for y in range(1, 11)]
         expected = npv_oracle(pairs, 0.03)  # 6_482_954.156
-        assert npv(CashflowStream.from_pairs(pairs), 0.03) == pytest.approx(expected, abs=1e-6)
-        assert npv(CashflowStream.from_pairs(pairs), 0.03) == pytest.approx(6_482_954, abs=1.0)
+        spending = [0.0] + [760_000.0] * 10
+        assert npv(spending, 0.03) == pytest.approx(expected, abs=1e-6)
+        assert npv(spending, 0.03) == pytest.approx(6_482_954, abs=1.0)
 
     def test_zero_rate_is_plain_sum(self):
-        pairs = [(0, 10.0), (3, 20.0), (7, 30.5)]
-        assert npv(CashflowStream.from_pairs(pairs), 0.0) == pytest.approx(60.5)
+        spending = [10.0, 0.0, 0.0, 20.0, 0.0, 0.0, 0.0, 30.5]
+        assert npv(spending, 0.0) == pytest.approx(60.5)
 
     def test_linear_in_streams(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            years_a = rng.choice(30, size=5, replace=False)
-            years_b = rng.choice(30, size=4, replace=False)
-            a = CashflowStream.from_pairs([(int(y), float(rng.normal(0, 1e5))) for y in years_a])
-            b = CashflowStream.from_pairs([(int(y), float(rng.normal(0, 1e5))) for y in years_b])
-            assert npv(a + b, 0.03) == pytest.approx(npv(a, 0.03) + npv(b, 0.03), abs=1e-6)
-
-    def test_rejects_duplicate_years(self):
-        with pytest.raises(ValueError):
-            CashflowStream.from_pairs([(1, 5.0), (1, 6.0)])
+            a = [0.0] * 30
+            b = [0.0] * 30
+            for y in rng.choice(30, size=5, replace=False):
+                a[y] = float(rng.normal(0, 1e5))
+            for y in rng.choice(30, size=4, replace=False):
+                b[y] = float(rng.normal(0, 1e5))
+            both = [x + y for x, y in zip(a, b)]
+            assert npv(both, 0.03) == pytest.approx(npv(a, 0.03) + npv(b, 0.03), abs=1e-6)
 
 
 class TestDiscountedInstalmentSum:
@@ -161,9 +159,7 @@ class TestMatchUpfrontBudget:
             delta = float(rng.uniform(0, 0.1))
             horizon = int(rng.integers(1, 30))
             budget = match_upfront_budget(initial, instalment, years, delta, horizon)
-            matched = npv(
-                CashflowStream.from_pairs([(y, budget) for y in range(horizon)]), delta
-            )
+            matched = npv([budget] * horizon, delta)
             deferred = initial + discounted_instalment_sum(instalment, years, delta)
             assert matched == pytest.approx(deferred, abs=0.01)
 

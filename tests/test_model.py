@@ -4,15 +4,13 @@ import pytest
 
 from conftest import make_site
 from deferauction.model import (
+    AmenityParams,
     ConfigError,
-    LandownerProfile,
-    OwnerKind,
     SchemeConfig,
     SiteType,
     Species,
     conservation_payment,
     require_valid_scheme,
-    validate_owner,
     validate_scheme,
     validate_site,
 )
@@ -58,22 +56,24 @@ class TestConservationPayment:
         assert conservation_payment(site) == site.timber_value + site.land_payment
 
 
-class TestValidateOwner:
-    def test_faustmannian_needs_zero_amenities(self):
-        assert validate_owner(LandownerProfile(kind=OwnerKind.FAUSTMANNIAN)) == []
-        bad = LandownerProfile(kind=OwnerKind.FAUSTMANNIAN, a0=0.0, a1=5.0)
-        assert validate_owner(bad) != []
-
-    def test_hartmanian_amenity_order(self):
-        ok = LandownerProfile(kind=OwnerKind.HARTMANIAN, phi=1.0, a0=100.0, a1=900.0)
-        assert validate_owner(ok) == []
-        bad = LandownerProfile(kind=OwnerKind.HARTMANIAN, phi=1.0, a0=900.0, a1=100.0)
-        assert validate_owner(bad) != []
-
-
 class TestValidateScheme:
     def test_defaults_pass(self):
         assert validate_scheme(SchemeConfig()) == []
+
+    @pytest.mark.parametrize(
+        "amenity, accepted",
+        [
+            (AmenityParams(phi_mean=0.05, phi_sd=0.0), False),
+            (AmenityParams(phi_mean=0.1, phi_sd=0.0), True),
+            (AmenityParams(phi_mean=-1.0, phi_sd=0.2), False),
+            (AmenityParams(phi_mean=float("nan")), False),
+            (AmenityParams(phi_mean=-0.4, phi_sd=0.2), True),
+        ],
+    )
+    def test_phi_draw_must_be_acceptable(self, amenity, accepted):
+        violations = validate_scheme(SchemeConfig(amenity=amenity))
+        assert (violations == []) is accepted
+        assert all(v.field == "amenity.phi_mean" for v in violations)
 
     def test_omega_violation_rejected(self):
         # 1.2^10 = 6.19 > x = 5, so omega < 0

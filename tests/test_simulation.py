@@ -6,10 +6,9 @@ import pytest
 
 from conftest import make_site
 from deferauction.dataio import SyntheticProfile, generate_synthetic
-from deferauction.finance import CashflowStream, match_upfront_budget, npv
+from deferauction.finance import match_upfront_budget, npv
 from deferauction.model import Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
-    HarvestSchedule,
     Offer,
     account,
     build_offers,
@@ -66,6 +65,11 @@ class TestBuildOffers:
             o.downpayment_per_ha for o in deferred_twice[1]
         ]
 
+    def test_repeated_site_id_rejected(self):
+        sites = [make_site(site_id="twin"), make_site(site_id="twin", stand_age=140.0)]
+        with pytest.raises(ValueError, match="twin"):
+            build_offers(sites, CFG, Mechanism.UPFRONT, rng_stream(1, PHI_STREAM))
+
     def test_supply_grows_with_interest_rate_on_synthetic_data(self):
         dataset = generate_synthetic(SyntheticProfile(), 5)
         areas = []
@@ -81,13 +85,13 @@ class TestHarvestSchedule:
         sites = [make_site(site_id=f"s{i}", stand_age=10.0, commercial_rotation_age=95.0)
                  for i in range(20)]
         schedule = draw_harvest_schedule(sites, SchemeConfig(), rng_stream(1, HARVEST_STREAM))
-        assert schedule.harvest_years == {}
+        assert schedule == {}
 
     def test_mature_stand_uniform_over_window(self):
         sites = [make_site(site_id=f"s{i}", stand_age=150.0, commercial_rotation_age=95.0)
                  for i in range(100_000)]
         schedule = draw_harvest_schedule(sites, SchemeConfig(), rng_stream(2, HARVEST_STREAM))
-        years = np.array(list(schedule.harvest_years.values()))
+        years = np.array(list(schedule.values()))
         assert len(years) == 100_000
         assert years.min() >= 0 and years.max() <= 39
         assert years.mean() == pytest.approx(19.5, abs=0.2)
@@ -112,7 +116,7 @@ class TestHarvestSchedule:
             yearly = []
             for year in range(cfg.harvest_window):
                 eligible = sum(1 for y in first.values() if y <= year)
-                cut = sum(1 for y in schedule.harvest_years.values() if y == year)
+                cut = sum(1 for y in schedule.values() if y == year)
                 if eligible:
                     yearly.append(cut / eligible)
             mean_rate = sum(yearly) / len(yearly)
@@ -152,21 +156,21 @@ class TestRanking:
 class TestRunDeferred:
     def test_slack_budget_conserves_everything_at_year_zero(self):
         offers = rank_benefit_cost([make_offer(f"s{i}", 500.0, instalment=50.0) for i in range(5)])
-        outcome = run_deferred([], CFG, 1e9, offers, HarvestSchedule.empty())
+        outcome = run_deferred(CFG, 1e9, offers, {})
         assert set(outcome.conserved_year.values()) == {0}
         assert len(outcome.conserved_year) == 5
         assert outcome.harvested_year == {}
-        assert outcome.spending_by_year[1] == pytest.approx(5 * 50.0 * 10.0)
+        assert outcome.spending[1] == pytest.approx(5 * 50.0 * 10.0)
 
     def test_zero_budget_conserves_nothing(self):
         offers = rank_benefit_cost([make_offer("s1", 500.0)])
-        outcome = run_deferred([], CFG, 0.0, offers, HarvestSchedule.empty())
+        outcome = run_deferred(CFG, 0.0, offers, {})
         assert outcome.conserved_year == {}
         assert outcome.summary.area_ha == 0.0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            run_deferred([], CFG, -1.0, [], HarvestSchedule.empty())
+            run_deferred(CFG, -1.0, [], {})
 
     def test_budget_for_top_two_funds_exactly_those(self):
         offers = rank_benefit_cost(
@@ -176,9 +180,9 @@ class TestRunDeferred:
                 make_offer("last", 100.0, elite=0.7),
             ]
         )
-        outcome = run_deferred([], CFG, 2_000.0, offers, HarvestSchedule.empty())
+        outcome = run_deferred(CFG, 2_000.0, offers, {})
         assert set(outcome.conserved_year) == {"best", "next"}
-        assert outcome.spending_by_year[0] == pytest.approx(2_000.0)
+        assert outcome.spending[0] == pytest.approx(2_000.0)
 
     def test_skip_and_continue_funds_cheaper_lower_ranked(self):
         offers = rank_benefit_cost(
@@ -188,13 +192,13 @@ class TestRunDeferred:
                 make_offer("small", 40.0, elite=0.1),
             ]
         )
-        outcome = run_deferred([], CFG, 1_900.0, offers, HarvestSchedule.empty())
+        outcome = run_deferred(CFG, 1_900.0, offers, {})
         assert set(outcome.conserved_year) == {"expensive", "small"}
 
     def test_sites_cut_at_year_zero_are_unavailable_but_not_losses(self):
         offers = rank_benefit_cost([make_offer("gone", 100.0, elite=0.9), make_offer("kept", 100.0)])
-        schedule = HarvestSchedule(harvest_years={"gone": 0, "kept": 5})
-        outcome = run_deferred([], CFG, 1e6, offers, schedule)
+        schedule = {"gone": 0, "kept": 5}
+        outcome = run_deferred(CFG, 1e6, offers, schedule)
         assert set(outcome.conserved_year) == {"kept"}
         assert outcome.harvested_year == {}
         assert outcome.summary.lost_benefits == 0.0
@@ -203,15 +207,15 @@ class TestRunDeferred:
 class TestRunUpfront:
     def test_slack_budget_and_no_harvest_matches_deferred(self):
         offers = [make_offer(f"s{i}", 500.0) for i in range(6)]
-        deferred = run_deferred([], CFG, 1e9, rank_benefit_cost(offers), HarvestSchedule.empty())
-        upfront = run_upfront([], CFG, 1e9, rank_benefit_cost(offers), HarvestSchedule.empty())
+        deferred = run_deferred(CFG, 1e9, rank_benefit_cost(offers), {})
+        upfront = run_upfront(CFG, 1e9, rank_benefit_cost(offers), {})
         assert set(upfront.conserved_year) == set(deferred.conserved_year)
         assert set(upfront.conserved_year.values()) == {0}
 
     def test_rank_one_site_cut_at_year_zero_is_lost(self):
         offers = rank_benefit_cost([make_offer("doomed", 100.0, elite=0.9), make_offer("b", 100.0)])
-        schedule = HarvestSchedule(harvest_years={"doomed": 0})
-        outcome = run_upfront([], CFG, 1e9, offers, schedule)
+        schedule = {"doomed": 0}
+        outcome = run_upfront(CFG, 1e9, offers, schedule)
         assert outcome.harvested_year == {"doomed": 0}
         assert "doomed" not in outcome.conserved_year
 
@@ -224,26 +228,26 @@ class TestRunUpfront:
                 make_offer("c", 100.0, elite=0.7),
             ]
         )
-        schedule = HarvestSchedule(harvest_years={"b": 1})
-        outcome = run_upfront([], CFG, 1_000.0, offers, schedule)
+        schedule = {"b": 1}
+        outcome = run_upfront(CFG, 1_000.0, offers, schedule)
         assert outcome.conserved_year == {"a": 0, "c": 1}
         assert outcome.harvested_year == {"b": 1}
 
     def test_budget_does_not_roll_over(self):
         offers = rank_benefit_cost([make_offer("a", 150.0), make_offer("b", 90.0)])
-        outcome = run_upfront([], CFG, 1_000.0, offers, HarvestSchedule.empty())
+        outcome = run_upfront(CFG, 1_000.0, offers, {})
         # year 0: only b fits; year 1: a still costs 1_500 > 1_000, never funded
         assert outcome.conserved_year == {"b": 0}
-        assert outcome.spending_by_year[0] == pytest.approx(900.0)
-        assert all(v == 0.0 for y, v in outcome.spending_by_year.items() if y > 0)
+        assert outcome.spending[0] == pytest.approx(900.0)
+        assert all(v == 0.0 for v in outcome.spending[1:])
 
     def test_spending_never_exceeds_annual_budget(self):
         dataset = generate_synthetic(SyntheticProfile(n_sites=120), 7)
         cfg = SchemeConfig(seed=7)
         offers = build_offers(dataset, cfg, Mechanism.UPFRONT, rng_stream(7, PHI_STREAM))
         schedule = draw_harvest_schedule(dataset, cfg, rng_stream(7, HARVEST_STREAM))
-        outcome = run_upfront(dataset, cfg, 400_000.0, rank_benefit_cost(offers), schedule)
-        assert all(spent <= 400_000.0 + 1e-6 for spent in outcome.spending_by_year.values())
+        outcome = run_upfront(cfg, 400_000.0, rank_benefit_cost(offers), schedule)
+        assert all(spent <= 400_000.0 + 1e-6 for spent in outcome.spending)
 
 
 class TestSelectOldGrowth:
@@ -278,21 +282,20 @@ class TestSelectOldGrowth:
 class TestAccount:
     def test_year_zero_benefits_undiscounted(self):
         offers = rank_benefit_cost([make_offer(f"s{i}", 100.0) for i in range(3)])
-        outcome = run_deferred([], CFG, 1e9, offers, HarvestSchedule.empty())
+        outcome = run_deferred(CFG, 1e9, offers, {})
         assert outcome.summary.benefits_npv == pytest.approx(CFG.benefit_per_ha * 30.0)
         assert outcome.summary.ex_post_net_benefits == outcome.summary.benefits_npv
 
     def test_discounted_benefit_at_year_five(self):
         offers = rank_benefit_cost([make_offer("s", 100.0)])
-        schedule = HarvestSchedule.empty()
+        schedule = {}
         cfg = dataclasses.replace(CFG, horizon_years=11)
         # force conservation in year 5 by starving the budget for five years
-        outcome = run_upfront([], cfg, 1_000.0, offers, schedule)
+        outcome = run_upfront(cfg, 1_000.0, offers, schedule)
         assert outcome.conserved_year == {"s": 0}
         # direct check of the discounting rule instead: one site, year 5
-        manual = dataclasses.replace(outcome, conserved_year={"s": 5},
-                                     spending_by_year={5: 1_000.0})
-        summary = account(manual, cfg)
+        spending = [0.0] * 5 + [1_000.0]
+        summary = account(Mechanism.UPFRONT, 1_000.0, offers, {"s": 5}, {}, spending, cfg)
         assert summary.benefits_npv == pytest.approx(5_980 * 10 * 1.03 ** (-5), abs=1e-6)
         assert summary.benefits_npv == pytest.approx(51_580, abs=10)
 
@@ -301,9 +304,9 @@ class TestAccount:
         cfg = SchemeConfig(seed=9)
         offers = build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(9, PHI_STREAM))
         schedule = draw_harvest_schedule(dataset, cfg, rng_stream(9, HARVEST_STREAM))
-        outcome = run_deferred(dataset, cfg, 2e6, rank_benefit_cost(offers), schedule)
-        stream = CashflowStream.from_pairs(sorted(outcome.spending_by_year.items()))
-        assert outcome.summary.costs_npv == pytest.approx(npv(stream, cfg.discount_rate), abs=0.01)
+        outcome = run_deferred(cfg, 2e6, rank_benefit_cost(offers), schedule)
+        expected = sum(a / (1.0 + cfg.discount_rate) ** y for y, a in enumerate(outcome.spending))
+        assert outcome.summary.costs_npv == pytest.approx(expected, abs=0.01)
 
     def test_lost_benefits_sign_convention(self):
         # budget funds one site a year; the lowest-ranked offer is cut in year 1
@@ -314,8 +317,8 @@ class TestAccount:
                 make_offer("doomed", 100.0, elite=0.7),
             ]
         )
-        schedule = HarvestSchedule(harvest_years={"doomed": 1})
-        outcome = run_upfront([], CFG, 1_000.0, offers, schedule)
+        schedule = {"doomed": 1}
+        outcome = run_upfront(CFG, 1_000.0, offers, schedule)
         s = outcome.summary
         assert outcome.harvested_year == {"doomed": 1}
         assert s.lost_benefits < 0
@@ -327,7 +330,7 @@ class TestAccount:
             [make_offer("in", 100.0, elite=0.9, instalment=20.0),
              make_offer("out", 5_000.0, elite=0.1, instalment=90.0)]
         )
-        outcome = run_deferred([], CFG, 1_500.0, offers, HarvestSchedule.empty())
+        outcome = run_deferred(CFG, 1_500.0, offers, {})
         assert set(outcome.conserved_year) == {"in"}
         assert outcome.summary.avg_downpayment == pytest.approx(100.0)
         assert outcome.summary.avg_instalment == pytest.approx(20.0)
@@ -342,7 +345,7 @@ class TestDeterminism:
                 cfg = SchemeConfig(seed=13)
                 offers = build_offers(dataset, cfg, Mechanism.UPFRONT, rng_stream(13, PHI_STREAM))
                 schedule = draw_harvest_schedule(dataset, cfg, rng_stream(13, HARVEST_STREAM))
-                outcome = run_upfront(dataset, cfg, 5e5, rank_benefit_cost(offers), schedule)
+                outcome = run_upfront(cfg, 5e5, rank_benefit_cost(offers), schedule)
                 results.append(outcome)
             assert results[0] == results[1]
 
@@ -354,8 +357,8 @@ class TestSupplySummary:
             make_offer("b", 300.0, elite=0.3, area=10.0, instalment=30.0),
         ]
         supply = summarize_supply(offers)
-        assert supply.offered_sites == 2
-        assert supply.offered_area_ha == 20.0
+        assert supply.sites == 2
+        assert supply.area_ha == 20.0
         assert supply.bd_index_sum == pytest.approx(8.0)
         assert supply.avg_downpayment == pytest.approx(200.0)
         assert supply.avg_instalment == pytest.approx(20.0)
@@ -393,11 +396,9 @@ def test_npv_matched_budgets_round_trip():
     cfg = SchemeConfig(seed=4)
     offers = build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(4, PHI_STREAM))
     schedule = draw_harvest_schedule(dataset, cfg, rng_stream(4, HARVEST_STREAM))
-    deferred = run_deferred(dataset, cfg, 3e6, rank_benefit_cost(offers), schedule)
-    spent0 = deferred.spending_by_year[0]
-    instalment = deferred.spending_by_year.get(1, 0.0)
+    deferred = run_deferred(cfg, 3e6, rank_benefit_cost(offers), schedule)
+    spent0 = deferred.spending[0]
+    instalment = deferred.summary.instalment_cost_per_year
     budget = match_upfront_budget(spent0, instalment, cfg.instalment_count_x, cfg.discount_rate, cfg.horizon)
-    matched_npv = npv(
-        CashflowStream.from_pairs([(y, budget) for y in range(cfg.horizon)]), cfg.discount_rate
-    )
+    matched_npv = npv([budget] * cfg.horizon, cfg.discount_rate)
     assert matched_npv == pytest.approx(deferred.summary.costs_npv, abs=0.01)

@@ -11,14 +11,10 @@ __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
     AmenityParams,
-    Bid,
-    LandownerProfile,
     Mechanism,
-    OwnerKind,
     SchemeConfig,
     SiteRecord,
     SiteType,
     Species,
-    conservation_payment,
     validate_site,
 )

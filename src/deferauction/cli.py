@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import types
 import typing
 from dataclasses import dataclass
 from itertools import product
@@ -40,6 +41,7 @@ from .model import (
 )
 from .simulation import (
     RunOutcome,
+    SiteColumns,
     SupplySummary,
     build_offers,
     draw_harvest_schedule,
@@ -48,6 +50,7 @@ from .simulation import (
     run_deferred,
     run_upfront,
     select_old_growth,
+    site_columns,
     summarize_supply,
 )
 from .streams import HARVEST_STREAM, PHI_STREAM, rng_stream
@@ -95,7 +98,7 @@ def _require_object(raw, name: str) -> dict:
 def _check_numbers(cls, raw: dict, prefix: str) -> None:
     """Type-check the numeric fields of `raw` against the annotations of dataclass `cls`."""
     for name, hint in typing.get_type_hints(cls).items():
-        kinds = typing.get_args(hint) or (hint,)
+        kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
         if name not in raw or (raw[name] is None and type(None) in kinds):
             continue
         if int in kinds:
@@ -131,6 +134,7 @@ def _profile_from_dict(raw: dict) -> SyntheticProfile:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown synthetic profile fields: {', '.join(sorted(unknown))}")
+    _check_numbers(SyntheticProfile, raw, "dataset.synthetic.")
     kwargs = {
         key: tuple(tuple(v) if isinstance(v, list) else v for v in value)
         if isinstance(value, list)
@@ -167,7 +171,9 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     if "path" in dataset:
         dataset_path = str(Path(dataset["path"]).expanduser())
     elif "synthetic" in dataset:
-        synthetic = _profile_from_dict(dataset.get("synthetic") or {})
+        synthetic = _profile_from_dict(
+            _require_object(dataset.get("synthetic") or {}, "dataset.synthetic")
+        )
     else:
         raise ConfigError("dataset must specify either 'path' or 'synthetic'")
 
@@ -183,6 +189,10 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     else:
         if isinstance(mech_raw, str):
             mech_raw = [mech_raw]
+        if not isinstance(mech_raw, list):
+            raise ConfigError(
+                f"mechanisms must be 'both', a mechanism name or a list of them, got {mech_raw!r}"
+            )
         try:
             parsed = {Mechanism(m) for m in mech_raw}
         except ValueError as err:
@@ -272,20 +282,39 @@ def _elite_table(scenario: Scenario) -> EliteTable:
     return load_elite_table(scenario.elite_table_path)
 
 
-def execute_scenario(
-    scenario: Scenario,
-) -> tuple[list[RunOutcome], dict[Mechanism, SupplySummary]]:
-    """Run every requested mechanism of a resolved scenario."""
+SeedInputs = tuple[SiteColumns, dict[str, int]]
+
+
+def seed_inputs(scenario: Scenario, dataset: list[SiteRecord]) -> SeedInputs:
+    """The site columns and the harvest draw of `dataset` under the scenario's seed.
+
+    They depend on the seed, the amenity settings, the harvest window and the
+    habitat table, not on r, x or the bid caps, so sweep points that share a
+    seed share them.
+    """
     cfg = scenario.scheme
-    dataset = _load_dataset(scenario)
-    table = _elite_table(scenario)
-    schedule = draw_harvest_schedule(dataset, cfg, rng_stream(cfg.seed, HARVEST_STREAM))
+    columns = site_columns(dataset, cfg, rng_stream(cfg.seed, PHI_STREAM), _elite_table(scenario))
+    return columns, draw_harvest_schedule(columns, cfg, rng_stream(cfg.seed, HARVEST_STREAM))
+
+
+def execute_scenario(
+    scenario: Scenario, inputs: SeedInputs | None = None
+) -> tuple[list[RunOutcome], dict[Mechanism, SupplySummary]]:
+    """Run every requested mechanism of a resolved scenario.
+
+    `inputs` are the scenario's `seed_inputs`; they are computed from its
+    dataset when not given.
+    """
+    cfg = scenario.scheme
+    if inputs is None:
+        inputs = seed_inputs(scenario, _load_dataset(scenario))
+    columns, schedule = inputs
 
     outcomes: list[RunOutcome] = []
     supplies: dict[Mechanism, SupplySummary] = {}
 
     for mechanism in scenario.mechanisms:
-        offers = build_offers(dataset, cfg, mechanism, rng_stream(cfg.seed, PHI_STREAM), table)
+        offers = build_offers(columns, cfg, mechanism)
         supplies[mechanism] = summarize_supply(offers)
         if scenario.ranking == "old_growth":
             offers = select_old_growth(offers)
@@ -360,7 +389,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     points = list(product(rates, periods, scales, seeds))
     rows: list[dict[str, object]] = []
+    schemes: dict[int, SchemeConfig] = {}  # point index -> its valid scheme
     for index, (rate, period, scale, seed) in enumerate(points):
+        rows.append(
+            {
+                "point": index,
+                "interest_rate": rate,
+                "payment_periods": period,
+                "bid_cap_scale": scale,
+                "seed": seed,
+            }
+        )
         point_scheme = dataclasses.replace(
             scenario.scheme,
             interest_rate_r=rate,
@@ -368,27 +407,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             bid_cap_hi=scenario.scheme.bid_cap_hi * scale,
             seed=seed,
         )
-        row: dict[str, object] = {
-            "point": index,
-            "interest_rate": rate,
-            "payment_periods": period,
-            "bid_cap_scale": scale,
-            "seed": seed,
-        }
         try:
-            point_scenario = dataclasses.replace(scenario, scheme=require_valid_scheme(point_scheme))
-            point_dir = out_dir / f"point_{index:04d}"
-            point_dir.mkdir(parents=True, exist_ok=True)
-            outcomes, supplies = execute_scenario(point_scenario)
-            write_report(outcomes, supplies, point_scenario.scheme, point_dir, point_scenario.fmt)
-            _write_manifest(point_dir, "run", point_scenario)
-            row["status"] = "ok"
-            for outcome in outcomes:
-                cells = report_cells(outcome, supplies[outcome.mechanism])
-                row.update((f"{outcome.mechanism.value}_{k}", v) for k, v in cells.items())
+            schemes[index] = require_valid_scheme(point_scheme)
+        except ConfigError as err:
+            rows[index]["status"] = f"error: {err}"
+
+    # A site CSV is read once; a synthetic dataset is generated once per seed.
+    # Points run grouped by seed, so one seed's inputs are alive at a time.
+    csv_sites: list[SiteRecord] | None = None
+    for seed in dict.fromkeys(seeds):
+        group = [index for index, scheme in schemes.items() if scheme.seed == seed]
+        if not group:
+            continue
+        seed_scenario = dataclasses.replace(scenario, scheme=schemes[group[0]])
+        dataset = inputs = None  # the previous seed's, freed before this seed's are built
+        try:
+            dataset = csv_sites if csv_sites is not None else _load_dataset(seed_scenario)
+            if scenario.dataset_path is not None:
+                csv_sites = dataset
+            inputs = seed_inputs(seed_scenario, dataset)
         except (ConfigError, LoadError, OSError) as err:
-            row["status"] = f"error: {err}"
-        rows.append(row)
+            for index in group:
+                rows[index]["status"] = f"error: {err}"
+            continue
+        for index in group:
+            _run_sweep_point(
+                dataclasses.replace(scenario, scheme=schemes[index]),
+                inputs,
+                out_dir / f"point_{index:04d}",
+                rows[index],
+            )
 
     sweep_path = out_dir / "sweep.csv"
     write_sweep(sweep_path, scenario.mechanisms, rows)
@@ -407,6 +455,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(f"sweep: {len(points)} points -> {sweep_path}")
     return EXIT_OK
+
+
+def _run_sweep_point(
+    scenario: Scenario, inputs: SeedInputs, point_dir: Path, row: dict[str, object]
+) -> None:
+    """Run one sweep point into `point_dir`; its status and result cells go into `row`."""
+    try:
+        point_dir.mkdir(parents=True, exist_ok=True)
+        outcomes, supplies = execute_scenario(scenario, inputs)
+        write_report(outcomes, supplies, scenario.scheme, point_dir, scenario.fmt)
+        _write_manifest(point_dir, "run", scenario)
+    except (ConfigError, LoadError, OSError) as err:
+        row["status"] = f"error: {err}"
+        return
+    row["status"] = "ok"
+    for outcome in outcomes:
+        cells = report_cells(outcome, supplies[outcome.mechanism])
+        row.update((f"{outcome.mechanism.value}_{k}", v) for k, v in cells.items())
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:

@@ -7,19 +7,13 @@ so it always lies in [0, 1] with 1 at the reference state.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import (
-    AmenityParams,
-    ConfigError,
-    LandownerProfile,
-    OwnerKind,
-    SchemeConfig,
-    SiteRecord,
-    SiteType,
-    Species,
-)
+import numpy as np
+
+from .model import AmenityParams, ConfigError, SchemeConfig, SiteRecord, SiteType, Species
 
 AMENITY_LOOKAHEAD_YEARS = 50.0
 
@@ -78,57 +72,69 @@ DEFAULT_ELITE_TABLE = EliteTable(
 )
 
 # Site attributes that can serve as component observations.
-_COMPONENT_SOURCES = {
-    "deadwood": lambda site: site.deadwood,
-    "stand_age": lambda site: site.stand_age,
-    "broadleaf_share": lambda site: site.broadleaf_share,
-}
+COMPONENT_SOURCES = ("deadwood", "stand_age", "broadleaf_share")
 
 
-def amenity_value(h: float, phi: float, cfg: SchemeConfig) -> float:
-    """Amenity value of a stand of age h under preference scale phi.
+def amenity_value(h, phi, cfg: SchemeConfig):
+    """Amenity value of stands of age h under preference scales phi.
 
     Logistic in stand age: A(h) = 1 / (1/(phi*k_max) + d0*d1^h), increasing in
-    h and saturating at phi*k_max.
+    h and saturating at phi*k_max. h and phi are numbers or arrays that broadcast
+    together.
     """
-    if h < 0:
+    h = np.asarray(h, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if np.any(h < 0):
         raise ValueError("stand age must be >= 0")
-    if phi <= 0:
+    if np.any(phi <= 0):
         raise ValueError("phi must be > 0")
     am: AmenityParams = cfg.amenity
-    return 1.0 / (1.0 / (phi * am.k_max) + am.d0 * am.d1**h)
+    # Python's float power: numpy's differs from it by an ulp in some calls.
+    decay = np.array([am.d1**age for age in h.ravel().tolist()]).reshape(h.shape)
+    return 1.0 / (1.0 / (phi * am.k_max) + am.d0 * decay)
 
 
-def amenity_pair(site: SiteRecord, phi: float, cfg: SchemeConfig) -> tuple[float, float]:
-    """(a0, a1): amenity value under the owner's harvest plan vs. under conservation.
+def amenity_gain(
+    stand_age: np.ndarray, rotation_age: np.ndarray, phi: np.ndarray, cfg: SchemeConfig
+) -> np.ndarray:
+    """a1 - a0: amenity value under conservation minus under the owner's harvest plan.
 
     a0 evaluates the curve at the commercial rotation age; a1 at the current
     stand age plus a 50-year conservation lookahead.
     """
-    a0 = amenity_value(site.commercial_rotation_age, phi, cfg)
-    a1 = amenity_value(site.stand_age + AMENITY_LOOKAHEAD_YEARS, phi, cfg)
-    return a0, a1
+    a0 = amenity_value(rotation_age, phi, cfg)
+    a1 = amenity_value(stand_age + AMENITY_LOOKAHEAD_YEARS, phi, cfg)
+    return a1 - a0
 
 
-def elite_index(site: SiteRecord, table: EliteTable = DEFAULT_ELITE_TABLE) -> float:
-    """Habitat condition index in [0, 1] for a site under a component table.
+def elite_index(
+    sites: Sequence[SiteRecord], table: EliteTable = DEFAULT_ELITE_TABLE
+) -> np.ndarray:
+    """Habitat condition index in [0, 1] of each site under a component table.
 
     Multiplies 1 - weight * (1 - min(current/reference, 1)) over the
-    components applicable to the site's type. The ratio clamp keeps every
-    factor, and hence the index, within [0, 1].
+    components applicable to a site's type, in table order. The ratio clamp
+    keeps every factor, and hence the index, within [0, 1].
     """
-    components = table.for_site_type(site.site_type)
-    if not components:
-        raise EliteDataError(f"no components apply to site type {site.site_type.value}")
-    index = 1.0
-    for comp in components:
-        source = _COMPONENT_SOURCES.get(comp.name)
-        if source is None:
+    types = list(SiteType)
+    codes = {site_type: code for code, site_type in enumerate(types)}
+    type_codes = np.fromiter((codes[s.site_type] for s in sites), np.intp, len(sites))
+    present = set(type_codes.tolist())
+    for code, site_type in enumerate(types):
+        if code in present and not table.for_site_type(site_type):
+            raise EliteDataError(f"no components apply to site type {site_type.value}")
+    index = np.ones(len(sites))
+    for comp in table.components:
+        applies = np.array([comp.applies_to(t) for t in types])[type_codes]
+        if not applies.any():
+            continue
+        if comp.name not in COMPONENT_SOURCES:
             raise EliteDataError(
                 f"missing component data: site records carry no observation for '{comp.name}'"
             )
-        ratio = min(source(site) / comp.reference, 1.0)
-        index *= 1.0 - comp.weight * (1.0 - ratio)
+        current = np.fromiter((getattr(s, comp.name) for s in sites), float, len(sites))
+        factor = 1.0 - comp.weight * (1.0 - np.minimum(current / comp.reference, 1.0))
+        index = np.where(applies, index * factor, index)
     return index
 
 
@@ -136,22 +142,6 @@ def is_old_growth(site: SiteRecord) -> bool:
     """Whether the stand meets the old-growth age threshold for its type and species."""
     threshold = OLD_GROWTH_THRESHOLDS[site.site_type][site.dominant_species]
     return site.stand_age >= threshold
-
-
-def classify_landowner(site: SiteRecord) -> OwnerKind:
-    """Hartmanian if the stand is older than its commercial rotation age, else Faustmannian."""
-    if site.stand_age > site.commercial_rotation_age:
-        return OwnerKind.HARTMANIAN
-    return OwnerKind.FAUSTMANNIAN
-
-
-def make_owner(site: SiteRecord, phi: float, cfg: SchemeConfig) -> LandownerProfile:
-    """Build the landowner profile for a site, using phi only for Hartmanian owners."""
-    kind = classify_landowner(site)
-    if kind is OwnerKind.FAUSTMANNIAN:
-        return LandownerProfile(kind=kind)
-    a0, a1 = amenity_pair(site, phi, cfg)
-    return LandownerProfile(kind=kind, phi=phi, a0=a0, a1=a1)
 
 
 def load_elite_table(path: str | Path) -> EliteTable:
@@ -169,10 +159,10 @@ def load_elite_table(path: str | Path) -> EliteTable:
             raise ConfigError(f"elite table must have columns {sorted(required)}")
         for row in reader:
             name = row["component"].strip()
-            if name not in _COMPONENT_SOURCES:
+            if name not in COMPONENT_SOURCES:
                 raise ConfigError(
                     f"component {name}: not a site attribute "
-                    f"(one of {', '.join(_COMPONENT_SOURCES)})"
+                    f"(one of {', '.join(COMPONENT_SOURCES)})"
                 )
             raw_types = row["site_types"].strip()
             try:

@@ -15,30 +15,6 @@ def compound_factor(r: float, t: int) -> float:
     return (1.0 + r) ** t
 
 
-def annual_instalment(v1: float, c: float, r: float, t: int, x: int) -> float:
-    """Annual instalment repaying the loan (v1 - c) with t years of interest over x payments.
-
-    m = (1+r)^t (v1 - c) / x. The downpayment may not exceed the conservation
-    payment: a negative loan has no instalment and must be handled as
-    non-participation by the caller.
-    """
-    if x < 1:
-        raise ValueError("instalment count x must be >= 1")
-    if c > v1:
-        raise ValueError("downpayment exceeds the conservation payment (negative loan)")
-    return compound_factor(r, t) * (v1 - c) / x
-
-
-def total_revenue(v1: float, c: float, r: float, t: int) -> float:
-    """Total landowner revenue: downpayment plus loan payback with interest.
-
-    R = c + (1+r)^t (v1 - c).
-    """
-    if c > v1:
-        raise ValueError("downpayment exceeds the conservation payment (negative loan)")
-    return c + compound_factor(r, t) * (v1 - c)
-
-
 def npv(spending: Sequence[float], delta: float) -> float:
     """Net present value at discount rate delta of a yearly stream; index = year."""
     if delta < 0:
@@ -46,8 +22,12 @@ def npv(spending: Sequence[float], delta: float) -> float:
     return sum(a * (1.0 + delta) ** (-y) for y, a in enumerate(spending))
 
 
-def discounted_instalment_sum(m: float, periods: int, delta: float) -> float:
-    """Present value of `m` paid at the end of each of the next `periods` years."""
+def discounted_instalment_sum(m, periods: int, delta: float):
+    """Present value of `m` paid at the end of each of the next `periods` years.
+
+    `m` is a number or an array of per-site instalments; the terms are summed
+    one year at a time, so each element equals the scalar result bit for bit.
+    """
     if periods < 1:
         raise ValueError("periods must be >= 1")
     return sum(m * (1.0 + delta) ** (-i) for i in range(1, periods + 1))

@@ -27,11 +27,6 @@ class Species(Enum):
     CONIFER = "conifer"
 
 
-class OwnerKind(Enum):
-    FAUSTMANNIAN = "faustmannian"
-    HARTMANIAN = "hartmanian"
-
-
 class Mechanism(Enum):
     DEFERRED = "deferred"
     UPFRONT = "upfront"
@@ -61,28 +56,6 @@ class SiteRecord:
     commercial_rotation_age: float
     area_ha: float = DEFAULT_AREA_HA
     land_payment: float = DEFAULT_LAND_PAYMENT
-
-
-@dataclass(frozen=True)
-class LandownerProfile:
-    """Landowner type and amenity valuation.
-
-    Faustmannian owners value harvest revenue only (a0 = a1 = 0, phi unused).
-    Hartmanian owners also value standing-forest amenities, a1 >= a0.
-    """
-
-    kind: OwnerKind
-    phi: float = 1.0
-    a0: float = 0.0
-    a1: float = 0.0
-
-    @property
-    def amenity_gain(self) -> float:
-        """a1 - a0, the amenity change from enrolling instead of harvesting."""
-        return self.a1 - self.a0
-
-
-FAUSTMANNIAN = LandownerProfile(kind=OwnerKind.FAUSTMANNIAN)
 
 
 @dataclass(frozen=True)
@@ -135,16 +108,6 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class Bid:
-    """A landowner's deferred-payment bid for one site, per hectare."""
-
-    downpayment_c: float
-    instalment_m: float
-    total_revenue_r: float
-    participates: bool
-
-
-@dataclass(frozen=True)
 class Violation:
     """One failed invariant: which field, and the rule it broke."""
 
@@ -153,11 +116,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.field}: {self.rule}"
-
-
-def conservation_payment(site: SiteRecord) -> float:
-    """Conservation payment per hectare: stand timber value plus the fixed land payment."""
-    return site.timber_value + site.land_payment
 
 
 def _finite(x: float) -> bool:

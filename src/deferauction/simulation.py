@@ -1,37 +1,34 @@
 """Experiment engine: supply, harvest risk, budget-constrained selection, accounting.
 
-A scenario builds offers once, draws one harvest realization, and then runs
-either mechanism against it. The deferred mechanism buys everything it can at
-year 0 and owes instalments afterwards; the up-front mechanism buys gradually
-from an annual budget while unconserved stands keep dropping to harvest.
+A scenario computes its per-site columns once, draws one harvest
+realization, and then builds offers and runs either mechanism against them.
+The deferred mechanism buys everything it can at year 0 and owes instalments
+afterwards; the up-front mechanism buys gradually from an annual budget while
+unconserved stands keep dropping to harvest.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .bidding import (
-    draw_phi,
-    optimal_downpayment,
-    upfront_bid,
-    upfront_participates,
-)
+from .bidding import draw_phi, optimal_downpayment, upfront_bid
 from .ecology import (
     DEFAULT_ELITE_TABLE,
     EliteTable,
-    classify_landowner,
+    amenity_gain,
     elite_index,
     is_old_growth,
-    make_owner,
 )
 from .finance import annuity_factor, npv
-from .model import Mechanism, OwnerKind, SchemeConfig, SiteRecord
+from .model import Mechanism, SchemeConfig, SiteRecord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Offer:
     """One participating landowner's standing offer.
 
@@ -111,62 +108,115 @@ class RunOutcome:
     summary: RunSummary
 
 
-def build_offers(
-    dataset: list[SiteRecord],
+@dataclass(frozen=True)
+class SiteColumns:
+    """Per-site columns of one dataset under one seed, in dataset order.
+
+    ``v1`` is the conservation payment per hectare (timber value plus land
+    payment), ``v0`` the opportunity cost, ``amenity_gain`` a1 - a0 (zero for
+    Faustmannian owners) and ``elite`` the habitat index. None of them depends
+    on r, x or the bid caps, so one set serves every mechanism and sweep point
+    of a seed.
+    """
+
+    sites: Sequence[SiteRecord]
+    stand_age: np.ndarray
+    rotation_age: np.ndarray
+    v1: np.ndarray
+    v0: np.ndarray
+    amenity_gain: np.ndarray
+    elite: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+
+def site_columns(
+    dataset: Sequence[SiteRecord],
     cfg: SchemeConfig,
-    mechanism: Mechanism,
     rng: np.random.Generator,
     elite_table: EliteTable = DEFAULT_ELITE_TABLE,
-) -> list[Offer]:
-    """Offers from every landowner whose participation rule holds under `mechanism`.
+) -> SiteColumns:
+    """Owner types, amenity gains and habitat indices of every site in `dataset`.
 
-    Owners are typed from stand age; Hartmanian preference scales come from
-    `rng`, one draw per Hartmanian site in dataset order, so runs over the
-    same dataset and seed see identical owners regardless of mechanism.
-    Site ids must be unique: a repeated id raises ValueError.
+    Stands older than their commercial rotation age belong to Hartmanian
+    owners; their preference scales come from `rng`, one draw per Hartmanian
+    site in dataset order. Site ids must be unique: a repeated id raises
+    ValueError.
     """
-    instalment_pv = annuity_factor(cfg.instalment_count_x, cfg.discount_rate)
     seen: set[str] = set()
-    offers: list[Offer] = []
     for site in dataset:
         if site.id in seen:
             raise ValueError(f"duplicate site id {site.id!r}")
         seen.add(site.id)
-        kind = classify_landowner(site)
-        phi = draw_phi(rng, cfg.amenity) if kind is OwnerKind.HARTMANIAN else 1.0
-        owner = make_owner(site, phi, cfg)
-        elite = elite_index(site, elite_table)
-        if mechanism is Mechanism.DEFERRED:
-            bid = optimal_downpayment(site, owner, cfg)
-            if not bid.participates:
-                continue
-            outlay, instalment = bid.downpayment_c, bid.instalment_m
-            total_npv = outlay + instalment * instalment_pv
-        else:
-            outlay = upfront_bid(site, owner, cfg.upfront_cap_hi)
-            if not upfront_participates(outlay, site, owner):
-                continue
-            instalment, total_npv = 0.0, outlay
-        offers.append(Offer(site, mechanism, elite, outlay, instalment, total_npv))
-    return offers
+
+    def column(name: str) -> np.ndarray:
+        return np.fromiter((getattr(site, name) for site in dataset), float, len(dataset))
+
+    stand_age = column("stand_age")
+    rotation_age = column("commercial_rotation_age")
+    hartmanian = stand_age > rotation_age
+    phi = draw_phi(rng, cfg.amenity, int(hartmanian.sum()))
+    gain = np.zeros(len(dataset))
+    gain[hartmanian] = amenity_gain(stand_age[hartmanian], rotation_age[hartmanian], phi, cfg)
+    return SiteColumns(
+        sites=dataset,
+        stand_age=stand_age,
+        rotation_age=rotation_age,
+        v1=column("timber_value") + column("land_payment"),
+        v0=column("opportunity_cost_v0"),
+        amenity_gain=gain,
+        elite=elite_index(dataset, elite_table),
+    )
+
+
+def build_offers(columns: SiteColumns, cfg: SchemeConfig, mechanism: Mechanism) -> list[Offer]:
+    """Offers, in dataset order, from every landowner whose participation rule holds.
+
+    Bids and participation come from the site columns as array operations:
+    the optimal downpayment and its instalments under the deferred
+    mechanism, the premium bid under the up-front one.
+    """
+    if mechanism is Mechanism.DEFERRED:
+        outlay, instalment, joins = optimal_downpayment(
+            columns.v1, columns.v0, columns.amenity_gain, cfg
+        )
+        keep = np.flatnonzero(joins)
+        outlay, instalment = outlay[keep], instalment[keep]
+        instalment_pv = annuity_factor(cfg.instalment_count_x, cfg.discount_rate)
+        outlays, instalments = outlay.tolist(), instalment.tolist()
+        totals = (outlay + instalment * instalment_pv).tolist()
+    else:
+        payment, joins = upfront_bid(
+            columns.v1, columns.v0, columns.amenity_gain, cfg.upfront_cap_hi
+        )
+        keep = np.flatnonzero(joins)
+        # The payment is both the outlay and the total: one float object serves both.
+        outlays = totals = payment[keep].tolist()
+        instalments = [0.0] * len(outlays)
+    return [
+        Offer(columns.sites[i], mechanism, elite, outlay_i, instalment_i, total_i)
+        for i, elite, outlay_i, instalment_i, total_i in zip(
+            keep.tolist(), columns.elite[keep].tolist(), outlays, instalments, totals
+        )
+    ]
 
 
 def draw_harvest_schedule(
-    dataset: list[SiteRecord], cfg: SchemeConfig, rng: np.random.Generator
+    columns: SiteColumns, cfg: SchemeConfig, rng: np.random.Generator
 ) -> dict[str, int]:
     """One harvest realization: site id to harvest year; sites never cut are absent.
 
     Every stand maturing within the window is cut. A stand first eligible in
     year y0 (when it reaches its rotation age, 0 if already past it) draws a
-    harvest year uniformly from {y0, ..., window-1}.
+    harvest year uniformly from {y0, ..., window-1}; one draw per eligible
+    site, in dataset order.
     """
-    years: dict[str, int] = {}
-    for site in dataset:
-        gap = site.commercial_rotation_age - site.stand_age
-        first_year = max(0, math.ceil(gap))
-        if first_year < cfg.harvest_window:
-            years[site.id] = int(rng.integers(first_year, cfg.harvest_window))
-    return years
+    first_year = np.maximum(0.0, np.ceil(columns.rotation_age - columns.stand_age))
+    eligible = first_year < cfg.harvest_window
+    years = rng.integers(first_year[eligible].astype(np.int64), cfg.harvest_window)
+    ids = (site.id for site in compress(columns.sites, eligible.tolist()))
+    return dict(zip(ids, years.tolist()))
 
 
 def rank_benefit_cost(offers: list[Offer]) -> list[Offer]:
@@ -310,15 +360,16 @@ def account(
     lost = [(by_id[sid], year) for sid, year in harvested_year.items()]
     delta = cfg.discount_rate
 
+    # Reported sums start at 0.0: an empty set reports a float zero, like every other cell.
     benefits = sum(
-        cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in conserved
+        (cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in conserved), 0.0
     )
     lost_total = sum(
         cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in lost
     )
     lost_benefits = -lost_total if lost_total > 0 else 0.0
     if mechanism is Mechanism.DEFERRED:
-        instalment_cost = sum(o.instalment_per_ha * o.area_ha for o, _ in conserved)
+        instalment_cost = sum((o.instalment_per_ha * o.area_ha for o, _ in conserved), 0.0)
     else:
         instalment_cost = 0.0
     totals = dataclasses.asdict(summarize_supply([o for o, _ in conserved]))
@@ -326,7 +377,7 @@ def account(
     return RunSummary(
         sites_conserved=sites,
         **totals,
-        harvested_area_ha=sum(o.area_ha for o, _ in lost),
+        harvested_area_ha=sum((o.area_ha for o, _ in lost), 0.0),
         instalment_cost_per_year=instalment_cost,
         budget=budget,
         costs_npv=npv(spending, delta),
@@ -341,8 +392,8 @@ def summarize_supply(offers: list[Offer]) -> SupplySummary:
     """Count, area, habitat-index sum, and per-hectare averages over `offers`."""
     return SupplySummary(
         sites=len(offers),
-        area_ha=sum(o.area_ha for o in offers),
-        bd_index_sum=sum(o.elite * o.area_ha for o in offers),
+        area_ha=sum((o.area_ha for o in offers), 0.0),
+        bd_index_sum=sum((o.elite * o.area_ha for o in offers), 0.0),
         avg_stand_age=_per_ha_average([(o.site.stand_age, o.area_ha) for o in offers]),
         avg_downpayment=_per_ha_average([(o.downpayment_per_ha, o.area_ha) for o in offers]),
         avg_instalment=_per_ha_average([(o.instalment_per_ha, o.area_ha) for o in offers]),

@@ -12,24 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import make_site
-from deferauction.bidding import (
-    omega,
-    optimal_downpayment_numeric,
-    optimal_downpayment_value,
-)
+from deferauction.bidding import omega
 from deferauction.cli import EXIT_OK, main
 from deferauction.dataio import SyntheticProfile, generate_synthetic
 from deferauction.ecology import EliteComponent, EliteTable, amenity_value, elite_index, is_old_growth
 from deferauction.finance import discounted_instalment_sum, match_upfront_budget, npv
-from deferauction.model import (
-    FAUSTMANNIAN,
-    LandownerProfile,
-    Mechanism,
-    OwnerKind,
-    SchemeConfig,
-    SiteType,
-    Species,
-)
+from deferauction.model import Mechanism, SchemeConfig, SiteType, Species
 from deferauction.simulation import (
     build_offers,
     draw_harvest_schedule,
@@ -37,8 +25,16 @@ from deferauction.simulation import (
     rank_benefit_cost,
     run_deferred,
     run_upfront,
+    site_columns,
 )
 from deferauction.streams import HARVEST_STREAM, PHI_STREAM, rng_stream
+from oracle import (
+    FAUSTMANNIAN,
+    LandownerProfile,
+    OwnerKind,
+    optimal_downpayment_numeric,
+    optimal_downpayment_value,
+)
 
 ACCEPTANCE_SEEDS = tuple(range(1, 21))
 
@@ -145,19 +141,21 @@ def test_criterion_03_amenity_curve_values():
 def test_criterion_04_elite_index_range_and_hand_case():
     rng = np.random.default_rng(404)
     types = list(SiteType)
-    for _ in range(10_000):
-        site = make_site(
+    sites = [
+        make_site(
             site_type=types[int(rng.integers(0, 6))],
             deadwood=float(rng.uniform(0, 80)),
             stand_age=float(rng.uniform(0, 260)),
             broadleaf_share=float(rng.uniform(0, 0.49)),
         )
-        value = elite_index(site)
-        assert 0.0 <= value <= 1.0
+        for _ in range(10_000)
+    ]
+    values = elite_index(sites)
+    assert ((values >= 0.0) & (values <= 1.0)).all()
     reference = make_site(deadwood=30.0, stand_age=200.0, broadleaf_share=0.3,
                           dominant_species=Species.CONIFER)
     # broadleaf component does not apply to mesic heath; deadwood and age at reference
-    assert elite_index(reference) == pytest.approx(1.0)
+    assert elite_index([reference])[0] == pytest.approx(1.0)
     table = EliteTable(
         components=(
             EliteComponent("deadwood", weight=0.6, reference=20.0,
@@ -166,7 +164,7 @@ def test_criterion_04_elite_index_range_and_hand_case():
                            applicable_site_types=frozenset(SiteType)),
         )
     )
-    hand = elite_index(make_site(deadwood=10.0, stand_age=150.0), table)
+    hand = float(elite_index([make_site(deadwood=10.0, stand_age=150.0)], table)[0])
     assert hand == pytest.approx(0.7)
     print(f"[criterion 4] PASS: 10000 random states in [0,1], reference=1, hand case={hand:.4f}")
 
@@ -228,11 +226,12 @@ def test_criterion_07_structural_reproduction_on_synthetic_data():
     for seed in ACCEPTANCE_SEEDS:
         dataset = generate_synthetic(profile, seed)
         cfg = SchemeConfig(seed=seed)
+        columns = site_columns(dataset, cfg, rng_stream(seed, PHI_STREAM))
 
         offered = {}
         for rate in (0.02, 0.03, 0.04):
             rate_cfg = dataclasses.replace(cfg, interest_rate_r=rate)
-            offers = build_offers(dataset, rate_cfg, Mechanism.DEFERRED, rng_stream(seed, PHI_STREAM))
+            offers = build_offers(columns, rate_cfg, Mechanism.DEFERRED)
             offered[rate] = sum(o.area_ha for o in offers)
         # (c) supply monotone in the interest rate, every seed
         assert offered[0.02] <= offered[0.03] <= offered[0.04]
@@ -241,13 +240,13 @@ def test_criterion_07_structural_reproduction_on_synthetic_data():
         long_cfg = dataclasses.replace(cfg, instalment_count_x=20)
         offered_20 = sum(
             o.area_ha
-            for o in build_offers(dataset, long_cfg, Mechanism.DEFERRED, rng_stream(seed, PHI_STREAM))
+            for o in build_offers(columns, long_cfg, Mechanism.DEFERRED)
         )
         assert offered_20 < offered[0.03]
 
-        offers_deferred = build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(seed, PHI_STREAM))
-        offers_upfront = build_offers(dataset, cfg, Mechanism.UPFRONT, rng_stream(seed, PHI_STREAM))
-        schedule = draw_harvest_schedule(dataset, cfg, rng_stream(seed, HARVEST_STREAM))
+        offers_deferred = build_offers(columns, cfg, Mechanism.DEFERRED)
+        offers_upfront = build_offers(columns, cfg, Mechanism.UPFRONT)
+        schedule = draw_harvest_schedule(columns, cfg, rng_stream(seed, HARVEST_STREAM))
         deferred = run_deferred(cfg, 5e6, rank_benefit_cost(offers_deferred), schedule)
 
         # (a) every funded site conserved at year 0, nothing lost
@@ -319,7 +318,8 @@ def test_criterion_10_annual_harvest_rate_band():
     means = []
     for seed in range(1, 11):
         dataset = generate_synthetic(SyntheticProfile(), seed)
-        schedule = draw_harvest_schedule(dataset, cfg, rng_stream(seed, HARVEST_STREAM))
+        columns = site_columns(dataset, cfg, rng_stream(seed, PHI_STREAM))
+        schedule = draw_harvest_schedule(columns, cfg, rng_stream(seed, HARVEST_STREAM))
         first_year = {
             site.id: max(0, math.ceil(site.commercial_rotation_age - site.stand_age))
             for site in dataset

@@ -5,25 +5,23 @@ import numpy as np
 import pytest
 
 from conftest import make_site
-from deferauction.bidding import (
+from deferauction.bidding import omega
+from deferauction.model import AmenityParams, SchemeConfig
+from oracle import (
+    FAUSTMANNIAN,
+    Bid,
     BidCapBelief,
+    LandownerProfile,
+    OwnerKind,
     acceptance_probability,
     bid_objective,
     draw_phi,
-    omega,
     optimal_downpayment,
     optimal_downpayment_numeric,
     optimal_downpayment_value,
     participates,
     upfront_bid,
     upfront_participates,
-)
-from deferauction.model import (
-    FAUSTMANNIAN,
-    AmenityParams,
-    LandownerProfile,
-    OwnerKind,
-    SchemeConfig,
 )
 
 HARTMANIAN_2000 = LandownerProfile(kind=OwnerKind.HARTMANIAN, phi=1.0, a0=1_000.0, a1=3_000.0)
@@ -258,8 +256,6 @@ class TestParticipates:
         site = make_site(timber_value=6_600.0, opportunity_cost_v0=6_000.0)
         factor = compound_oracle(0.03, 10)
         m = factor * 2_000 / 10
-        from deferauction.model import Bid
-
         bid = Bid(downpayment_c=5_000.0, instalment_m=m, total_revenue_r=5_000 + factor * 2_000, participates=False)
         lhs = 5_000 + sum(m * 1.03 ** (-i) for i in range(1, 11))  # 7_292.776
         assert lhs > 6_000

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import time
@@ -59,8 +60,20 @@ class TestRun:
             ({"scheme": {"amenity": {"phi_sd": 0.0, "phi_mean": 0.05}}}, "amenity.phi_mean"),
             ({"elite_table": "weight2.csv"}, "weight"),
             ({"seed": "seven"}, "seed"),
+            ({"dataset": {"synthetic": {"n_sites": 10.5}}}, "dataset.synthetic.n_sites"),
+            ({"dataset": {"synthetic": 5}}, "dataset.synthetic"),
+            ({"mechanisms": 5}, "mechanisms"),
         ],
-        ids=["budget-string", "float-instalment-count", "phi-never-accepted", "elite-weight", "seed"],
+        ids=[
+            "budget-string",
+            "float-instalment-count",
+            "phi-never-accepted",
+            "elite-weight",
+            "seed",
+            "float-site-count",
+            "synthetic-number",
+            "mechanisms-number",
+        ],
     )
     def test_configuration_errors_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
         table = tmp_path / "weight2.csv"
@@ -210,8 +223,33 @@ class TestSweep:
         assert rows[1]["status"].startswith("error")
 
 
+    def test_points_equal_runs_of_their_manifests(self, tmp_path, capsys):
+        data = tmp_path / "sites.csv"
+        assert main(["gen-data", "--n", "60", "--seed", "3", "--out", str(data)]) == EXIT_OK
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write("bad,mesic_heath,-4,250,conifer,0.2,10,6600,6000,95,10,400\n")
+        scenario = write_scenario(tmp_path, dataset={"path": str(data)})
+        sweep_dir = tmp_path / "sweep"
+        capsys.readouterr()
+        argv = ["sweep", str(scenario), "--out-dir", str(sweep_dir), "--seeds", "2,1,2"]
+        assert main(argv + ["--interest-rates", "0.02,0.03", "--payment-periods", "10"]) == EXIT_OK
+        assert capsys.readouterr().err.count("warning:") == 1
+        with open(sweep_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["point"] for row in rows] == [str(index) for index in range(6)]
+        assert [row["seed"] for row in rows] == ["2", "1", "2"] * 2
+        assert {row["status"] for row in rows} == {"ok"}
+        for index in range(6):
+            point_dir = sweep_dir / f"point_{index:04d}"
+            run_dir = tmp_path / f"run_{index}"
+            assert main(["run", str(point_dir / "manifest.json"), "--out-dir", str(run_dir)]) == 0
+            names = sorted(os.listdir(point_dir))
+            assert names == sorted(os.listdir(run_dir))
+            for name in names:
+                assert (point_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
     def test_engine_error_in_a_point_exits_4(self, tmp_path, monkeypatch):
-        def broken(scenario):
+        def broken(scenario, inputs=None):
             raise ValueError("engine bug")
 
         monkeypatch.setattr(cli, "execute_scenario", broken)

@@ -19,6 +19,7 @@ from deferauction.simulation import (
     rank_benefit_cost,
     run_deferred,
     run_upfront,
+    site_columns,
     summarize_supply,
 )
 from deferauction.streams import HARVEST_STREAM, PHI_STREAM, rng_stream
@@ -139,11 +140,12 @@ def _paired_outcomes(n_sites=120, seed=6, initial=1.5e6):
     dataset = generate_synthetic(SyntheticProfile(n_sites=n_sites), seed)
     cfg = SchemeConfig(seed=seed)
     supplies = {}
-    offers_d = build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(seed, PHI_STREAM))
-    offers_u = build_offers(dataset, cfg, Mechanism.UPFRONT, rng_stream(seed, PHI_STREAM))
+    columns = site_columns(dataset, cfg, rng_stream(seed, PHI_STREAM))
+    offers_d = build_offers(columns, cfg, Mechanism.DEFERRED)
+    offers_u = build_offers(columns, cfg, Mechanism.UPFRONT)
     supplies[Mechanism.DEFERRED] = summarize_supply(offers_d)
     supplies[Mechanism.UPFRONT] = summarize_supply(offers_u)
-    schedule = draw_harvest_schedule(dataset, cfg, rng_stream(seed, HARVEST_STREAM))
+    schedule = draw_harvest_schedule(columns, cfg, rng_stream(seed, HARVEST_STREAM))
     deferred = run_deferred(cfg, initial, rank_benefit_cost(offers_d), schedule)
     budget = match_upfront_budget(
         deferred.spending[0],

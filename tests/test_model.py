@@ -9,11 +9,11 @@ from deferauction.model import (
     SchemeConfig,
     SiteType,
     Species,
-    conservation_payment,
     require_valid_scheme,
     validate_scheme,
     validate_site,
 )
+from oracle import conservation_payment
 
 
 class TestValidateSite:

@@ -18,6 +18,7 @@ from deferauction.simulation import (
     run_deferred,
     run_upfront,
     select_old_growth,
+    site_columns,
     summarize_supply,
 )
 from deferauction.streams import HARVEST_STREAM, PHI_STREAM, rng_stream
@@ -39,18 +40,22 @@ def make_offer(site_id, cost_per_ha, elite=0.5, area=10.0, mechanism=Mechanism.D
 CFG = SchemeConfig(bid_cap_hi=8_000.0)
 
 
+def columns_of(sites, cfg, seed):
+    return site_columns(sites, cfg, rng_stream(seed, PHI_STREAM))
+
+
 class TestBuildOffers:
     def test_zero_opportunity_cost_offers_everything(self):
         sites = [
             make_site(site_id=f"s{i}", stand_age=age, opportunity_cost_v0=0.0)
             for i, age in enumerate((30.0, 70.0, 120.0, 160.0))
         ]
-        offers = build_offers(sites, CFG, Mechanism.DEFERRED, rng_stream(1, PHI_STREAM))
+        offers = build_offers(columns_of(sites, CFG, 1), CFG, Mechanism.DEFERRED)
         assert len(offers) == len(sites)
 
     def test_single_faustmannian_worked_bid(self):
         sites = [make_site(timber_value=6_600.0, opportunity_cost_v0=6_000.0, stand_age=60.0)]
-        offers = build_offers(sites, CFG, Mechanism.DEFERRED, rng_stream(1, PHI_STREAM))
+        offers = build_offers(columns_of(sites, CFG, 1), CFG, Mechanism.DEFERRED)
         assert len(offers) == 1
         assert offers[0].downpayment_per_ha == pytest.approx(6_922.37, abs=0.05)
 
@@ -58,7 +63,7 @@ class TestBuildOffers:
         dataset = generate_synthetic(SyntheticProfile(n_sites=60), 3)
         cfg = SchemeConfig(seed=3)
         deferred_twice = [
-            build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(3, PHI_STREAM))
+            build_offers(columns_of(dataset, cfg, 3), cfg, Mechanism.DEFERRED)
             for _ in range(2)
         ]
         assert [o.downpayment_per_ha for o in deferred_twice[0]] == [
@@ -68,14 +73,14 @@ class TestBuildOffers:
     def test_repeated_site_id_rejected(self):
         sites = [make_site(site_id="twin"), make_site(site_id="twin", stand_age=140.0)]
         with pytest.raises(ValueError, match="twin"):
-            build_offers(sites, CFG, Mechanism.UPFRONT, rng_stream(1, PHI_STREAM))
+            build_offers(columns_of(sites, CFG, 1), CFG, Mechanism.UPFRONT)
 
     def test_supply_grows_with_interest_rate_on_synthetic_data(self):
         dataset = generate_synthetic(SyntheticProfile(), 5)
         areas = []
         for r in (0.02, 0.03, 0.04):
             cfg = SchemeConfig(interest_rate_r=r, seed=5)
-            offers = build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(5, PHI_STREAM))
+            offers = build_offers(columns_of(dataset, cfg, 5), cfg, Mechanism.DEFERRED)
             areas.append(sum(o.area_ha for o in offers))
         assert areas[0] <= areas[1] <= areas[2]
 
@@ -84,13 +89,15 @@ class TestHarvestSchedule:
     def test_young_stands_never_cut(self):
         sites = [make_site(site_id=f"s{i}", stand_age=10.0, commercial_rotation_age=95.0)
                  for i in range(20)]
-        schedule = draw_harvest_schedule(sites, SchemeConfig(), rng_stream(1, HARVEST_STREAM))
+        cfg = SchemeConfig()
+        schedule = draw_harvest_schedule(columns_of(sites, cfg, 1), cfg, rng_stream(1, HARVEST_STREAM))
         assert schedule == {}
 
     def test_mature_stand_uniform_over_window(self):
         sites = [make_site(site_id=f"s{i}", stand_age=150.0, commercial_rotation_age=95.0)
                  for i in range(100_000)]
-        schedule = draw_harvest_schedule(sites, SchemeConfig(), rng_stream(2, HARVEST_STREAM))
+        cfg = SchemeConfig()
+        schedule = draw_harvest_schedule(columns_of(sites, cfg, 2), cfg, rng_stream(2, HARVEST_STREAM))
         years = np.array(list(schedule.values()))
         assert len(years) == 100_000
         assert years.min() >= 0 and years.max() <= 39
@@ -98,8 +105,10 @@ class TestHarvestSchedule:
 
     def test_first_possible_year_respects_rotation_gap(self):
         sites = [make_site(site_id="s", stand_age=90.0, commercial_rotation_age=95.0)]
+        cfg = SchemeConfig()
         for master in range(60):
-            schedule = draw_harvest_schedule(sites, SchemeConfig(), rng_stream(master, HARVEST_STREAM))
+            columns = columns_of(sites, cfg, master)
+            schedule = draw_harvest_schedule(columns, cfg, rng_stream(master, HARVEST_STREAM))
             year = schedule.get("s")
             assert year is not None and 5 <= year <= 39
 
@@ -107,7 +116,8 @@ class TestHarvestSchedule:
         cfg = SchemeConfig()
         for seed in range(1, 6):
             dataset = generate_synthetic(SyntheticProfile(), seed)
-            schedule = draw_harvest_schedule(dataset, cfg, rng_stream(seed, HARVEST_STREAM))
+            columns = columns_of(dataset, cfg, seed)
+            schedule = draw_harvest_schedule(columns, cfg, rng_stream(seed, HARVEST_STREAM))
             first = {
                 s.id: max(0, math.ceil(s.commercial_rotation_age - s.stand_age))
                 for s in dataset
@@ -244,8 +254,9 @@ class TestRunUpfront:
     def test_spending_never_exceeds_annual_budget(self):
         dataset = generate_synthetic(SyntheticProfile(n_sites=120), 7)
         cfg = SchemeConfig(seed=7)
-        offers = build_offers(dataset, cfg, Mechanism.UPFRONT, rng_stream(7, PHI_STREAM))
-        schedule = draw_harvest_schedule(dataset, cfg, rng_stream(7, HARVEST_STREAM))
+        columns = columns_of(dataset, cfg, 7)
+        offers = build_offers(columns, cfg, Mechanism.UPFRONT)
+        schedule = draw_harvest_schedule(columns, cfg, rng_stream(7, HARVEST_STREAM))
         outcome = run_upfront(cfg, 400_000.0, rank_benefit_cost(offers), schedule)
         assert all(spent <= 400_000.0 + 1e-6 for spent in outcome.spending)
 
@@ -302,8 +313,9 @@ class TestAccount:
     def test_costs_npv_matches_finance_npv(self):
         dataset = generate_synthetic(SyntheticProfile(n_sites=150), 9)
         cfg = SchemeConfig(seed=9)
-        offers = build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(9, PHI_STREAM))
-        schedule = draw_harvest_schedule(dataset, cfg, rng_stream(9, HARVEST_STREAM))
+        columns = columns_of(dataset, cfg, 9)
+        offers = build_offers(columns, cfg, Mechanism.DEFERRED)
+        schedule = draw_harvest_schedule(columns, cfg, rng_stream(9, HARVEST_STREAM))
         outcome = run_deferred(cfg, 2e6, rank_benefit_cost(offers), schedule)
         expected = sum(a / (1.0 + cfg.discount_rate) ** y for y, a in enumerate(outcome.spending))
         assert outcome.summary.costs_npv == pytest.approx(expected, abs=0.01)
@@ -343,8 +355,9 @@ class TestDeterminism:
             for _ in range(2):
                 dataset = generate_synthetic(SyntheticProfile(n_sites=100), 13)
                 cfg = SchemeConfig(seed=13)
-                offers = build_offers(dataset, cfg, Mechanism.UPFRONT, rng_stream(13, PHI_STREAM))
-                schedule = draw_harvest_schedule(dataset, cfg, rng_stream(13, HARVEST_STREAM))
+                columns = columns_of(dataset, cfg, 13)
+                offers = build_offers(columns, cfg, Mechanism.UPFRONT)
+                schedule = draw_harvest_schedule(columns, cfg, rng_stream(13, HARVEST_STREAM))
                 outcome = run_upfront(cfg, 5e5, rank_benefit_cost(offers), schedule)
                 results.append(outcome)
             assert results[0] == results[1]
@@ -394,8 +407,9 @@ class TestExtrapolation:
 def test_npv_matched_budgets_round_trip():
     dataset = generate_synthetic(SyntheticProfile(n_sites=200), 4)
     cfg = SchemeConfig(seed=4)
-    offers = build_offers(dataset, cfg, Mechanism.DEFERRED, rng_stream(4, PHI_STREAM))
-    schedule = draw_harvest_schedule(dataset, cfg, rng_stream(4, HARVEST_STREAM))
+    columns = columns_of(dataset, cfg, 4)
+    offers = build_offers(columns, cfg, Mechanism.DEFERRED)
+    schedule = draw_harvest_schedule(columns, cfg, rng_stream(4, HARVEST_STREAM))
     deferred = run_deferred(cfg, 3e6, rank_benefit_cost(offers), schedule)
     spent0 = deferred.spending[0]
     instalment = deferred.summary.instalment_cost_per_year

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dataio import (
     LoadError,
@@ -282,7 +284,7 @@ def _elite_table(scenario: Scenario) -> EliteTable:
     return load_elite_table(scenario.elite_table_path)
 
 
-SeedInputs = tuple[SiteColumns, dict[str, int]]
+SeedInputs = tuple[SiteColumns, np.ndarray]
 
 
 def seed_inputs(scenario: Scenario, dataset: list[SiteRecord]) -> SeedInputs:
@@ -412,9 +414,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ConfigError as err:
             rows[index]["status"] = f"error: {err}"
 
-    # A site CSV is read once; a synthetic dataset is generated once per seed.
-    # Points run grouped by seed, so one seed's inputs are alive at a time.
+    # A site CSV is read (or fails) once per sweep, a synthetic dataset once per
+    # seed; points run grouped by seed, so one seed's inputs are alive at a time.
     csv_sites: list[SiteRecord] | None = None
+    csv_error: LoadError | OSError | None = None
+    if scenario.dataset_path is not None and schemes:
+        try:
+            csv_sites = _load_dataset(scenario)
+        except (LoadError, OSError) as err:
+            csv_error = err
     for seed in dict.fromkeys(seeds):
         group = [index for index, scheme in schemes.items() if scheme.seed == seed]
         if not group:
@@ -422,9 +430,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed_scenario = dataclasses.replace(scenario, scheme=schemes[group[0]])
         dataset = inputs = None  # the previous seed's, freed before this seed's are built
         try:
+            if csv_error is not None:
+                raise csv_error
             dataset = csv_sites if csv_sites is not None else _load_dataset(seed_scenario)
-            if scenario.dataset_path is not None:
-                csv_sites = dataset
             inputs = seed_inputs(seed_scenario, dataset)
         except (ConfigError, LoadError, OSError) as err:
             for index in group:

@@ -378,7 +378,8 @@ LEDGER_COLUMNS = (
     "stand_age",
     "site_type",
 )
-SWEEP_POINT_COLUMNS = ("point", "interest_rate", "payment_periods", "bid_cap_scale", "seed", "status")
+SWEEP_AXIS_COLUMNS = ("interest_rate", "payment_periods", "bid_cap_scale", "seed")
+SWEEP_POINT_COLUMNS = ("point", *SWEEP_AXIS_COLUMNS, "status")
 
 
 def report_cells(outcome: RunOutcome, supply: SupplySummary | None) -> dict[str, object]:
@@ -389,17 +390,17 @@ def report_cells(outcome: RunOutcome, supply: SupplySummary | None) -> dict[str,
     return cells
 
 
-def _area_by_year(years: dict[str, int], area: dict[str, float], n_years: int) -> list[float]:
+def _area_by_year(years: dict[int, int], area: list[float], n_years: int) -> list[float]:
     out = [0.0] * n_years
-    for site_id, year in years.items():
-        out[year] += area[site_id]
+    for row, year in years.items():
+        out[year] += area[row]
     return out
 
 
 def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object]]:
     """TIMESERIES_COLUMNS rows over the horizon, or the spending stream if longer."""
     n_years = max(cfg.horizon, len(outcome.spending))
-    area = {o.site.id: o.area_ha for o in outcome.offers}
+    area = outcome.offers.area.tolist()
     conserved = _area_by_year(outcome.conserved_year, area, n_years)
     lost = _area_by_year(outcome.harvested_year, area, n_years)
     spending = outcome.spending + [0.0] * (n_years - len(outcome.spending))
@@ -416,28 +417,24 @@ def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object
 
 def _site_ledger(outcome: RunOutcome) -> list[dict[str, object]]:
     """LEDGER_COLUMNS rows, one per offer, by site id."""
+    offers = outcome.offers
+    order = np.argsort(offers.columns.id_rank[offers.site])
+    ledger = offers.take(order)
+    paid = (ledger.downpayment_per_ha, ledger.instalment_per_ha, ledger.total_payment_npv_per_ha)
+    cells = (ledger.elite, *paid)
     rows = []
-    for offer in sorted(outcome.offers, key=lambda o: o.site.id):
-        site_id = offer.site.id
-        if site_id in outcome.conserved_year:
-            status, year = "conserved", outcome.conserved_year[site_id]
-        elif site_id in outcome.harvested_year:
-            status, year = "lost", outcome.harvested_year[site_id]
+    # Rows and site indices stay numpy scalars, made one at a time: a ledger is
+    # the largest thing a run holds, and lists of them would raise its peak.
+    for row, index, *numbers in zip(order, ledger.site, *(c.tolist() for c in cells)):
+        site = offers.columns.sites[index]
+        if row in outcome.conserved_year:
+            status, year = "conserved", outcome.conserved_year[row]
+        elif row in outcome.harvested_year:
+            status, year = "lost", outcome.harvested_year[row]
         else:
             status, year = "unfunded", ""
-        values = (
-            site_id,
-            status,
-            year,
-            offer.area_ha,
-            offer.elite,
-            offer.downpayment_per_ha,
-            offer.instalment_per_ha,
-            offer.total_payment_npv_per_ha,
-            offer.site.stand_age,
-            offer.site.site_type.value,
-        )
-        rows.append(dict(zip(LEDGER_COLUMNS, values)))
+        values = (site.id, status, year, site.area_ha, *numbers)
+        rows.append(dict(zip(LEDGER_COLUMNS, values + (site.stand_age, site.site_type.value))))
     return rows
 
 
@@ -518,12 +515,15 @@ def write_report(
 def write_sweep(path: Path, mechanisms: Sequence[Mechanism], rows: list[dict[str, object]]) -> None:
     """Write sweep.csv: the axis columns, then REPORT_COLUMNS per mechanism as `{mech}_{column}`.
 
-    Cells a row lacks (every result cell of a failed point) are left empty.
+    Axis cells keep full precision, as in each point's manifest; result cells
+    round like summary.csv. Cells a row lacks (every result cell of a failed
+    point) are left empty.
     """
     columns = SWEEP_POINT_COLUMNS + tuple(
         f"{mechanism.value}_{name}" for mechanism in mechanisms for name in REPORT_COLUMNS
     )
-    _write_csv(path, columns, rows)
+    exact = [{**row, **{name: str(row[name]) for name in SWEEP_AXIS_COLUMNS}} for row in rows]
+    _write_csv(path, columns, exact)
 
 
 def _round10(value: float) -> int:

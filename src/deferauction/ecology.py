@@ -138,12 +138,6 @@ def elite_index(
     return index
 
 
-def is_old_growth(site: SiteRecord) -> bool:
-    """Whether the stand meets the old-growth age threshold for its type and species."""
-    threshold = OLD_GROWTH_THRESHOLDS[site.site_type][site.dominant_species]
-    return site.stand_age >= threshold
-
-
 def load_elite_table(path: str | Path) -> EliteTable:
     """Load a component table from CSV: component,site_types,weight,reference.
 

@@ -9,53 +9,24 @@ unconserved stands keep dropping to harvest.
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .bidding import draw_phi, optimal_downpayment, upfront_bid
 from .ecology import (
     DEFAULT_ELITE_TABLE,
+    OLD_GROWTH_THRESHOLDS,
     EliteTable,
     amenity_gain,
     elite_index,
-    is_old_growth,
 )
 from .finance import annuity_factor, npv
 from .model import Mechanism, SchemeConfig, SiteRecord
 
-
-@dataclass(frozen=True, slots=True)
-class Offer:
-    """One participating landowner's standing offer.
-
-    ``downpayment_per_ha`` is the outlay at the year of conservation: the
-    downpayment bid under the deferred mechanism, the full payment up front.
-    """
-
-    site: SiteRecord
-    mechanism: Mechanism
-    elite: float
-    downpayment_per_ha: float
-    instalment_per_ha: float
-    total_payment_npv_per_ha: float
-
-    @property
-    def area_ha(self) -> float:
-        return self.site.area_ha
-
-    @property
-    def cost(self) -> float:
-        """Budget outlay needed to conserve the site in its conservation year."""
-        return self.downpayment_per_ha * self.site.area_ha
-
-    @property
-    def benefit(self) -> float:
-        """Selection benefit: habitat index times area."""
-        return self.elite * self.site.area_ha
+# Harvest year of a stand the harvest draw never cuts.
+NEVER_CUT = -1
 
 
 @dataclass(frozen=True)
@@ -92,43 +63,83 @@ class RunSummary:
     ex_post_net_benefits: float
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    """Everything one mechanism run produced: site fates, yearly spending, and accounting.
-
-    ``spending[y]`` is the outlay in year y. Sites in neither year map stayed
-    unfunded.
-    """
-
-    mechanism: Mechanism
-    offers: tuple[Offer, ...]
-    conserved_year: dict[str, int]
-    harvested_year: dict[str, int]
-    spending: list[float]
-    summary: RunSummary
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteColumns:
     """Per-site columns of one dataset under one seed, in dataset order.
 
     ``v1`` is the conservation payment per hectare (timber value plus land
     payment), ``v0`` the opportunity cost, ``amenity_gain`` a1 - a0 (zero for
-    Faustmannian owners) and ``elite`` the habitat index. None of them depends
-    on r, x or the bid caps, so one set serves every mechanism and sweep point
-    of a seed.
+    Faustmannian owners), ``elite`` the habitat index, ``id_rank`` each site's
+    position when the ids are sorted, and ``old_growth`` whether the stand
+    meets its old-growth age threshold. None of them depends on r, x or the
+    bid caps, so one set serves every mechanism and sweep point of a seed.
     """
 
     sites: Sequence[SiteRecord]
+    area: np.ndarray
     stand_age: np.ndarray
     rotation_age: np.ndarray
     v1: np.ndarray
     v0: np.ndarray
     amenity_gain: np.ndarray
     elite: np.ndarray
+    id_rank: np.ndarray
+    old_growth: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sites)
+
+
+@dataclass(frozen=True, eq=False)
+class OfferTable:
+    """One mechanism's standing offers, one row per participating site.
+
+    ``site`` is each offer's row in ``columns``. ``downpayment_per_ha`` is the
+    outlay at the year of conservation: the downpayment bid under the deferred
+    mechanism, the full payment up front.
+    """
+
+    columns: SiteColumns
+    site: np.ndarray
+    elite: np.ndarray
+    downpayment_per_ha: np.ndarray
+    instalment_per_ha: np.ndarray
+    total_payment_npv_per_ha: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.site)
+
+    def take(self, rows: np.ndarray) -> OfferTable:
+        """The offers at `rows` (indices or a mask), in that order."""
+        arrays = (getattr(self, field.name)[rows] for field in dataclasses.fields(self)[1:])
+        return OfferTable(self.columns, *arrays)
+
+    @property
+    def area(self) -> np.ndarray:
+        return self.columns.area[self.site]
+
+    @property
+    def cost(self) -> np.ndarray:
+        """Budget outlay needed to conserve each site in its conservation year."""
+        return self.downpayment_per_ha * self.area
+
+
+@dataclass(frozen=True)
+class RunOutcome:
+    """Everything one mechanism run produced: site fates, yearly spending, and accounting.
+
+    ``offers`` are in funding order. ``conserved_year`` and ``harvested_year``
+    map an offer's row in ``offers`` to the year of its fate, in the order the
+    run decided them; offers in neither stayed unfunded. ``spending[y]`` is the
+    outlay in year y.
+    """
+
+    mechanism: Mechanism
+    offers: OfferTable
+    conserved_year: dict[int, int]
+    harvested_year: dict[int, int]
+    spending: list[float]
+    summary: RunSummary
 
 
 def site_columns(
@@ -144,33 +155,39 @@ def site_columns(
     site in dataset order. Site ids must be unique: a repeated id raises
     ValueError.
     """
-    seen: set[str] = set()
-    for site in dataset:
-        if site.id in seen:
-            raise ValueError(f"duplicate site id {site.id!r}")
-        seen.add(site.id)
+    ids = [site.id for site in dataset]
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    for first, second in zip(by_id, by_id[1:]):
+        if ids[first] == ids[second]:
+            raise ValueError(f"duplicate site id {ids[first]!r}")
+    id_rank = np.empty(len(ids), np.intp)
+    id_rank[by_id] = np.arange(len(ids))
 
-    def column(name: str) -> np.ndarray:
+    def attribute(name: str) -> np.ndarray:
         return np.fromiter((getattr(site, name) for site in dataset), float, len(dataset))
 
-    stand_age = column("stand_age")
-    rotation_age = column("commercial_rotation_age")
+    stand_age = attribute("stand_age")
+    rotation_age = attribute("commercial_rotation_age")
     hartmanian = stand_age > rotation_age
     phi = draw_phi(rng, cfg.amenity, int(hartmanian.sum()))
     gain = np.zeros(len(dataset))
     gain[hartmanian] = amenity_gain(stand_age[hartmanian], rotation_age[hartmanian], phi, cfg)
+    thresholds = [OLD_GROWTH_THRESHOLDS[site.site_type][site.dominant_species] for site in dataset]
     return SiteColumns(
         sites=dataset,
+        area=attribute("area_ha"),
         stand_age=stand_age,
         rotation_age=rotation_age,
-        v1=column("timber_value") + column("land_payment"),
-        v0=column("opportunity_cost_v0"),
+        v1=attribute("timber_value") + attribute("land_payment"),
+        v0=attribute("opportunity_cost_v0"),
         amenity_gain=gain,
         elite=elite_index(dataset, elite_table),
+        id_rank=id_rank,
+        old_growth=stand_age >= np.array(thresholds, dtype=float),
     )
 
 
-def build_offers(columns: SiteColumns, cfg: SchemeConfig, mechanism: Mechanism) -> list[Offer]:
+def build_offers(columns: SiteColumns, cfg: SchemeConfig, mechanism: Mechanism) -> OfferTable:
     """Offers, in dataset order, from every landowner whose participation rule holds.
 
     Bids and participation come from the site columns as array operations:
@@ -183,29 +200,21 @@ def build_offers(columns: SiteColumns, cfg: SchemeConfig, mechanism: Mechanism) 
         )
         keep = np.flatnonzero(joins)
         outlay, instalment = outlay[keep], instalment[keep]
-        instalment_pv = annuity_factor(cfg.instalment_count_x, cfg.discount_rate)
-        outlays, instalments = outlay.tolist(), instalment.tolist()
-        totals = (outlay + instalment * instalment_pv).tolist()
+        total = outlay + instalment * annuity_factor(cfg.instalment_count_x, cfg.discount_rate)
     else:
         payment, joins = upfront_bid(
             columns.v1, columns.v0, columns.amenity_gain, cfg.upfront_cap_hi
         )
         keep = np.flatnonzero(joins)
-        # The payment is both the outlay and the total: one float object serves both.
-        outlays = totals = payment[keep].tolist()
-        instalments = [0.0] * len(outlays)
-    return [
-        Offer(columns.sites[i], mechanism, elite, outlay_i, instalment_i, total_i)
-        for i, elite, outlay_i, instalment_i, total_i in zip(
-            keep.tolist(), columns.elite[keep].tolist(), outlays, instalments, totals
-        )
-    ]
+        outlay = total = payment[keep]
+        instalment = np.zeros(len(keep))
+    return OfferTable(columns, keep, columns.elite[keep], outlay, instalment, total)
 
 
 def draw_harvest_schedule(
     columns: SiteColumns, cfg: SchemeConfig, rng: np.random.Generator
-) -> dict[str, int]:
-    """One harvest realization: site id to harvest year; sites never cut are absent.
+) -> np.ndarray:
+    """One harvest realization: each site's harvest year, NEVER_CUT for sites not cut.
 
     Every stand maturing within the window is cut. A stand first eligible in
     year y0 (when it reaches its rotation age, 0 if already past it) draws a
@@ -214,38 +223,34 @@ def draw_harvest_schedule(
     """
     first_year = np.maximum(0.0, np.ceil(columns.rotation_age - columns.stand_age))
     eligible = first_year < cfg.harvest_window
-    years = rng.integers(first_year[eligible].astype(np.int64), cfg.harvest_window)
-    ids = (site.id for site in compress(columns.sites, eligible.tolist()))
-    return dict(zip(ids, years.tolist()))
+    years = np.full(len(columns), NEVER_CUT, dtype=np.int64)
+    years[eligible] = rng.integers(first_year[eligible].astype(np.int64), cfg.harvest_window)
+    return years
 
 
-def rank_benefit_cost(offers: list[Offer]) -> list[Offer]:
+def rank_benefit_cost(offers: OfferTable) -> OfferTable:
     """Offers in funding order: benefit per euro of outlay, descending.
 
     Ties break toward the cheaper offer, then by site id, so the order is
     deterministic. Zero-cost offers with positive benefit rank first.
     """
-
-    def sort_key(offer: Offer):
-        if offer.cost > 0:
-            ratio = offer.benefit / offer.cost
-        else:
-            ratio = math.inf if offer.benefit > 0 else 0.0
-        return (-ratio, offer.cost, offer.site.id)
-
-    return sorted(offers, key=sort_key)
+    cost = offers.cost
+    benefit = offers.elite * offers.area
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(cost > 0, benefit / cost, np.where(benefit > 0, np.inf, 0.0))
+    return offers.take(np.lexsort((offers.columns.id_rank[offers.site], cost, -ratio)))
 
 
-def select_old_growth(offers: list[Offer]) -> list[Offer]:
+def select_old_growth(offers: OfferTable) -> OfferTable:
     """Only the offers whose stands meet the old-growth age criteria."""
-    return [offer for offer in offers if is_old_growth(offer.site)]
+    return offers.take(offers.columns.old_growth[offers.site])
 
 
 def run_deferred(
     cfg: SchemeConfig,
     initial_budget: float,
-    ranking: list[Offer],
-    schedule: dict[str, int],
+    ranking: OfferTable,
+    schedule: np.ndarray,
 ) -> RunOutcome:
     """Fund ranked offers from the initial budget, all at year 0.
 
@@ -257,95 +262,82 @@ def run_deferred(
     """
     if initial_budget < 0:
         raise ValueError("initial_budget must be >= 0")
+    costs = ranking.cost.tolist()
+    instalments = (ranking.instalment_per_ha * ranking.area).tolist()
+    cut_at_start = (schedule[ranking.site] == 0).tolist()
     remaining = initial_budget
-    conserved: dict[str, int] = {}
+    conserved: dict[int, int] = {}
     instalment_per_year = 0.0
     spent = 0.0
-    for offer in ranking:
-        if schedule.get(offer.site.id) == 0:
-            continue
-        if offer.cost <= remaining:
-            remaining -= offer.cost
-            spent += offer.cost
-            conserved[offer.site.id] = 0
-            instalment_per_year += offer.instalment_per_ha * offer.area_ha
+    for row, cost in enumerate(costs):
+        if not cut_at_start[row] and cost <= remaining:
+            remaining -= cost
+            spent += cost
+            conserved[row] = 0
+            instalment_per_year += instalments[row]
     spending = [spent]
     if instalment_per_year > 0:
         spending += [instalment_per_year] * cfg.instalment_count_x
     return RunOutcome(
         mechanism=Mechanism.DEFERRED,
-        offers=tuple(ranking),
+        offers=ranking,
         conserved_year=conserved,
         harvested_year={},
         spending=spending,
-        summary=account(Mechanism.DEFERRED, initial_budget, ranking, conserved, {}, spending, cfg),
+        summary=account(initial_budget, ranking, conserved, {}, spending, cfg),
     )
 
 
 def run_upfront(
     cfg: SchemeConfig,
     annual_budget: float,
-    ranking: list[Offer],
-    schedule: dict[str, int],
+    ranking: OfferTable,
+    schedule: np.ndarray,
 ) -> RunOutcome:
     """Fund ranked offers gradually from an annual budget over the horizon.
 
     Each year, stands reaching their harvest year while still unconserved are
-    lost first; the year's budget then funds the best remaining offers
+    lost; the year's budget funds the best remaining offers
     (skip-and-continue). Unspent budget does not roll over.
     """
     if annual_budget < 0:
         raise ValueError("annual_budget must be >= 0")
-    pending = list(ranking)
-    conserved: dict[str, int] = {}
-    harvested: dict[str, int] = {}
+    costs = ranking.cost.tolist()
+    harvest = schedule[ranking.site].tolist()
+    pending = list(range(len(ranking)))
+    conserved: dict[int, int] = {}
+    harvested: dict[int, int] = {}
     spending: list[float] = []
     for year in range(cfg.horizon):
-        available: list[Offer] = []
-        for offer in pending:
-            harvest_year = schedule.get(offer.site.id)
-            if harvest_year is not None and harvest_year <= year:
-                harvested[offer.site.id] = harvest_year
-            else:
-                available.append(offer)
         remaining = annual_budget
         spent = 0.0
-        leftover: list[Offer] = []
-        for offer in available:
-            if offer.cost <= remaining:
-                remaining -= offer.cost
-                spent += offer.cost
-                conserved[offer.site.id] = year
+        leftover: list[int] = []
+        for row in pending:
+            if 0 <= harvest[row] <= year:
+                harvested[row] = harvest[row]
+            elif costs[row] <= remaining:
+                remaining -= costs[row]
+                spent += costs[row]
+                conserved[row] = year
             else:
-                leftover.append(offer)
+                leftover.append(row)
         spending.append(spent)
         pending = leftover
     return RunOutcome(
         mechanism=Mechanism.UPFRONT,
-        offers=tuple(ranking),
+        offers=ranking,
         conserved_year=conserved,
         harvested_year=harvested,
         spending=spending,
-        summary=account(
-            Mechanism.UPFRONT, annual_budget, ranking, conserved, harvested, spending, cfg
-        ),
+        summary=account(annual_budget, ranking, conserved, harvested, spending, cfg),
     )
 
 
-def _per_ha_average(pairs: list[tuple[float, float]]) -> float:
-    """Area-weighted average of (value_per_ha, area) pairs; 0 when empty."""
-    total_area = sum(area for _, area in pairs)
-    if total_area == 0:
-        return 0.0
-    return sum(value * area for value, area in pairs) / total_area
-
-
 def account(
-    mechanism: Mechanism,
     budget: float,
-    offers: list[Offer],
-    conserved_year: dict[str, int],
-    harvested_year: dict[str, int],
+    offers: OfferTable,
+    conserved_year: dict[int, int],
+    harvested_year: dict[int, int],
     spending: list[float],
     cfg: SchemeConfig,
 ) -> RunSummary:
@@ -353,32 +345,32 @@ def account(
 
     Benefits accrue at the year each site is conserved; lost benefits are
     booked (negatively) at each lost site's harvest year; both discount at the
-    accounting rate. Averages cover conserved sites only.
+    accounting rate. Averages cover conserved sites only. Every sum adds
+    Python floats in the order of `conserved_year` and `harvested_year`, so
+    totals are reproducible bit for bit.
     """
-    by_id = {offer.site.id: offer for offer in offers}
-    conserved = [(by_id[sid], year) for sid, year in conserved_year.items()]
-    lost = [(by_id[sid], year) for sid, year in harvested_year.items()]
     delta = cfg.discount_rate
+    area = offers.area
 
-    # Reported sums start at 0.0: an empty set reports a float zero, like every other cell.
-    benefits = sum(
-        (cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in conserved), 0.0
-    )
-    lost_total = sum(
-        cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in lost
-    )
+    def rows(years: dict[int, int]) -> np.ndarray:
+        return np.fromiter(years, np.intp, len(years))
+
+    def discounted_benefits(years: dict[int, int]) -> list[float]:
+        discount = np.fromiter(((1.0 + delta) ** (-y) for y in years.values()), float, len(years))
+        return (cfg.benefit_per_ha * area[rows(years)] * discount).tolist()
+
+    conserved, lost = rows(conserved_year), rows(harvested_year)
+    benefits = sum(discounted_benefits(conserved_year), 0.0)
+    lost_total = sum(discounted_benefits(harvested_year), 0.0)
     lost_benefits = -lost_total if lost_total > 0 else 0.0
-    if mechanism is Mechanism.DEFERRED:
-        instalment_cost = sum((o.instalment_per_ha * o.area_ha for o, _ in conserved), 0.0)
-    else:
-        instalment_cost = 0.0
-    totals = dataclasses.asdict(summarize_supply([o for o, _ in conserved]))
+    instalments = offers.instalment_per_ha[conserved] * area[conserved]
+    totals = dataclasses.asdict(summarize_supply(offers.take(conserved)))
     sites = totals.pop("sites")
     return RunSummary(
         sites_conserved=sites,
         **totals,
-        harvested_area_ha=sum((o.area_ha for o, _ in lost), 0.0),
-        instalment_cost_per_year=instalment_cost,
+        harvested_area_ha=sum(area[lost].tolist(), 0.0),
+        instalment_cost_per_year=sum(instalments.tolist(), 0.0),
         budget=budget,
         costs_npv=npv(spending, delta),
         costs_absolute=sum(spending),
@@ -388,18 +380,23 @@ def account(
     )
 
 
-def summarize_supply(offers: list[Offer]) -> SupplySummary:
-    """Count, area, habitat-index sum, and per-hectare averages over `offers`."""
+def summarize_supply(offers: OfferTable) -> SupplySummary:
+    """Count, area, habitat-index sum, and per-hectare averages over `offers`, in their order."""
+    area = offers.area
+    total_area = sum(area.tolist(), 0.0)
+
+    def per_ha_average(per_ha: np.ndarray) -> float:
+        """Area-weighted average; 0 when there is no area."""
+        return sum((per_ha * area).tolist(), 0.0) / total_area if total_area else 0.0
+
     return SupplySummary(
         sites=len(offers),
-        area_ha=sum((o.area_ha for o in offers), 0.0),
-        bd_index_sum=sum((o.elite * o.area_ha for o in offers), 0.0),
-        avg_stand_age=_per_ha_average([(o.site.stand_age, o.area_ha) for o in offers]),
-        avg_downpayment=_per_ha_average([(o.downpayment_per_ha, o.area_ha) for o in offers]),
-        avg_instalment=_per_ha_average([(o.instalment_per_ha, o.area_ha) for o in offers]),
-        avg_total_payment_npv=_per_ha_average(
-            [(o.total_payment_npv_per_ha, o.area_ha) for o in offers]
-        ),
+        area_ha=total_area,
+        bd_index_sum=sum((offers.elite * area).tolist(), 0.0),
+        avg_stand_age=per_ha_average(offers.columns.stand_age[offers.site]),
+        avg_downpayment=per_ha_average(offers.downpayment_per_ha),
+        avg_instalment=per_ha_average(offers.instalment_per_ha),
+        avg_total_payment_npv=per_ha_average(offers.total_payment_npv_per_ha),
     )
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from deferauction.model import SchemeConfig, SiteRecord, SiteType, Species
+from deferauction.simulation import site_columns
+from deferauction.streams import PHI_STREAM, rng_stream
 
 
 def make_site(
@@ -33,6 +35,11 @@ def make_site(
         area_ha=area_ha,
         land_payment=land_payment,
     )
+
+
+def is_old_growth(site: SiteRecord) -> bool:
+    """The old-growth flag that site_columns computes for `site`."""
+    return bool(site_columns([site], SchemeConfig(), rng_stream(1, PHI_STREAM)).old_growth[0])
 
 
 @pytest.fixture

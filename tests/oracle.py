@@ -4,7 +4,10 @@ The package computes owner types, amenity gains, habitat indices, bids,
 participation and harvest years as array operations over per-site columns.
 This module keeps the one-site-at-a-time versions they replaced, plus a
 numeric optimizer of the bid surplus, so that tests can check the closed
-forms by hand and the column path against these scalars bit for bit.
+forms by hand and the column path against these scalars bit for bit. It also
+keeps the per-offer engine: one ``Offer`` object per participating site,
+ranked with a sort key, funded by the selection loops over those objects and
+accounted through site-id maps.
 """
 from __future__ import annotations
 
@@ -19,11 +22,18 @@ from deferauction.ecology import (
     AMENITY_LOOKAHEAD_YEARS,
     COMPONENT_SOURCES,
     DEFAULT_ELITE_TABLE,
+    OLD_GROWTH_THRESHOLDS,
     EliteDataError,
     EliteTable,
 )
-from deferauction.finance import annuity_factor, compound_factor, discounted_instalment_sum
+from deferauction.finance import (
+    annuity_factor,
+    compound_factor,
+    discounted_instalment_sum,
+    npv,
+)
 from deferauction.model import AmenityParams, Mechanism, SchemeConfig, SiteRecord
+from deferauction.simulation import RunSummary, SupplySummary
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 1025
@@ -166,6 +176,12 @@ def elite_index(site: SiteRecord, table: EliteTable = DEFAULT_ELITE_TABLE) -> fl
     return index
 
 
+def is_old_growth(site: SiteRecord) -> bool:
+    """Whether the stand meets the old-growth age threshold for its type and species."""
+    threshold = OLD_GROWTH_THRESHOLDS[site.site_type][site.dominant_species]
+    return site.stand_age >= threshold
+
+
 # --- bids -----------------------------------------------------------------
 
 
@@ -286,7 +302,31 @@ def upfront_participates(payment: float, site: SiteRecord, owner: LandownerProfi
     return payment > site.opportunity_cost_v0 - owner.amenity_gain
 
 
-# --- the per-site engine loops ----------------------------------------------
+# --- the per-offer engine ---------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Offer:
+    """One participating landowner's standing offer; the outlay is paid at conservation."""
+
+    site: SiteRecord
+    mechanism: Mechanism
+    elite: float
+    downpayment_per_ha: float
+    instalment_per_ha: float
+    total_payment_npv_per_ha: float
+
+    @property
+    def area_ha(self) -> float:
+        return self.site.area_ha
+
+    @property
+    def cost(self) -> float:
+        return self.downpayment_per_ha * self.site.area_ha
+
+    @property
+    def benefit(self) -> float:
+        return self.elite * self.site.area_ha
 
 
 def offers(
@@ -295,11 +335,10 @@ def offers(
     mechanism: Mechanism,
     rng: np.random.Generator,
     elite_table: EliteTable = DEFAULT_ELITE_TABLE,
-) -> list[tuple]:
-    """The Offer fields of each participating site, in dataset order.
+) -> list[Offer]:
+    """The offer of each participating site, in dataset order.
 
-    (site, mechanism, elite, outlay, instalment, total NPV); one phi draw per
-    Hartmanian site in dataset order.
+    One phi draw per Hartmanian site in dataset order.
     """
     instalment_pv = annuity_factor(cfg.instalment_count_x, cfg.discount_rate)
     out = []
@@ -319,8 +358,158 @@ def offers(
             if not upfront_participates(outlay, site, owner):
                 continue
             instalment, total_npv = 0.0, outlay
-        out.append((site, mechanism, elite, outlay, instalment, total_npv))
+        out.append(Offer(site, mechanism, elite, outlay, instalment, total_npv))
     return out
+
+
+def rank_benefit_cost(offers: list[Offer]) -> list[Offer]:
+    """Benefit per euro descending, then cheaper first, then by site id."""
+
+    def sort_key(offer: Offer):
+        if offer.cost > 0:
+            ratio = offer.benefit / offer.cost
+        else:
+            ratio = math.inf if offer.benefit > 0 else 0.0
+        return (-ratio, offer.cost, offer.site.id)
+
+    return sorted(offers, key=sort_key)
+
+
+def select_old_growth(offers: list[Offer]) -> list[Offer]:
+    return [offer for offer in offers if is_old_growth(offer.site)]
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """Site id to year of conservation or loss, in the order decided; spending; accounting."""
+
+    conserved_year: dict[str, int]
+    harvested_year: dict[str, int]
+    spending: list[float]
+    summary: RunSummary
+
+
+def run_deferred(
+    cfg: SchemeConfig, initial_budget: float, ranking: list[Offer], schedule: dict[str, int]
+) -> Outcome:
+    """Skip-and-continue funding at year 0; sites cut at year 0 are unavailable."""
+    remaining = initial_budget
+    conserved: dict[str, int] = {}
+    instalment_per_year = 0.0
+    spent = 0.0
+    for offer in ranking:
+        if schedule.get(offer.site.id) == 0:
+            continue
+        if offer.cost <= remaining:
+            remaining -= offer.cost
+            spent += offer.cost
+            conserved[offer.site.id] = 0
+            instalment_per_year += offer.instalment_per_ha * offer.area_ha
+    spending = [spent]
+    if instalment_per_year > 0:
+        spending += [instalment_per_year] * cfg.instalment_count_x
+    summary = account(Mechanism.DEFERRED, initial_budget, ranking, conserved, {}, spending, cfg)
+    return Outcome(conserved, {}, spending, summary)
+
+
+def run_upfront(
+    cfg: SchemeConfig, annual_budget: float, ranking: list[Offer], schedule: dict[str, int]
+) -> Outcome:
+    """Each year: unconserved stands due for harvest are lost, then the budget funds the rest."""
+    pending = list(ranking)
+    conserved: dict[str, int] = {}
+    harvested: dict[str, int] = {}
+    spending: list[float] = []
+    for year in range(cfg.horizon):
+        available: list[Offer] = []
+        for offer in pending:
+            harvest_year = schedule.get(offer.site.id)
+            if harvest_year is not None and harvest_year <= year:
+                harvested[offer.site.id] = harvest_year
+            else:
+                available.append(offer)
+        remaining = annual_budget
+        spent = 0.0
+        leftover: list[Offer] = []
+        for offer in available:
+            if offer.cost <= remaining:
+                remaining -= offer.cost
+                spent += offer.cost
+                conserved[offer.site.id] = year
+            else:
+                leftover.append(offer)
+        spending.append(spent)
+        pending = leftover
+    summary = account(
+        Mechanism.UPFRONT, annual_budget, ranking, conserved, harvested, spending, cfg
+    )
+    return Outcome(conserved, harvested, spending, summary)
+
+
+def _per_ha_average(pairs: list[tuple[float, float]]) -> float:
+    total_area = sum(area for _, area in pairs)
+    if total_area == 0:
+        return 0.0
+    return sum(value * area for value, area in pairs) / total_area
+
+
+def account(
+    mechanism: Mechanism,
+    budget: float,
+    offers: list[Offer],
+    conserved_year: dict[str, int],
+    harvested_year: dict[str, int],
+    spending: list[float],
+    cfg: SchemeConfig,
+) -> RunSummary:
+    """Benefits at conservation, lost benefits at harvest, averages over conserved sites."""
+    by_id = {offer.site.id: offer for offer in offers}
+    conserved = [(by_id[sid], year) for sid, year in conserved_year.items()]
+    lost = [(by_id[sid], year) for sid, year in harvested_year.items()]
+    delta = cfg.discount_rate
+    benefits = sum(
+        (cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in conserved), 0.0
+    )
+    lost_total = sum(
+        cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in lost
+    )
+    lost_benefits = -lost_total if lost_total > 0 else 0.0
+    if mechanism is Mechanism.DEFERRED:
+        instalment_cost = sum((o.instalment_per_ha * o.area_ha for o, _ in conserved), 0.0)
+    else:
+        instalment_cost = 0.0
+    supply = summarize_supply([o for o, _ in conserved])
+    return RunSummary(
+        area_ha=supply.area_ha,
+        sites_conserved=supply.sites,
+        bd_index_sum=supply.bd_index_sum,
+        avg_stand_age=supply.avg_stand_age,
+        avg_downpayment=supply.avg_downpayment,
+        avg_instalment=supply.avg_instalment,
+        avg_total_payment_npv=supply.avg_total_payment_npv,
+        harvested_area_ha=sum((o.area_ha for o, _ in lost), 0.0),
+        instalment_cost_per_year=instalment_cost,
+        budget=budget,
+        costs_npv=npv(spending, delta),
+        costs_absolute=sum(spending),
+        benefits_npv=benefits,
+        lost_benefits=lost_benefits,
+        ex_post_net_benefits=benefits + lost_benefits,
+    )
+
+
+def summarize_supply(offers: list[Offer]) -> SupplySummary:
+    return SupplySummary(
+        sites=len(offers),
+        area_ha=sum((o.area_ha for o in offers), 0.0),
+        bd_index_sum=sum((o.elite * o.area_ha for o in offers), 0.0),
+        avg_stand_age=_per_ha_average([(o.site.stand_age, o.area_ha) for o in offers]),
+        avg_downpayment=_per_ha_average([(o.downpayment_per_ha, o.area_ha) for o in offers]),
+        avg_instalment=_per_ha_average([(o.instalment_per_ha, o.area_ha) for o in offers]),
+        avg_total_payment_npv=_per_ha_average(
+            [(o.total_payment_npv_per_ha, o.area_ha) for o in offers]
+        ),
+    )
 
 
 def harvest_schedule(

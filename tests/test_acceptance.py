@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_site
+from conftest import is_old_growth, make_site
 from deferauction.bidding import omega
 from deferauction.cli import EXIT_OK, main
 from deferauction.dataio import SyntheticProfile, generate_synthetic
-from deferauction.ecology import EliteComponent, EliteTable, amenity_value, elite_index, is_old_growth
+from deferauction.ecology import EliteComponent, EliteTable, amenity_value, elite_index
 from deferauction.finance import discounted_instalment_sum, match_upfront_budget, npv
 from deferauction.model import Mechanism, SchemeConfig, SiteType, Species
 from deferauction.simulation import (
@@ -232,16 +232,13 @@ def test_criterion_07_structural_reproduction_on_synthetic_data():
         for rate in (0.02, 0.03, 0.04):
             rate_cfg = dataclasses.replace(cfg, interest_rate_r=rate)
             offers = build_offers(columns, rate_cfg, Mechanism.DEFERRED)
-            offered[rate] = sum(o.area_ha for o in offers)
+            offered[rate] = sum(offers.area.tolist())
         # (c) supply monotone in the interest rate, every seed
         assert offered[0.02] <= offered[0.03] <= offered[0.04]
 
         # (d) stretching the payment period shrinks supply, every seed
         long_cfg = dataclasses.replace(cfg, instalment_count_x=20)
-        offered_20 = sum(
-            o.area_ha
-            for o in build_offers(columns, long_cfg, Mechanism.DEFERRED)
-        )
+        offered_20 = sum(build_offers(columns, long_cfg, Mechanism.DEFERRED).area.tolist())
         assert offered_20 < offered[0.03]
 
         offers_deferred = build_offers(columns, cfg, Mechanism.DEFERRED)
@@ -328,7 +325,7 @@ def test_criterion_10_annual_harvest_rate_band():
         yearly = []
         for year in range(cfg.harvest_window):
             eligible = sum(1 for y in first_year.values() if y <= year)
-            cut = sum(1 for y in schedule.values() if y == year)
+            cut = sum(1 for y in schedule.tolist() if y == year)
             if eligible:
                 yearly.append(cut / eligible)
         mean_rate = sum(yearly) / len(yearly)

@@ -248,6 +248,42 @@ class TestSweep:
             for name in names:
                 assert (point_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
+    def test_axis_cells_keep_full_precision(self, tmp_path):
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 30}})
+        sweep_dir = tmp_path / "sweep"
+        argv = ["sweep", str(scenario), "--out-dir", str(sweep_dir), "--payment-periods", "10"]
+        argv += ["--interest-rates", "0.025,0.03,0.035", "--bid-cap-scales", "1.125"]
+        assert main(argv) == EXIT_OK
+        with open(sweep_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["interest_rate"] for row in rows] == ["0.025", "0.03", "0.035"]
+        assert [row["bid_cap_scale"] for row in rows] == ["1.125"] * 3
+        for row in rows:
+            manifest = json.loads(
+                (sweep_dir / f"point_{int(row['point']):04d}" / "manifest.json").read_text()
+            )
+            assert float(row["interest_rate"]) == manifest["scenario"]["scheme"]["interest_rate_r"]
+
+    def test_unloadable_csv_is_read_once(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text(
+            "id,site_type,stand_age,stand_volume,dominant_species,broadleaf_share,deadwood,"
+            "timber_value,opportunity_cost_v0,commercial_rotation_age\n"
+            "bad,mesic_heath,old,250,conifer,0.2,10,6600,6000,95\n",
+            encoding="utf-8",
+        )
+        scenario = write_scenario(tmp_path, dataset={"path": str(data)})
+        sweep_dir = tmp_path / "sweep"
+        capsys.readouterr()
+        argv = ["sweep", str(scenario), "--out-dir", str(sweep_dir), "--seeds", "1,2"]
+        assert main(argv + ["--interest-rates", "0.02,0.03", "--payment-periods", "10"]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning:" in line]
+        assert warnings == [f"warning: {data}: row 1, stand_age: cannot parse 'old' as a number"]
+        with open(sweep_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(row["status"] == f"error: {data}: no valid rows" for row in rows)
+
     def test_engine_error_in_a_point_exits_4(self, tmp_path, monkeypatch):
         def broken(scenario, inputs=None):
             raise ValueError("engine bug")

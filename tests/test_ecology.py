@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_site
+from conftest import is_old_growth, make_site
 from deferauction.ecology import (
     DEFAULT_ELITE_TABLE,
     EliteComponent,
@@ -11,7 +11,6 @@ from deferauction.ecology import (
     EliteTable,
     amenity_value,
     elite_index,
-    is_old_growth,
     load_elite_table,
 )
 from deferauction.model import ConfigError, SchemeConfig, SiteType, Species

@@ -9,7 +9,8 @@ from deferauction.dataio import SyntheticProfile, generate_synthetic
 from deferauction.finance import match_upfront_budget, npv
 from deferauction.model import Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
-    Offer,
+    NEVER_CUT,
+    OfferTable,
     account,
     build_offers,
     draw_harvest_schedule,
@@ -23,25 +24,52 @@ from deferauction.simulation import (
 )
 from deferauction.streams import HARVEST_STREAM, PHI_STREAM, rng_stream
 
-
-def make_offer(site_id, cost_per_ha, elite=0.5, area=10.0, mechanism=Mechanism.DEFERRED,
-               instalment=0.0):
-    site = make_site(site_id=site_id, area_ha=area)
-    return Offer(
-        site=site,
-        mechanism=mechanism,
-        elite=elite,
-        downpayment_per_ha=cost_per_ha,
-        instalment_per_ha=instalment,
-        total_payment_npv_per_ha=cost_per_ha,
-    )
-
-
 CFG = SchemeConfig(bid_cap_hi=8_000.0)
 
 
 def columns_of(sites, cfg, seed):
     return site_columns(sites, cfg, rng_stream(seed, PHI_STREAM))
+
+
+def make_offer(site_id, cost_per_ha, elite=0.5, area=10.0, instalment=0.0, **site_fields):
+    """One offer row: (site, elite, outlay per ha, instalment per ha)."""
+    return make_site(site_id=site_id, area_ha=area, **site_fields), elite, cost_per_ha, instalment
+
+
+def offer_table(offers):
+    """An offer table with one row per make_offer row, over exactly those sites."""
+    columns = columns_of([site for site, *_ in offers], CFG, 1)
+    elite, outlay, instalment = (np.array([o[k] for o in offers], dtype=float) for k in (1, 2, 3))
+    return OfferTable(columns, np.arange(len(offers)), elite, outlay, instalment, outlay)
+
+
+def schedule_for(offers, years):
+    """The harvest array of an offer table's sites from a site id to year map."""
+    return np.array([years.get(site.id, NEVER_CUT) for site in offers.columns.sites], dtype=int)
+
+
+def ids(offers):
+    return [offers.columns.sites[index].id for index in offers.site.tolist()]
+
+
+def by_id(outcome, years):
+    """A run's offer-row to year map, keyed by site id instead."""
+    offer_ids = ids(outcome.offers)
+    return {offer_ids[row]: year for row, year in years.items()}
+
+
+def conserved(outcome):
+    return by_id(outcome, outcome.conserved_year)
+
+
+def harvested(outcome):
+    return by_id(outcome, outcome.harvested_year)
+
+
+def ranked(offers, years=None):
+    """(ranked offer table, harvest array) of make_offer rows."""
+    table = offer_table(offers)
+    return rank_benefit_cost(table), schedule_for(table, years or {})
 
 
 class TestBuildOffers:
@@ -57,7 +85,7 @@ class TestBuildOffers:
         sites = [make_site(timber_value=6_600.0, opportunity_cost_v0=6_000.0, stand_age=60.0)]
         offers = build_offers(columns_of(sites, CFG, 1), CFG, Mechanism.DEFERRED)
         assert len(offers) == 1
-        assert offers[0].downpayment_per_ha == pytest.approx(6_922.37, abs=0.05)
+        assert offers.downpayment_per_ha[0] == pytest.approx(6_922.37, abs=0.05)
 
     def test_same_seed_same_offers_across_mechanisms(self):
         dataset = generate_synthetic(SyntheticProfile(n_sites=60), 3)
@@ -66,9 +94,10 @@ class TestBuildOffers:
             build_offers(columns_of(dataset, cfg, 3), cfg, Mechanism.DEFERRED)
             for _ in range(2)
         ]
-        assert [o.downpayment_per_ha for o in deferred_twice[0]] == [
-            o.downpayment_per_ha for o in deferred_twice[1]
-        ]
+        assert (
+            deferred_twice[0].downpayment_per_ha.tolist()
+            == deferred_twice[1].downpayment_per_ha.tolist()
+        )
 
     def test_repeated_site_id_rejected(self):
         sites = [make_site(site_id="twin"), make_site(site_id="twin", stand_age=140.0)]
@@ -81,7 +110,7 @@ class TestBuildOffers:
         for r in (0.02, 0.03, 0.04):
             cfg = SchemeConfig(interest_rate_r=r, seed=5)
             offers = build_offers(columns_of(dataset, cfg, 5), cfg, Mechanism.DEFERRED)
-            areas.append(sum(o.area_ha for o in offers))
+            areas.append(sum(offers.area.tolist()))
         assert areas[0] <= areas[1] <= areas[2]
 
 
@@ -91,14 +120,13 @@ class TestHarvestSchedule:
                  for i in range(20)]
         cfg = SchemeConfig()
         schedule = draw_harvest_schedule(columns_of(sites, cfg, 1), cfg, rng_stream(1, HARVEST_STREAM))
-        assert schedule == {}
+        assert schedule.tolist() == [NEVER_CUT] * 20
 
     def test_mature_stand_uniform_over_window(self):
         sites = [make_site(site_id=f"s{i}", stand_age=150.0, commercial_rotation_age=95.0)
                  for i in range(100_000)]
         cfg = SchemeConfig()
-        schedule = draw_harvest_schedule(columns_of(sites, cfg, 2), cfg, rng_stream(2, HARVEST_STREAM))
-        years = np.array(list(schedule.values()))
+        years = draw_harvest_schedule(columns_of(sites, cfg, 2), cfg, rng_stream(2, HARVEST_STREAM))
         assert len(years) == 100_000
         assert years.min() >= 0 and years.max() <= 39
         assert years.mean() == pytest.approx(19.5, abs=0.2)
@@ -109,8 +137,7 @@ class TestHarvestSchedule:
         for master in range(60):
             columns = columns_of(sites, cfg, master)
             schedule = draw_harvest_schedule(columns, cfg, rng_stream(master, HARVEST_STREAM))
-            year = schedule.get("s")
-            assert year is not None and 5 <= year <= 39
+            assert 5 <= schedule[0] <= 39
 
     def test_annual_rate_in_band_on_synthetic_data(self):
         cfg = SchemeConfig()
@@ -126,7 +153,7 @@ class TestHarvestSchedule:
             yearly = []
             for year in range(cfg.harvest_window):
                 eligible = sum(1 for y in first.values() if y <= year)
-                cut = sum(1 for y in schedule.values() if y == year)
+                cut = sum(1 for y in schedule.tolist() if y == year)
                 if eligible:
                     yearly.append(cut / eligible)
             mean_rate = sum(yearly) / len(yearly)
@@ -135,119 +162,121 @@ class TestHarvestSchedule:
 
 class TestRanking:
     def test_orders_by_benefit_per_euro(self):
-        offers = [
+        offers = offer_table([
             make_offer("a", cost_per_ha=100.0, elite=0.1),   # ratio 0.001
             make_offer("b", cost_per_ha=100.0, elite=0.3),   # ratio 0.003
             make_offer("c", cost_per_ha=100.0, elite=0.2),   # ratio 0.002
-        ]
-        ranked = rank_benefit_cost(offers)
-        assert [o.site.id for o in ranked] == ["b", "c", "a"]
+        ])
+        assert ids(rank_benefit_cost(offers)) == ["b", "c", "a"]
 
     def test_ties_break_to_cheaper_then_id(self):
-        offers = [
+        offers = offer_table([
             make_offer("pricey", cost_per_ha=20.0, elite=0.2),
             make_offer("cheap", cost_per_ha=10.0, elite=0.1),
             make_offer("aaa", cost_per_ha=10.0, elite=0.1),
-        ]
-        ranked = rank_benefit_cost(offers)
-        assert [o.site.id for o in ranked] == ["aaa", "cheap", "pricey"]
+        ])
+        assert ids(rank_benefit_cost(offers)) == ["aaa", "cheap", "pricey"]
 
     def test_zero_benefit_ranks_last_zero_cost_first(self):
-        offers = [
+        offers = offer_table([
             make_offer("zero-elite", cost_per_ha=10.0, elite=0.0),
             make_offer("normal", cost_per_ha=10.0, elite=0.4),
             make_offer("free", cost_per_ha=0.0, elite=0.2),
-        ]
-        ranked = rank_benefit_cost(offers)
-        assert ranked[0].site.id == "free"
-        assert ranked[-1].site.id == "zero-elite"
+        ])
+        order = ids(rank_benefit_cost(offers))
+        assert order[0] == "free"
+        assert order[-1] == "zero-elite"
 
 
 class TestRunDeferred:
     def test_slack_budget_conserves_everything_at_year_zero(self):
-        offers = rank_benefit_cost([make_offer(f"s{i}", 500.0, instalment=50.0) for i in range(5)])
-        outcome = run_deferred(CFG, 1e9, offers, {})
+        offers, schedule = ranked([make_offer(f"s{i}", 500.0, instalment=50.0) for i in range(5)])
+        outcome = run_deferred(CFG, 1e9, offers, schedule)
         assert set(outcome.conserved_year.values()) == {0}
         assert len(outcome.conserved_year) == 5
         assert outcome.harvested_year == {}
         assert outcome.spending[1] == pytest.approx(5 * 50.0 * 10.0)
 
     def test_zero_budget_conserves_nothing(self):
-        offers = rank_benefit_cost([make_offer("s1", 500.0)])
-        outcome = run_deferred(CFG, 0.0, offers, {})
+        offers, schedule = ranked([make_offer("s1", 500.0)])
+        outcome = run_deferred(CFG, 0.0, offers, schedule)
         assert outcome.conserved_year == {}
         assert outcome.summary.area_ha == 0.0
 
     def test_negative_budget_rejected(self):
+        offers, schedule = ranked([])
         with pytest.raises(ValueError):
-            run_deferred(CFG, -1.0, [], {})
+            run_deferred(CFG, -1.0, offers, schedule)
 
     def test_budget_for_top_two_funds_exactly_those(self):
-        offers = rank_benefit_cost(
+        offers, schedule = ranked(
             [
                 make_offer("best", 100.0, elite=0.9),
                 make_offer("next", 100.0, elite=0.8),
                 make_offer("last", 100.0, elite=0.7),
             ]
         )
-        outcome = run_deferred(CFG, 2_000.0, offers, {})
-        assert set(outcome.conserved_year) == {"best", "next"}
+        outcome = run_deferred(CFG, 2_000.0, offers, schedule)
+        assert set(conserved(outcome)) == {"best", "next"}
         assert outcome.spending[0] == pytest.approx(2_000.0)
 
     def test_skip_and_continue_funds_cheaper_lower_ranked(self):
-        offers = rank_benefit_cost(
+        offers, schedule = ranked(
             [
                 make_offer("expensive", 150.0, elite=0.9),
                 make_offer("mid", 120.0, elite=0.5),
                 make_offer("small", 40.0, elite=0.1),
             ]
         )
-        outcome = run_deferred(CFG, 1_900.0, offers, {})
-        assert set(outcome.conserved_year) == {"expensive", "small"}
+        outcome = run_deferred(CFG, 1_900.0, offers, schedule)
+        assert set(conserved(outcome)) == {"expensive", "small"}
 
     def test_sites_cut_at_year_zero_are_unavailable_but_not_losses(self):
-        offers = rank_benefit_cost([make_offer("gone", 100.0, elite=0.9), make_offer("kept", 100.0)])
-        schedule = {"gone": 0, "kept": 5}
+        offers, schedule = ranked(
+            [make_offer("gone", 100.0, elite=0.9), make_offer("kept", 100.0)],
+            {"gone": 0, "kept": 5},
+        )
         outcome = run_deferred(CFG, 1e6, offers, schedule)
-        assert set(outcome.conserved_year) == {"kept"}
+        assert set(conserved(outcome)) == {"kept"}
         assert outcome.harvested_year == {}
         assert outcome.summary.lost_benefits == 0.0
 
 
 class TestRunUpfront:
     def test_slack_budget_and_no_harvest_matches_deferred(self):
-        offers = [make_offer(f"s{i}", 500.0) for i in range(6)]
-        deferred = run_deferred(CFG, 1e9, rank_benefit_cost(offers), {})
-        upfront = run_upfront(CFG, 1e9, rank_benefit_cost(offers), {})
-        assert set(upfront.conserved_year) == set(deferred.conserved_year)
+        offers, schedule = ranked([make_offer(f"s{i}", 500.0) for i in range(6)])
+        deferred = run_deferred(CFG, 1e9, offers, schedule)
+        upfront = run_upfront(CFG, 1e9, offers, schedule)
+        assert set(conserved(upfront)) == set(conserved(deferred))
         assert set(upfront.conserved_year.values()) == {0}
 
     def test_rank_one_site_cut_at_year_zero_is_lost(self):
-        offers = rank_benefit_cost([make_offer("doomed", 100.0, elite=0.9), make_offer("b", 100.0)])
-        schedule = {"doomed": 0}
+        offers, schedule = ranked(
+            [make_offer("doomed", 100.0, elite=0.9), make_offer("b", 100.0)], {"doomed": 0}
+        )
         outcome = run_upfront(CFG, 1e9, offers, schedule)
-        assert outcome.harvested_year == {"doomed": 0}
-        assert "doomed" not in outcome.conserved_year
+        assert harvested(outcome) == {"doomed": 0}
+        assert "doomed" not in conserved(outcome)
 
     def test_budget_one_site_per_year_with_year_one_loss(self):
         # rank order a, b, c; b is cut during year 1 before it can be funded
-        offers = rank_benefit_cost(
+        offers, schedule = ranked(
             [
                 make_offer("a", 100.0, elite=0.9),
                 make_offer("b", 100.0, elite=0.8),
                 make_offer("c", 100.0, elite=0.7),
-            ]
+            ],
+            {"b": 1},
         )
-        schedule = {"b": 1}
         outcome = run_upfront(CFG, 1_000.0, offers, schedule)
-        assert outcome.conserved_year == {"a": 0, "c": 1}
-        assert outcome.harvested_year == {"b": 1}
+        assert conserved(outcome) == {"a": 0, "c": 1}
+        assert harvested(outcome) == {"b": 1}
 
     def test_budget_does_not_roll_over(self):
-        offers = rank_benefit_cost([make_offer("a", 150.0), make_offer("b", 90.0)])
-        outcome = run_upfront(CFG, 1_000.0, offers, {})
+        offers, schedule = ranked([make_offer("a", 150.0), make_offer("b", 90.0)])
+        outcome = run_upfront(CFG, 1_000.0, offers, schedule)
         # year 0: only b fits; year 1: a still costs 1_500 > 1_000, never funded
-        assert outcome.conserved_year == {"b": 0}
+        assert conserved(outcome) == {"b": 0}
         assert outcome.spending[0] == pytest.approx(900.0)
         assert all(v == 0.0 for v in outcome.spending[1:])
 
@@ -263,50 +292,41 @@ class TestRunUpfront:
 
 class TestSelectOldGrowth:
     def test_empty_when_no_old_sites(self):
-        offers = [make_offer("young", 100.0)]
-        offers[0] = dataclasses.replace(offers[0], site=make_site(site_id="young", stand_age=30.0))
-        assert select_old_growth(offers) == []
+        offers = offer_table([make_offer("young", 100.0, stand_age=30.0)])
+        assert len(select_old_growth(offers)) == 0
 
     def test_threshold_subset_is_exact(self):
-        sites = [
-            make_site(site_id="old-conifer", site_type=SiteType.MESIC_HEATH, stand_age=120.0),
-            make_site(site_id="young-conifer", site_type=SiteType.MESIC_HEATH, stand_age=119.0),
-            make_site(site_id="old-barren", site_type=SiteType.BARREN_HEATH, stand_age=140.0),
-        ]
-        offers = [
-            dataclasses.replace(make_offer(s.id, 100.0), site=s) for s in sites
-        ]
-        kept = {o.site.id for o in select_old_growth(offers)}
-        assert kept == {"old-conifer", "old-barren"}
+        offers = offer_table([
+            make_offer("old-conifer", 100.0, site_type=SiteType.MESIC_HEATH, stand_age=120.0),
+            make_offer("young-conifer", 100.0, site_type=SiteType.MESIC_HEATH, stand_age=119.0),
+            make_offer("old-barren", 100.0, site_type=SiteType.BARREN_HEATH, stand_age=140.0),
+        ])
+        assert set(ids(select_old_growth(offers))) == {"old-conifer", "old-barren"}
 
     def test_everything_at_max_age_passes(self):
-        offers = [
-            dataclasses.replace(
-                make_offer(f"s{i}", 100.0),
-                site=make_site(site_id=f"s{i}", site_type=site_type, stand_age=230.0),
-            )
+        offers = offer_table([
+            make_offer(f"s{i}", 100.0, site_type=site_type, stand_age=230.0)
             for i, site_type in enumerate(SiteType)
-        ]
+        ])
         assert len(select_old_growth(offers)) == len(offers)
 
 
 class TestAccount:
     def test_year_zero_benefits_undiscounted(self):
-        offers = rank_benefit_cost([make_offer(f"s{i}", 100.0) for i in range(3)])
-        outcome = run_deferred(CFG, 1e9, offers, {})
+        offers, schedule = ranked([make_offer(f"s{i}", 100.0) for i in range(3)])
+        outcome = run_deferred(CFG, 1e9, offers, schedule)
         assert outcome.summary.benefits_npv == pytest.approx(CFG.benefit_per_ha * 30.0)
         assert outcome.summary.ex_post_net_benefits == outcome.summary.benefits_npv
 
     def test_discounted_benefit_at_year_five(self):
-        offers = rank_benefit_cost([make_offer("s", 100.0)])
-        schedule = {}
+        offers, schedule = ranked([make_offer("s", 100.0)])
         cfg = dataclasses.replace(CFG, horizon_years=11)
         # force conservation in year 5 by starving the budget for five years
         outcome = run_upfront(cfg, 1_000.0, offers, schedule)
-        assert outcome.conserved_year == {"s": 0}
+        assert conserved(outcome) == {"s": 0}
         # direct check of the discounting rule instead: one site, year 5
         spending = [0.0] * 5 + [1_000.0]
-        summary = account(Mechanism.UPFRONT, 1_000.0, offers, {"s": 5}, {}, spending, cfg)
+        summary = account(1_000.0, offers, {0: 5}, {}, spending, cfg)
         assert summary.benefits_npv == pytest.approx(5_980 * 10 * 1.03 ** (-5), abs=1e-6)
         assert summary.benefits_npv == pytest.approx(51_580, abs=10)
 
@@ -322,28 +342,28 @@ class TestAccount:
 
     def test_lost_benefits_sign_convention(self):
         # budget funds one site a year; the lowest-ranked offer is cut in year 1
-        offers = rank_benefit_cost(
+        offers, schedule = ranked(
             [
                 make_offer("first", 100.0, elite=0.9),
                 make_offer("second", 100.0, elite=0.8),
                 make_offer("doomed", 100.0, elite=0.7),
-            ]
+            ],
+            {"doomed": 1},
         )
-        schedule = {"doomed": 1}
         outcome = run_upfront(CFG, 1_000.0, offers, schedule)
         s = outcome.summary
-        assert outcome.harvested_year == {"doomed": 1}
+        assert harvested(outcome) == {"doomed": 1}
         assert s.lost_benefits < 0
         assert s.lost_benefits == pytest.approx(-5_980 * 10 * 1.03 ** (-1))
         assert s.ex_post_net_benefits == pytest.approx(s.benefits_npv + s.lost_benefits)
 
     def test_averages_cover_conserved_only(self):
-        offers = rank_benefit_cost(
+        offers, schedule = ranked(
             [make_offer("in", 100.0, elite=0.9, instalment=20.0),
              make_offer("out", 5_000.0, elite=0.1, instalment=90.0)]
         )
-        outcome = run_deferred(CFG, 1_500.0, offers, {})
-        assert set(outcome.conserved_year) == {"in"}
+        outcome = run_deferred(CFG, 1_500.0, offers, schedule)
+        assert set(conserved(outcome)) == {"in"}
         assert outcome.summary.avg_downpayment == pytest.approx(100.0)
         assert outcome.summary.avg_instalment == pytest.approx(20.0)
 
@@ -360,15 +380,22 @@ class TestDeterminism:
                 schedule = draw_harvest_schedule(columns, cfg, rng_stream(13, HARVEST_STREAM))
                 outcome = run_upfront(cfg, 5e5, rank_benefit_cost(offers), schedule)
                 results.append(outcome)
-            assert results[0] == results[1]
+            first, second = results
+            assert ids(first.offers) == ids(second.offers)
+            for name in ("elite", "downpayment_per_ha", "instalment_per_ha",
+                         "total_payment_npv_per_ha"):
+                assert getattr(first.offers, name).tolist() == getattr(second.offers, name).tolist()
+            assert dataclasses.replace(first, offers=None) == dataclasses.replace(
+                second, offers=None
+            )
 
 
 class TestSupplySummary:
     def test_aggregates(self):
-        offers = [
+        offers = offer_table([
             make_offer("a", 100.0, elite=0.5, area=10.0, instalment=10.0),
             make_offer("b", 300.0, elite=0.3, area=10.0, instalment=30.0),
-        ]
+        ])
         supply = summarize_supply(offers)
         assert supply.sites == 2
         assert supply.area_ha == 20.0

@@ -10,10 +10,13 @@ import csv
 import dataclasses
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -249,15 +252,15 @@ def load_sites(path: str | Path) -> tuple[list[SiteRecord], list[RowIssue]]:
 
     Rows with unparseable cells or invariant violations are excluded and
     reported, as is any row repeating the id of an earlier kept row; only
-    structural problems (unreadable file, missing required columns) reject
-    the whole file.
+    structural problems (unreadable file, text that is not UTF-8, missing
+    required columns) reject the whole file.
     """
     path = Path(path)
     sites: list[SiteRecord] = []
     issues: list[RowIssue] = []
     kept_rows: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_utf8_lines(fh, path))
         if reader.fieldnames is None:
             raise LoadError(f"{path}: empty file, header row required")
         missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
@@ -282,6 +285,25 @@ def load_sites(path: str | Path) -> tuple[list[SiteRecord], list[RowIssue]]:
             kept_rows[site.id] = row_no
             sites.append(site)
     return sites, issues
+
+
+def _utf8_lines(fh: TextIO, path: Path) -> Iterator[str]:
+    """The lines of `fh`; text that is not UTF-8 raises a LoadError naming its first bad byte."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as err:
+        # The reader decodes in chunks, so `err` counts bytes from its chunk;
+        # decoding the whole file gives the offset in the file.
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:
+            err = first
+        line = data.count(b"\n", 0, err.start) + 1
+        byte = err.object[err.start]
+        raise LoadError(
+            f"{path}: not UTF-8 text: byte 0x{byte:02x} at offset {err.start} (line {line})"
+        ) from None
 
 
 class _RowError(Exception):
@@ -397,60 +419,124 @@ def _area_by_year(years: dict[int, int], area: list[float], n_years: int) -> lis
     return out
 
 
-def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object]]:
-    """TIMESERIES_COLUMNS rows over the horizon, or the spending stream if longer."""
+def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> dict[str, list]:
+    """TIMESERIES_COLUMNS over the horizon, or the spending stream if longer."""
     n_years = max(cfg.horizon, len(outcome.spending))
     area = outcome.offers.area.tolist()
     conserved = _area_by_year(outcome.conserved_year, area, n_years)
     lost = _area_by_year(outcome.harvested_year, area, n_years)
     spending = outcome.spending + [0.0] * (n_years - len(outcome.spending))
-    rows = []
-    cum_cost = 0.0
-    cum_area = 0.0
-    for year in range(n_years):
-        cum_cost += spending[year]
-        cum_area += conserved[year]
-        values = (year, spending[year], cum_cost, conserved[year], cum_area, lost[year])
-        rows.append(dict(zip(TIMESERIES_COLUMNS, values)))
-    return rows
+    cum_cost = list(accumulate(spending, initial=0.0))[1:]
+    cum_area = list(accumulate(conserved, initial=0.0))[1:]
+    values = (list(range(n_years)), spending, cum_cost, conserved, cum_area, lost)
+    return dict(zip(TIMESERIES_COLUMNS, values))
 
 
-def _site_ledger(outcome: RunOutcome) -> list[dict[str, object]]:
-    """LEDGER_COLUMNS rows, one per offer, by site id."""
+def _site_ledger(outcome: RunOutcome) -> dict[str, list]:
+    """LEDGER_COLUMNS, one row per offer, in site-id order."""
     offers = outcome.offers
     order = np.argsort(offers.columns.id_rank[offers.site])
     ledger = offers.take(order)
-    paid = (ledger.downpayment_per_ha, ledger.instalment_per_ha, ledger.total_payment_npv_per_ha)
-    cells = (ledger.elite, *paid)
-    rows = []
-    # Rows and site indices stay numpy scalars, made one at a time: a ledger is
-    # the largest thing a run holds, and lists of them would raise its peak.
-    for row, index, *numbers in zip(order, ledger.site, *(c.tolist() for c in cells)):
-        site = offers.columns.sites[index]
+    status: list[str] = []
+    year: list[int | str] = []
+    for row in order.tolist():
         if row in outcome.conserved_year:
-            status, year = "conserved", outcome.conserved_year[row]
+            status.append("conserved")
+            year.append(outcome.conserved_year[row])
         elif row in outcome.harvested_year:
-            status, year = "lost", outcome.harvested_year[row]
+            status.append("lost")
+            year.append(outcome.harvested_year[row])
         else:
-            status, year = "unfunded", ""
-        values = (site.id, status, year, site.area_ha, *numbers)
-        rows.append(dict(zip(LEDGER_COLUMNS, values + (site.stand_age, site.site_type.value))))
-    return rows
+            status.append("unfunded")
+            year.append("")
+    sites = [offers.columns.sites[index] for index in ledger.site.tolist()]
+    return {
+        "site_id": [site.id for site in sites],
+        "status": status,
+        "year": year,
+        "area_ha": ledger.area.tolist(),
+        "elite": ledger.elite.tolist(),
+        "downpayment_per_ha": ledger.downpayment_per_ha.tolist(),
+        "instalment_per_ha": ledger.instalment_per_ha.tolist(),
+        "total_payment_npv_per_ha": ledger.total_payment_npv_per_ha.tolist(),
+        "stand_age": offers.columns.stand_age[ledger.site].tolist(),
+        "site_type": [site.site_type.value for site in sites],
+    }
 
 
-def _round_cell(value: object) -> object:
-    if isinstance(value, float):
-        return f"{value:.2f}"
-    return value
+def _table(rows: list[dict[str, object]], header: Sequence[str]) -> dict[str, list]:
+    """`rows` as columns; a cell missing from a row is left empty."""
+    return {name: [row.get(name, "") for row in rows] for name in header}
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: list[dict[str, object]]) -> None:
-    """One line per row, cells in `header` order; a cell missing from a row is left empty."""
+# Reports are formatted and written this many rows at a time, so the text of
+# a large ledger is never held whole.
+_CHUNK_ROWS = 1000
+
+
+def _write_csv(path: Path, header: Sequence[str], table: Mapping[str, Sequence[object]]) -> None:
+    """One line per row of `table`, cells in `header` order; floats round to 0.01."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_round_cell(row.get(column, "")) for column in header])
+        for start in range(0, len(table[header[0]]), _CHUNK_ROWS):
+            chunk = (table[name][start : start + _CHUNK_ROWS] for name in header)
+            cells = [[f"{v:.2f}" if isinstance(v, float) else v for v in col] for col in chunk]
+            writer.writerows(zip(*cells))
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(value: object) -> str:
+    """`value` (a string, float or int) as json.dump writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NON_FINITE.get(text, text)
+    return int.__repr__(value)
+
+
+def _json_column(values: list) -> list[str]:
+    """`_json_cell` of each value, mapped at C speed when the column has one type."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return list(map(_json_cell, values))
+
+
+# summary.json is json.dump(indent=2, sort_keys=True) of every run, but each
+# run's "sites" list is streamed: the rest is dumped with a marker in its
+# place, and the ledger is written where the marker was, a chunk of rows at a
+# time, through one row template with the keys in sorted order. The list sits
+# three levels deep (document, "runs", run), so its rows are indented 8
+# spaces and their keys 10, as json.dump would put them.
+_SITES_MARKER = "\0sites\0"
+_SITES_KEYS = sorted(LEDGER_COLUMNS)
+_SITES_ROW = (
+    "{\n"
+    + ",\n".join(f"{' ' * 10}{encode_basestring_ascii(name)}: %s" for name in _SITES_KEYS)
+    + "\n" + " " * 8 + "}"
+)
+_SITES_ROW_SEPARATOR = ",\n" + " " * 8
+
+
+def _write_json_sites(fh: TextIO, ledger: dict[str, list]) -> None:
+    """The ledger's "sites" list, from its opening to its closing bracket."""
+    n_rows = len(ledger["site_id"])
+    if not n_rows:
+        fh.write("[]")
+        return
+    fh.write("[\n" + " " * 8)
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        cells = [_json_column(ledger[name][start : start + _CHUNK_ROWS]) for name in _SITES_KEYS]
+        if start:
+            fh.write(_SITES_ROW_SEPARATOR)
+        fh.write(_SITES_ROW_SEPARATOR.join(map(_SITES_ROW.__mod__, zip(*cells))))
+    fh.write("\n" + " " * 6 + "]")
 
 
 def write_report(
@@ -477,19 +563,20 @@ def write_report(
 
     if fmt in ("csv", "both"):
         path = out_dir / "summary.csv"
+        header = ("mechanism",) + REPORT_COLUMNS
         rows = [
             {"mechanism": outcome.mechanism.value, **report_cells(outcome, supply)}
             for outcome, supply, _, _ in reports
         ]
-        _write_csv(path, ("mechanism",) + REPORT_COLUMNS, rows)
+        _write_csv(path, header, _table(rows, header))
         written.append(path)
         for outcome, _, timeseries, ledger in reports:
             mech = outcome.mechanism.value
-            for name, header, rows in (
+            for name, header, table in (
                 (f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, timeseries),
                 (f"sites_{mech}.csv", LEDGER_COLUMNS, ledger),
             ):
-                _write_csv(out_dir / name, header, rows)
+                _write_csv(out_dir / name, header, table)
                 written.append(out_dir / name)
 
     if fmt in ("json", "both"):
@@ -499,14 +586,19 @@ def write_report(
                 "mechanism": outcome.mechanism.value,
                 "summary": dataclasses.asdict(outcome.summary),
                 "supply": dataclasses.asdict(supply) if supply else None,
-                "timeseries": timeseries,
-                "sites": ledger,
+                "timeseries": [dict(zip(timeseries, row)) for row in zip(*timeseries.values())],
+                "sites": _SITES_MARKER,
             }
-            for outcome, supply, timeseries, ledger in reports
+            for outcome, supply, timeseries, _ in reports
         ]
+        payload = {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs}
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        head, *tails = text.split(encode_basestring_ascii(_SITES_MARKER))
         with open(path, "w", encoding="utf-8") as fh:
-            payload = {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs}
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write(head)
+            for (_, _, _, ledger), tail in zip(reports, tails):
+                _write_json_sites(fh, ledger)
+                fh.write(tail)
             fh.write("\n")
         written.append(path)
     return written
@@ -522,8 +614,10 @@ def write_sweep(path: Path, mechanisms: Sequence[Mechanism], rows: list[dict[str
     columns = SWEEP_POINT_COLUMNS + tuple(
         f"{mechanism.value}_{name}" for mechanism in mechanisms for name in REPORT_COLUMNS
     )
-    exact = [{**row, **{name: str(row[name]) for name in SWEEP_AXIS_COLUMNS}} for row in rows]
-    _write_csv(path, columns, exact)
+    table = _table(rows, columns)
+    for name in SWEEP_AXIS_COLUMNS:
+        table[name] = [str(value) for value in table[name]]
+    _write_csv(path, columns, table)
 
 
 def _round10(value: float) -> int:

@@ -7,13 +7,19 @@ numeric optimizer of the bid surplus, so that tests can check the closed
 forms by hand and the column path against these scalars bit for bit. It also
 keeps the per-offer engine: one ``Offer`` object per participating site,
 ranked with a sort key, funded by the selection loops over those objects and
-accounted through site-id maps.
+accounted through site-id maps, and the row-wise report writer: one dict per
+ledger and timeseries row, one formatted cell at a time, and ``json.dump``.
 """
 from __future__ import annotations
 
+import csv
+import dataclasses
+import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +39,16 @@ from deferauction.finance import (
     npv,
 )
 from deferauction.model import AmenityParams, Mechanism, SchemeConfig, SiteRecord
-from deferauction.simulation import RunSummary, SupplySummary
+from deferauction.dataio import (
+    LEDGER_COLUMNS,
+    REPORT_COLUMNS,
+    REPORT_SCHEMA_VERSION,
+    SWEEP_AXIS_COLUMNS,
+    SWEEP_POINT_COLUMNS,
+    TIMESERIES_COLUMNS,
+    report_cells,
+)
+from deferauction.simulation import RunOutcome, RunSummary, SupplySummary
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 1025
@@ -522,3 +537,115 @@ def harvest_schedule(
         if first_year < cfg.harvest_window:
             years[site.id] = int(rng.integers(first_year, cfg.harvest_window))
     return years
+
+
+# --- the row-wise report writer ---------------------------------------------
+
+
+def timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object]]:
+    n_years = max(cfg.horizon, len(outcome.spending))
+    area = outcome.offers.area.tolist()
+    conserved = [0.0] * n_years
+    lost = [0.0] * n_years
+    for row, year in outcome.conserved_year.items():
+        conserved[year] += area[row]
+    for row, year in outcome.harvested_year.items():
+        lost[year] += area[row]
+    spending = outcome.spending + [0.0] * (n_years - len(outcome.spending))
+    rows = []
+    cum_cost = 0.0
+    cum_area = 0.0
+    for year in range(n_years):
+        cum_cost += spending[year]
+        cum_area += conserved[year]
+        values = (year, spending[year], cum_cost, conserved[year], cum_area, lost[year])
+        rows.append(dict(zip(TIMESERIES_COLUMNS, values)))
+    return rows
+
+
+def site_ledger(outcome: RunOutcome) -> list[dict[str, object]]:
+    """LEDGER_COLUMNS rows, one dict per offer, by site id; area and age from the site records."""
+    offers = outcome.offers
+    order = np.argsort(offers.columns.id_rank[offers.site])
+    ledger = offers.take(order)
+    paid = (ledger.downpayment_per_ha, ledger.instalment_per_ha, ledger.total_payment_npv_per_ha)
+    rows = []
+    numbers = (c.tolist() for c in (ledger.elite, *paid))
+    for row, index, *cells in zip(order, ledger.site, *numbers):
+        site = offers.columns.sites[index]
+        if row in outcome.conserved_year:
+            status, year = "conserved", outcome.conserved_year[row]
+        elif row in outcome.harvested_year:
+            status, year = "lost", outcome.harvested_year[row]
+        else:
+            status, year = "unfunded", ""
+        values = (site.id, status, year, site.area_ha, *cells)
+        rows.append(dict(zip(LEDGER_COLUMNS, values + (site.stand_age, site.site_type.value))))
+    return rows
+
+
+def _round_cell(value: object) -> object:
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    return value
+
+
+def write_csv(path: Path, header: Sequence[str], rows: list[dict[str, object]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_round_cell(row.get(column, "")) for column in header])
+
+
+def write_report(
+    outcomes: list[RunOutcome],
+    supplies: dict[Mechanism, SupplySummary],
+    cfg: SchemeConfig,
+    out_dir: Path,
+    fmt: str = "both",
+) -> list[Path]:
+    """The files of dataio.write_report, written row by row and through json.dump."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    reports = [
+        (outcome, supplies.get(outcome.mechanism), timeseries(outcome, cfg), site_ledger(outcome))
+        for outcome in outcomes
+    ]
+    if fmt in ("csv", "both"):
+        rows = [
+            {"mechanism": outcome.mechanism.value, **report_cells(outcome, supply)}
+            for outcome, supply, _, _ in reports
+        ]
+        write_csv(out_dir / "summary.csv", ("mechanism",) + REPORT_COLUMNS, rows)
+        written.append(out_dir / "summary.csv")
+        for outcome, _, series, ledger in reports:
+            mech = outcome.mechanism.value
+            write_csv(out_dir / f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, series)
+            write_csv(out_dir / f"sites_{mech}.csv", LEDGER_COLUMNS, ledger)
+            written += [out_dir / f"timeseries_{mech}.csv", out_dir / f"sites_{mech}.csv"]
+    if fmt in ("json", "both"):
+        runs = [
+            {
+                "mechanism": outcome.mechanism.value,
+                "summary": dataclasses.asdict(outcome.summary),
+                "supply": dataclasses.asdict(supply) if supply else None,
+                "timeseries": series,
+                "sites": ledger,
+            }
+            for outcome, supply, series, ledger in reports
+        ]
+        with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+            payload = {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs}
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        written.append(out_dir / "summary.json")
+    return written
+
+
+def write_sweep(path: Path, mechanisms: Sequence[Mechanism], rows: list[dict[str, object]]) -> None:
+    columns = SWEEP_POINT_COLUMNS + tuple(
+        f"{mechanism.value}_{name}" for mechanism in mechanisms for name in REPORT_COLUMNS
+    )
+    exact = [{**row, **{name: str(row[name]) for name in SWEEP_AXIS_COLUMNS}} for row in rows]
+    write_csv(path, columns, exact)

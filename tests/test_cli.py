@@ -9,6 +9,14 @@ from deferauction import cli
 from deferauction.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 
 
+LATIN1_CSV = (
+    "id,site_type,stand_age,stand_volume,dominant_species,broadleaf_share,deadwood,"
+    "timber_value,opportunity_cost_v0,commercial_rotation_age\n"
+    "m\xe4nty,mesic_heath,100,250,conifer,0.2,10,6600,6000,95\n"
+).encode("latin-1")
+NOT_UTF8 = "not UTF-8 text: byte 0xe4 at offset 136 (line 2)"
+
+
 def write_scenario(tmp_path, name="scenario.json", **overrides):
     scenario = {
         "dataset": {"synthetic": {"n_sites": 80}},
@@ -47,6 +55,13 @@ class TestRun:
     def test_missing_dataset_exits_3(self, tmp_path):
         scenario = write_scenario(tmp_path, dataset={"path": str(tmp_path / "absent.csv")})
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
+
+    def test_non_utf8_dataset_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(LATIN1_CSV)
+        scenario = write_scenario(tmp_path, dataset={"path": str(data)})
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {data}: {NOT_UTF8}\n"
 
     def test_npv_matched_requires_deferred(self, tmp_path):
         scenario = write_scenario(tmp_path, mechanisms=["upfront"])
@@ -284,6 +299,17 @@ class TestSweep:
         assert len(rows) == 4
         assert all(row["status"] == f"error: {data}: no valid rows" for row in rows)
 
+    def test_non_utf8_csv_fails_every_point(self, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(LATIN1_CSV)
+        scenario = write_scenario(tmp_path, dataset={"path": str(data)})
+        sweep_dir = tmp_path / "sweep"
+        argv = ["sweep", str(scenario), "--out-dir", str(sweep_dir), "--seeds", "1,2"]
+        assert main(argv + ["--interest-rates", "0.03", "--payment-periods", "10"]) == EXIT_OK
+        with open(sweep_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == [f"error: {data}: {NOT_UTF8}"] * 2
+
     def test_engine_error_in_a_point_exits_4(self, tmp_path, monkeypatch):
         def broken(scenario, inputs=None):
             raise ValueError("engine bug")
@@ -326,6 +352,12 @@ class TestValidateCommand:
         assert "10 valid rows, 10 issues" in out
         assert "row 11, id: duplicate site id 'site-000000' (first on row 1)" in out
 
+
+    def test_non_utf8_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(LATIN1_CSV)
+        assert main(["validate", str(path)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: {NOT_UTF8}\n"
 
     def test_reports_issues(self, tmp_path, capsys):
         path = tmp_path / "sites.csv"

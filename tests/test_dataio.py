@@ -1,15 +1,23 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+import oracle
 from deferauction.dataio import (
+    _CHUNK_ROWS,
     LoadError,
     SyntheticProfile,
+    _json_column,
+    _site_ledger,
     generate_synthetic,
     load_sites,
+    report_cells,
     write_report,
     write_sites,
+    write_sweep,
 )
 from deferauction.finance import match_upfront_budget
 from deferauction.model import Mechanism, SchemeConfig, validate_site
@@ -81,6 +89,25 @@ class TestLoadSites:
         with pytest.raises(LoadError, match="missing required columns"):
             load_sites(path)
 
+    def test_non_utf8_file_rejected_naming_the_byte(self, tmp_path):
+        path = tmp_path / "sites.csv"
+        header = WELL_FORMED.splitlines()[0]
+        row = "m\xe4nty,mesic_heath,100,250,conifer,0.2,10,6600,6000,95,10,400"
+        path.write_bytes(f"{header}\n{row}\n".encode("latin-1"))
+        where = rf"byte 0xe4 at offset {len(header) + 2} \(line 2\)"
+        with pytest.raises(LoadError, match=rf"sites.csv: not UTF-8 text: {where}"):
+            load_sites(path)
+
+    def test_non_utf8_byte_past_the_first_read_located_in_the_file(self, tmp_path):
+        path = tmp_path / "sites.csv"
+        rows = WELL_FORMED.splitlines()
+        good = "\n".join(rows + [rows[1].replace("a1,", f"x{i},") for i in range(500)]) + "\n"
+        path.write_bytes(good.encode() + b"m\xe4nty" + rows[1][2:].encode() + b"\n")
+        line = good.count("\n") + 1
+        where = rf"byte 0xe4 at offset {len(good) + 1} \(line {line}\)"
+        with pytest.raises(LoadError, match=where):
+            load_sites(path)
+
     def test_unknown_site_type_flagged(self, tmp_path):
         path = tmp_path / "sites.csv"
         path.write_text(
@@ -136,8 +163,9 @@ class TestGenerateSynthetic:
             SyntheticProfile(site_type_mix=(1.0, 0.0, 0.0, 0.0, 0.0, 0.5)).validate()
 
 
-def _paired_outcomes(n_sites=120, seed=6, initial=1.5e6):
-    dataset = generate_synthetic(SyntheticProfile(n_sites=n_sites), seed)
+def _paired_outcomes(n_sites=120, seed=6, initial=1.5e6, dataset=None):
+    if dataset is None:
+        dataset = generate_synthetic(SyntheticProfile(n_sites=n_sites), seed)
     cfg = SchemeConfig(seed=seed)
     supplies = {}
     columns = site_columns(dataset, cfg, rng_stream(seed, PHI_STREAM))
@@ -203,3 +231,99 @@ class TestWriteReport:
         cfg, outcomes, supplies = _paired_outcomes()
         with pytest.raises(ValueError):
             write_report(outcomes, supplies, cfg, tmp_path, fmt="xml")
+
+
+def _report_bytes(writer, out_dir, outcomes, supplies, cfg, fmt):
+    written = writer(outcomes, supplies, cfg, out_dir, fmt)
+    return [(path.name, path.read_bytes()) for path in written]
+
+
+def assert_same_report(tmp_path, outcomes, supplies, cfg):
+    """write_report writes, in every format, the bytes of the row-wise reference writer."""
+    for fmt in ("csv", "json", "both"):
+        ours = _report_bytes(write_report, tmp_path / f"ours-{fmt}", outcomes, supplies, cfg, fmt)
+        reference = _report_bytes(
+            oracle.write_report, tmp_path / f"reference-{fmt}", outcomes, supplies, cfg, fmt
+        )
+        assert [name for name, _ in ours] == [name for name, _ in reference]
+        for (name, data), (_, expected) in zip(ours, reference):
+            assert data == expected, f"{fmt}: {name} differs"
+
+
+ESCAPED_IDS = ("a,b", 'q"uote', "back\\slash", "m\u00e4nty", "\U0001f332", "new\nline")
+
+
+class TestReportBytes:
+    def test_paired_run_with_every_fate(self, tmp_path):
+        cfg, outcomes, supplies = _paired_outcomes(initial=5e5)
+        statuses = set(_site_ledger(outcomes[1])["status"])
+        assert statuses == {"conserved", "lost", "unfunded"}
+        assert_same_report(tmp_path, outcomes, supplies, cfg)
+
+    def test_ids_that_need_quoting_or_escaping(self, tmp_path):
+        dataset = [
+            dataclasses.replace(site, id=f"{ESCAPED_IDS[i % len(ESCAPED_IDS)]}{i:03d}")
+            for i, site in enumerate(generate_synthetic(SyntheticProfile(n_sites=120), 6))
+        ]
+        cfg, outcomes, supplies = _paired_outcomes(dataset=dataset)
+        for outcome in outcomes:
+            ids = _site_ledger(outcome)["site_id"]
+            assert {site_id[:-3] for site_id in ids} == set(ESCAPED_IDS)
+        assert_same_report(tmp_path, outcomes, supplies, cfg)
+
+    def test_mechanism_without_offers_writes_an_empty_ledger(self, tmp_path):
+        cfg, outcomes, supplies = _paired_outcomes()
+        deferred = outcomes[0]
+        empty = deferred.offers.take(np.zeros(0, dtype=np.intp))
+        outcome = run_deferred(cfg, 1e6, empty, np.zeros(0, dtype=np.int64))
+        assert_same_report(tmp_path, [outcome, outcomes[1]], supplies, cfg)
+        text = (tmp_path / "ours-json" / "summary.json").read_text(encoding="utf-8")
+        assert '"sites": []' in text
+        assert (tmp_path / "ours-csv" / "sites_deferred.csv").read_text() == (
+            ",".join(_site_ledger(outcome)) + "\n"
+        )
+
+    def test_ledger_longer_than_one_chunk(self, tmp_path):
+        cfg, outcomes, supplies = _paired_outcomes(n_sites=3 * _CHUNK_ROWS)
+        assert all(len(outcome.offers) > 2 * _CHUNK_ROWS for outcome in outcomes)
+        assert_same_report(tmp_path, outcomes, supplies, cfg)
+
+    def test_non_finite_ledger_numbers(self, tmp_path):
+        cfg, outcomes, supplies = _paired_outcomes()
+        offers = outcomes[1].offers
+        elite = offers.elite.copy()
+        elite[:4] = [math.nan, math.inf, -math.inf, -0.0]
+        outcome = dataclasses.replace(outcomes[1], offers=dataclasses.replace(offers, elite=elite))
+        assert_same_report(tmp_path, [outcomes[0], outcome], supplies, cfg)
+        text = (tmp_path / "ours-json" / "summary.json").read_text(encoding="utf-8")
+        assert all(f'"elite": {cell},' in text for cell in ("NaN", "Infinity", "-Infinity", "-0.0"))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16],
+            [0.1, 1e16, 1e-300, 2.5],
+            [0, 7, ""],
+            ["m\u00e4nty", 'q"uote', "\U0001f332"],
+            [1.5, 3, "x", math.nan],
+        ],
+    )
+    def test_json_cells_match_json_dumps(self, values):
+        assert _json_column(values) == [json.dumps(value) for value in values]
+
+    def test_sweep_table(self, tmp_path):
+        cfg, outcomes, supplies = _paired_outcomes()
+        rows = []
+        for index, rate in enumerate((0.02, 0.025, 1 / 3)):
+            row = {"point": index, "interest_rate": rate, "payment_periods": 10}
+            row |= {"bid_cap_scale": 1.0, "seed": 6, "status": "ok"}
+            for outcome in outcomes:
+                cells = report_cells(outcome, supplies[outcome.mechanism])
+                row |= {f"{outcome.mechanism.value}_{k}": v for k, v in cells.items()}
+            rows.append(row)
+        rows[1] = {k: rows[1][k] for k in ("point", "interest_rate", "payment_periods")}
+        rows[1] |= {"bid_cap_scale": 1.125, "seed": 6, "status": "error: a, \"quoted\" reason"}
+        mechanisms = [outcome.mechanism for outcome in outcomes]
+        write_sweep(tmp_path / "ours.csv", mechanisms, rows)
+        oracle.write_sweep(tmp_path / "reference.csv", mechanisms, rows)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -86,11 +86,14 @@ def check_invariants(outcome, cfg):
     fates = set(outcome.conserved_year) | set(outcome.harvested_year)
     assert fates <= set(range(len(outcome.offers)))
     summary = outcome.summary
-    conserved = [row for row in _site_ledger(outcome) if row["status"] == "conserved"]
+    ledger = _site_ledger(outcome)
+    conserved = [
+        area for area, status in zip(ledger["area_ha"], ledger["status"]) if status == "conserved"
+    ]
     assert summary.sites_conserved == len(conserved)
     # the ledger is in site-id order, the summary sums in funding order
-    assert math.isclose(summary.area_ha, sum(row["area_ha"] for row in conserved), rel_tol=1e-12)
-    assert _timeseries(outcome, cfg)[-1]["cumulative_cost"] == summary.costs_absolute
+    assert math.isclose(summary.area_ha, sum(conserved), rel_tol=1e-12)
+    assert _timeseries(outcome, cfg)["cumulative_cost"][-1] == summary.costs_absolute
 
 
 @settings(max_examples=300, deadline=None)

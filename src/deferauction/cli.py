@@ -505,19 +505,44 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_summaries(path: str) -> dict[str, dict]:
+    """The first run's summary per mechanism in a summary.json (schema 2 or 3).
+
+    A report of any other shape raises LoadError naming the field at fault.
+    """
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+
+    def require(ok: bool, field: str, kind: str) -> None:
+        if not ok:
+            raise LoadError(f"{path}: {field} must be {kind}")
+
+    require(isinstance(report, dict), "the report", "a JSON object")
+    require(isinstance(report.get("runs"), list), "runs", "a list of run objects")
+    summaries: dict[str, dict] = {}
+    for index, run in enumerate(report["runs"]):
+        where = f"runs[{index}]"
+        require(isinstance(run, dict), where, "an object")
+        require(isinstance(run.get("mechanism"), str), f"{where}.mechanism", "a string")
+        summary = run.get("summary")
+        require(isinstance(summary, dict), f"{where}.summary", "an object")
+        for name in ("avg_downpayment", "avg_instalment"):
+            value = summary.get(name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            require(number, f"{where}.summary.{name}", "a number")
+        summaries.setdefault(run["mechanism"], summary)
+    return summaries
+
+
 def cmd_extrapolate(args: argparse.Namespace) -> int:
     if args.from_run:
-        with open(args.from_run, encoding="utf-8") as fh:
-            report = json.load(fh)
-        deferred = next(
-            (r for r in report.get("runs", []) if r["mechanism"] == "deferred"), None
-        )
-        upfront = next((r for r in report.get("runs", []) if r["mechanism"] == "upfront"), None)
+        summaries = _run_summaries(args.from_run)
+        deferred, upfront = summaries.get("deferred"), summaries.get("upfront")
         if deferred is None:
             raise ConfigError(f"{args.from_run}: no deferred run to take averages from")
-        avg_down = deferred["summary"]["avg_downpayment"]
-        avg_inst = deferred["summary"]["avg_instalment"]
-        avg_upfront = upfront["summary"]["avg_downpayment"] if upfront else None
+        avg_down = deferred["avg_downpayment"]
+        avg_inst = deferred["avg_instalment"]
+        avg_upfront = upfront["avg_downpayment"] if upfront else None
         # r, x and the horizon must be the run's own, not the defaults
         cfg = _read_scenario_file(str(Path(args.from_run).with_name("manifest.json")), None).scheme
     else:

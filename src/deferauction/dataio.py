@@ -1,8 +1,9 @@
 """Dataset ingestion, synthetic stand generation, and report files.
 
-The CSV schema is the sole ingestion format (UTF-8, dot decimals, header
-mandatory). Generated datasets are deterministic in (profile, seed) and
-round-trip exactly through write_sites/load_sites.
+The CSV schema is the sole ingestion format (UTF-8 with or without a
+byte-order mark, dot decimals, header mandatory). Generated datasets are
+deterministic in (profile, seed) and round-trip exactly through
+write_sites/load_sites.
 """
 from __future__ import annotations
 
@@ -10,30 +11,30 @@ import csv
 import dataclasses
 import json
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
 from .model import (
     DEFAULT_AREA_HA,
     DEFAULT_LAND_PAYMENT,
+    LoadError,
     Mechanism,
     SchemeConfig,
     SiteRecord,
     SiteType,
     Species,
+    utf8_lines,
     validate_site,
 )
 from .simulation import RunOutcome, RunSummary, SupplySummary
 from .streams import SYNTHETIC_STREAM, rng_stream
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 REQUIRED_COLUMNS = (
     "id",
@@ -60,10 +61,6 @@ DEFAULT_ROTATION_AGES: dict[SiteType, float] = {
 }
 
 _TYPE_ORDER = tuple(SiteType)
-
-
-class LoadError(ValueError):
-    """The file cannot be read as a site table at all (structure, not content)."""
 
 
 @dataclass(frozen=True)
@@ -259,51 +256,31 @@ def load_sites(path: str | Path) -> tuple[list[SiteRecord], list[RowIssue]]:
     sites: list[SiteRecord] = []
     issues: list[RowIssue] = []
     kept_rows: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(_utf8_lines(fh, path))
-        if reader.fieldnames is None:
-            raise LoadError(f"{path}: empty file, header row required")
-        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise LoadError(f"{path}: missing required columns: {', '.join(missing)}")
-        for row_no, row in enumerate(reader, start=1):
-            try:
-                site = _parse_row(row)
-            except _RowError as err:
-                issues.append(RowIssue(row=row_no, column=err.column, message=err.message))
-                continue
-            violations = validate_site(site)
-            if violations:
-                issues.extend(
-                    RowIssue(row=row_no, column=v.field, message=v.rule) for v in violations
-                )
-                continue
-            if site.id in kept_rows:
-                message = f"duplicate site id '{site.id}' (first on row {kept_rows[site.id]})"
-                issues.append(RowIssue(row=row_no, column="id", message=message))
-                continue
-            kept_rows[site.id] = row_no
-            sites.append(site)
-    return sites, issues
-
-
-def _utf8_lines(fh: TextIO, path: Path) -> Iterator[str]:
-    """The lines of `fh`; text that is not UTF-8 raises a LoadError naming its first bad byte."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as err:
-        # The reader decodes in chunks, so `err` counts bytes from its chunk;
-        # decoding the whole file gives the offset in the file.
-        data = path.read_bytes()
+    reader = csv.DictReader(utf8_lines(path))
+    if reader.fieldnames is None:
+        raise LoadError(f"{path}: empty file, header row required")
+    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise LoadError(f"{path}: missing required columns: {', '.join(missing)}")
+    for row_no, row in enumerate(reader, start=1):
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as first:
-            err = first
-        line = data.count(b"\n", 0, err.start) + 1
-        byte = err.object[err.start]
-        raise LoadError(
-            f"{path}: not UTF-8 text: byte 0x{byte:02x} at offset {err.start} (line {line})"
-        ) from None
+            site = _parse_row(row)
+        except _RowError as err:
+            issues.append(RowIssue(row=row_no, column=err.column, message=err.message))
+            continue
+        violations = validate_site(site)
+        if violations:
+            issues.extend(
+                RowIssue(row=row_no, column=v.field, message=v.rule) for v in violations
+            )
+            continue
+        if site.id in kept_rows:
+            message = f"duplicate site id '{site.id}' (first on row {kept_rows[site.id]})"
+            issues.append(RowIssue(row=row_no, column="id", message=message))
+            continue
+        kept_rows[site.id] = row_no
+        sites.append(site)
+    return sites, issues
 
 
 class _RowError(Exception):
@@ -485,60 +462,6 @@ def _write_csv(path: Path, header: Sequence[str], table: Mapping[str, Sequence[o
             writer.writerows(zip(*cells))
 
 
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_cell(value: object) -> str:
-    """`value` (a string, float or int) as json.dump writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_NON_FINITE.get(text, text)
-    return int.__repr__(value)
-
-
-def _json_column(values: list) -> list[str]:
-    """`_json_cell` of each value, mapped at C speed when the column has one type."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    return list(map(_json_cell, values))
-
-
-# summary.json is json.dump(indent=2, sort_keys=True) of every run, but each
-# run's "sites" list is streamed: the rest is dumped with a marker in its
-# place, and the ledger is written where the marker was, a chunk of rows at a
-# time, through one row template with the keys in sorted order. The list sits
-# three levels deep (document, "runs", run), so its rows are indented 8
-# spaces and their keys 10, as json.dump would put them.
-_SITES_MARKER = "\0sites\0"
-_SITES_KEYS = sorted(LEDGER_COLUMNS)
-_SITES_ROW = (
-    "{\n"
-    + ",\n".join(f"{' ' * 10}{encode_basestring_ascii(name)}: %s" for name in _SITES_KEYS)
-    + "\n" + " " * 8 + "}"
-)
-_SITES_ROW_SEPARATOR = ",\n" + " " * 8
-
-
-def _write_json_sites(fh: TextIO, ledger: dict[str, list]) -> None:
-    """The ledger's "sites" list, from its opening to its closing bracket."""
-    n_rows = len(ledger["site_id"])
-    if not n_rows:
-        fh.write("[]")
-        return
-    fh.write("[\n" + " " * 8)
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        cells = [_json_column(ledger[name][start : start + _CHUNK_ROWS]) for name in _SITES_KEYS]
-        if start:
-            fh.write(_SITES_ROW_SEPARATOR)
-        fh.write(_SITES_ROW_SEPARATOR.join(map(_SITES_ROW.__mod__, zip(*cells))))
-    fh.write("\n" + " " * 6 + "]")
-
-
 def write_report(
     outcomes: list[RunOutcome],
     supplies: dict[Mechanism, SupplySummary],
@@ -548,8 +471,10 @@ def write_report(
 ) -> list[Path]:
     """Write the summary table, per-year series, and per-site ledger.
 
-    CSV files round numbers to 0.01; the JSON report keeps full precision and
-    carries a schema version. Returns the written paths.
+    The ledger is sites_<mech>.csv in every format. The csv format adds the
+    summary and timeseries tables, rounded to 0.01; the json format adds
+    summary.json, the same at full precision with a schema version. Returns
+    the written paths.
     """
     if fmt not in ("csv", "json", "both"):
         raise ValueError("format must be csv, json, or both")
@@ -557,7 +482,7 @@ def write_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     reports = [
-        (outcome, supplies.get(outcome.mechanism), _timeseries(outcome, cfg), _site_ledger(outcome))
+        (outcome, supplies.get(outcome.mechanism), _timeseries(outcome, cfg))
         for outcome in outcomes
     ]
 
@@ -566,18 +491,17 @@ def write_report(
         header = ("mechanism",) + REPORT_COLUMNS
         rows = [
             {"mechanism": outcome.mechanism.value, **report_cells(outcome, supply)}
-            for outcome, supply, _, _ in reports
+            for outcome, supply, _ in reports
         ]
         _write_csv(path, header, _table(rows, header))
         written.append(path)
-        for outcome, _, timeseries, ledger in reports:
-            mech = outcome.mechanism.value
-            for name, header, table in (
-                (f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, timeseries),
-                (f"sites_{mech}.csv", LEDGER_COLUMNS, ledger),
-            ):
-                _write_csv(out_dir / name, header, table)
-                written.append(out_dir / name)
+    for outcome, _, timeseries in reports:
+        mech = outcome.mechanism.value
+        if fmt in ("csv", "both"):
+            _write_csv(out_dir / f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, timeseries)
+            written.append(out_dir / f"timeseries_{mech}.csv")
+        _write_csv(out_dir / f"sites_{mech}.csv", LEDGER_COLUMNS, _site_ledger(outcome))
+        written.append(out_dir / f"sites_{mech}.csv")
 
     if fmt in ("json", "both"):
         path = out_dir / "summary.json"
@@ -587,18 +511,12 @@ def write_report(
                 "summary": dataclasses.asdict(outcome.summary),
                 "supply": dataclasses.asdict(supply) if supply else None,
                 "timeseries": [dict(zip(timeseries, row)) for row in zip(*timeseries.values())],
-                "sites": _SITES_MARKER,
             }
-            for outcome, supply, timeseries, _ in reports
+            for outcome, supply, timeseries in reports
         ]
         payload = {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs}
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        head, *tails = text.split(encode_basestring_ascii(_SITES_MARKER))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head)
-            for (_, _, _, ledger), tail in zip(reports, tails):
-                _write_json_sites(fh, ledger)
-                fh.write(tail)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(path)
     return written

@@ -13,7 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import AmenityParams, ConfigError, SchemeConfig, SiteRecord, SiteType, Species
+from .model import (
+    AmenityParams,
+    ConfigError,
+    SchemeConfig,
+    SiteRecord,
+    SiteType,
+    Species,
+    utf8_lines,
+)
 
 AMENITY_LOOKAHEAD_YEARS = 50.0
 
@@ -143,45 +151,45 @@ def load_elite_table(path: str | Path) -> EliteTable:
 
     `site_types` is either `all` or a semicolon-separated list of site type
     names (e.g. `herb_rich;mesic_heath`). A table that cannot serve as the
-    habitat index raises ConfigError naming the component or column at fault.
+    habitat index raises ConfigError naming the component or column at fault;
+    text that is not UTF-8 raises LoadError naming its first bad byte.
     """
     components: list[EliteComponent] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"component", "site_types", "weight", "reference"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ConfigError(f"elite table must have columns {sorted(required)}")
-        for row in reader:
-            name = row["component"].strip()
-            if name not in COMPONENT_SOURCES:
-                raise ConfigError(
-                    f"component {name}: not a site attribute "
-                    f"(one of {', '.join(COMPONENT_SOURCES)})"
-                )
-            raw_types = row["site_types"].strip()
-            try:
-                if raw_types.lower() == "all":
-                    types = _ALL_TYPES
-                else:
-                    types = frozenset(
-                        SiteType(t.strip()) for t in raw_types.split(";") if t.strip()
-                    )
-                weight = float(row["weight"])
-                reference = float(row["reference"])
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"component {name}: {err}") from None
-            if not 0.0 < weight <= 1.0:
-                raise ConfigError(f"component {name}: weight must be in (0, 1]")
-            if not reference > 0:
-                raise ConfigError(f"component {name}: reference must be > 0")
-            components.append(
-                EliteComponent(
-                    name=name,
-                    weight=weight,
-                    reference=reference,
-                    applicable_site_types=types,
-                )
+    reader = csv.DictReader(utf8_lines(Path(path)))
+    required = {"component", "site_types", "weight", "reference"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ConfigError(f"elite table must have columns {sorted(required)}")
+    for row in reader:
+        name = row["component"].strip()
+        if name not in COMPONENT_SOURCES:
+            raise ConfigError(
+                f"component {name}: not a site attribute "
+                f"(one of {', '.join(COMPONENT_SOURCES)})"
             )
+        raw_types = row["site_types"].strip()
+        try:
+            if raw_types.lower() == "all":
+                types = _ALL_TYPES
+            else:
+                types = frozenset(
+                    SiteType(t.strip()) for t in raw_types.split(";") if t.strip()
+                )
+            weight = float(row["weight"])
+            reference = float(row["reference"])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"component {name}: {err}") from None
+        if not 0.0 < weight <= 1.0:
+            raise ConfigError(f"component {name}: weight must be in (0, 1]")
+        if not reference > 0:
+            raise ConfigError(f"component {name}: reference must be > 0")
+        components.append(
+            EliteComponent(
+                name=name,
+                weight=weight,
+                reference=reference,
+                applicable_site_types=types,
+            )
+        )
     table = EliteTable(components=tuple(components))
     for site_type in SiteType:
         if not table.for_site_type(site_type):

@@ -1,14 +1,17 @@
 """Shared domain types for the deferred-payment conservation auction.
 
-Everything here is an immutable value object plus boundary validators.
-Validation never raises on bad field values: validators return violation
-records so that loaders can report per-row problems and keep going.
+Everything here is an immutable value object plus boundary validators, and
+the UTF-8 line reader both CSV loaders share. Validation never raises on bad
+field values: validators return violation records so that loaders can report
+per-row problems and keep going.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 
 class SiteType(Enum):
@@ -225,9 +228,35 @@ def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
     return out
 
 
-
 class ConfigError(ValueError):
     """Raised when a SchemeConfig (or scenario) violates an invariant."""
+
+
+class LoadError(ValueError):
+    """An input file cannot be read as a table at all (structure, not content)."""
+
+
+def utf8_lines(path: Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, without a leading byte-order mark.
+
+    Text that is not UTF-8 raises a LoadError naming its first bad byte.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            # The reader decodes in chunks, so `err` counts bytes from its
+            # chunk; decoding the whole file gives the offset in the file.
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                err = first
+            line = data.count(b"\n", 0, err.start) + 1
+            byte = err.object[err.start]
+            raise LoadError(
+                f"{path}: not UTF-8 text: byte 0x{byte:02x} at offset {err.start} (line {line})"
+            ) from None
 
 
 def require_valid_scheme(cfg: SchemeConfig) -> SchemeConfig:

@@ -8,7 +8,8 @@ forms by hand and the column path against these scalars bit for bit. It also
 keeps the per-offer engine: one ``Offer`` object per participating site,
 ranked with a sort key, funded by the selection loops over those objects and
 accounted through site-id maps, and the row-wise report writer: one dict per
-ledger and timeseries row, one formatted cell at a time, and ``json.dump``.
+ledger and timeseries row, one formatted cell at a time, and ``json.dump`` of
+the summary.
 """
 from __future__ import annotations
 
@@ -609,21 +610,22 @@ def write_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     reports = [
-        (outcome, supplies.get(outcome.mechanism), timeseries(outcome, cfg), site_ledger(outcome))
-        for outcome in outcomes
+        (outcome, supplies.get(outcome.mechanism), timeseries(outcome, cfg)) for outcome in outcomes
     ]
     if fmt in ("csv", "both"):
         rows = [
             {"mechanism": outcome.mechanism.value, **report_cells(outcome, supply)}
-            for outcome, supply, _, _ in reports
+            for outcome, supply, _ in reports
         ]
         write_csv(out_dir / "summary.csv", ("mechanism",) + REPORT_COLUMNS, rows)
         written.append(out_dir / "summary.csv")
-        for outcome, _, series, ledger in reports:
-            mech = outcome.mechanism.value
+    for outcome, _, series in reports:
+        mech = outcome.mechanism.value
+        if fmt in ("csv", "both"):
             write_csv(out_dir / f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, series)
-            write_csv(out_dir / f"sites_{mech}.csv", LEDGER_COLUMNS, ledger)
-            written += [out_dir / f"timeseries_{mech}.csv", out_dir / f"sites_{mech}.csv"]
+            written.append(out_dir / f"timeseries_{mech}.csv")
+        write_csv(out_dir / f"sites_{mech}.csv", LEDGER_COLUMNS, site_ledger(outcome))
+        written.append(out_dir / f"sites_{mech}.csv")
     if fmt in ("json", "both"):
         runs = [
             {
@@ -631,9 +633,8 @@ def write_report(
                 "summary": dataclasses.asdict(outcome.summary),
                 "supply": dataclasses.asdict(supply) if supply else None,
                 "timeseries": series,
-                "sites": ledger,
             }
-            for outcome, supply, series, ledger in reports
+            for outcome, supply, series in reports
         ]
         with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
             payload = {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs}

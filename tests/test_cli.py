@@ -15,6 +15,9 @@ LATIN1_CSV = (
     "m\xe4nty,mesic_heath,100,250,conifer,0.2,10,6600,6000,95\n"
 ).encode("latin-1")
 NOT_UTF8 = "not UTF-8 text: byte 0xe4 at offset 136 (line 2)"
+BOM = b"\xef\xbb\xbf"
+AVERAGES = {"avg_downpayment": 1.0, "avg_instalment": 2.0}
+ELITE_TABLE = "component,site_types,weight,reference\ndeadwood,all,1.0,20\n"
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -113,11 +116,11 @@ class TestRun:
         )
         out_dir = tmp_path / "og"
         assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
-        payload = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
-        run = payload["runs"][0]
-        statuses = {row["status"] for row in run["sites"]}
-        assert statuses == {"conserved"}
-        assert {row["year"] for row in run["sites"]} == {0}
+        with open(out_dir / "sites_deferred.csv", newline="", encoding="utf-8") as fh:
+            ledger = list(csv.DictReader(fh))
+        assert ledger
+        assert {row["status"] for row in ledger} == {"conserved"}
+        assert {row["year"] for row in ledger} == {"0"}
 
     def test_upfront_only_with_explicit_budget(self, tmp_path):
         scenario = write_scenario(
@@ -131,9 +134,7 @@ class TestRun:
 
     def test_custom_elite_table_changes_selection_inputs(self, tmp_path):
         table = tmp_path / "elite.csv"
-        table.write_text(
-            "component,site_types,weight,reference\ndeadwood,all,1.0,20\n", encoding="utf-8"
-        )
+        table.write_text(ELITE_TABLE, encoding="utf-8")
         base = write_scenario(tmp_path, name="base.json", mechanisms=["deferred"])
         custom = write_scenario(
             tmp_path, name="custom.json", mechanisms=["deferred"], elite_table=str(table)
@@ -144,6 +145,28 @@ class TestRun:
         base_sites = (base_dir / "sites_deferred.csv").read_text(encoding="utf-8")
         custom_sites = (custom_dir / "sites_deferred.csv").read_text(encoding="utf-8")
         assert base_sites != custom_sites
+
+    def test_elite_table_with_byte_order_mark_is_read(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(ELITE_TABLE, encoding="utf-8")
+        marked.write_bytes(BOM + ELITE_TABLE.encode())
+        ledgers = []
+        for table in (plain, marked):
+            scenario = write_scenario(
+                tmp_path, name=f"{table.stem}.json", mechanisms=["deferred"], elite_table=str(table)
+            )
+            out_dir = tmp_path / table.stem
+            assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+            ledgers.append((out_dir / "sites_deferred.csv").read_bytes())
+        assert ledgers[0] == ledgers[1]
+
+    def test_non_utf8_elite_table_exits_3_naming_the_byte(self, tmp_path, capsys):
+        table = tmp_path / "elite.csv"
+        table.write_bytes(ELITE_TABLE.replace("deadwood", "d\xe4dwood").encode("latin-1"))
+        scenario = write_scenario(tmp_path, elite_table=str(table))
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
+        where = "byte 0xe4 at offset 39 (line 2)"
+        assert capsys.readouterr().err == f"error: {table}: not UTF-8 text: {where}\n"
 
     def test_manifest_rerun_is_bit_identical(self, tmp_path):
         scenario = write_scenario(tmp_path)
@@ -359,6 +382,12 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == EXIT_IO
         assert capsys.readouterr().err == f"error: {path}: {NOT_UTF8}\n"
 
+    def test_file_with_byte_order_mark_is_read(self, tmp_path, capsys):
+        path = tmp_path / "sites.csv"
+        path.write_bytes(BOM + LATIN1_CSV.decode("latin-1").encode())
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "1 valid rows, 0 issues\n"
+
     def test_reports_issues(self, tmp_path, capsys):
         path = tmp_path / "sites.csv"
         path.write_text(
@@ -409,6 +438,57 @@ class TestExtrapolate:
             ["extrapolate", "--area", "54000", "--from-run", str(out_dir / "summary.json")]
         )
         assert code == EXIT_OK
+
+    def test_from_run_reads_schema_2_reports(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+        summary = out_dir / "summary.json"
+        capsys.readouterr()
+        assert main(["extrapolate", "--area", "54000", "--from-run", str(summary)]) == EXIT_OK
+        schema_3 = capsys.readouterr().out
+        report = json.loads(summary.read_text(encoding="utf-8"))
+        report["schema_version"] = 2
+        for run in report["runs"]:
+            run["sites"] = [{"site_id": "a", "status": "conserved"}]
+        summary.write_text(json.dumps(report, indent=2), encoding="utf-8")
+        assert main(["extrapolate", "--area", "54000", "--from-run", str(summary)]) == EXIT_OK
+        assert capsys.readouterr().out == schema_3
+
+    @pytest.mark.parametrize(
+        "report, field",
+        [
+            ([], "the report"),
+            ({"runs": 5}, "runs"),
+            ({"runs": [5]}, "runs[0]"),
+            ({"runs": [{"summary": {}}]}, "runs[0].mechanism"),
+            ({"runs": [{"mechanism": "deferred"}]}, "runs[0].summary"),
+            (
+                {"runs": [{"mechanism": "deferred", "summary": {"avg_downpayment": 1.0}}]},
+                "runs[0].summary.avg_instalment",
+            ),
+            (
+                {
+                    "runs": [
+                        {"mechanism": "deferred", "summary": AVERAGES},
+                        {"mechanism": "upfront", "summary": {**AVERAGES, "avg_downpayment": "1"}},
+                    ]
+                },
+                "runs[1].summary.avg_downpayment",
+            ),
+        ],
+    )
+    def test_from_run_malformed_report_exits_3_naming_the_field(
+        self, tmp_path, capsys, report, field
+    ):
+        scenario = write_scenario(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+        summary = out_dir / "summary.json"
+        summary.write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["extrapolate", "--area", "54000", "--from-run", str(summary)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error: {summary}: {field} must be ")
 
     def test_from_run_uses_the_runs_scheme(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, scheme={"seed": 7, "instalment_count_x": 20})

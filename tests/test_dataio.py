@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -10,7 +11,6 @@ from deferauction.dataio import (
     _CHUNK_ROWS,
     LoadError,
     SyntheticProfile,
-    _json_column,
     _site_ledger,
     generate_synthetic,
     load_sites,
@@ -208,7 +208,7 @@ class TestWriteReport:
         cfg, outcomes, supplies = _paired_outcomes()
         write_report(outcomes, supplies, cfg, tmp_path, fmt="json")
         payload = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         for run in payload["runs"]:
             cumulative = 0.0
             for row in run["timeseries"]:
@@ -254,6 +254,24 @@ ESCAPED_IDS = ("a,b", 'q"uote', "back\\slash", "m\u00e4nty", "\U0001f332", "new\
 
 
 class TestReportBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+    def test_every_format_writes_the_ledger_csv(self, tmp_path, fmt):
+        cfg, outcomes, supplies = _paired_outcomes(initial=5e5)
+        write_report(outcomes, supplies, cfg, tmp_path / "ours", fmt)
+        oracle.write_report(outcomes, supplies, cfg, tmp_path / "reference", fmt)
+        for outcome in outcomes:
+            name = f"sites_{outcome.mechanism.value}.csv"
+            ledger = (tmp_path / "ours" / name).read_bytes()
+            assert ledger == (tmp_path / "reference" / name).read_bytes()
+            with open(tmp_path / "ours" / name, newline="", encoding="utf-8") as fh:
+                assert len(list(csv.DictReader(fh))) == len(outcome.offers) > 0
+        summary = tmp_path / "ours" / "summary.json"
+        assert summary.exists() == (fmt != "csv")
+        if fmt != "csv":
+            payload = json.loads(summary.read_text(encoding="utf-8"))
+            assert payload["schema_version"] == 3
+            assert all("sites" not in run for run in payload["runs"])
+
     def test_paired_run_with_every_fate(self, tmp_path):
         cfg, outcomes, supplies = _paired_outcomes(initial=5e5)
         statuses = set(_site_ledger(outcomes[1])["status"])
@@ -277,11 +295,10 @@ class TestReportBytes:
         empty = deferred.offers.take(np.zeros(0, dtype=np.intp))
         outcome = run_deferred(cfg, 1e6, empty, np.zeros(0, dtype=np.int64))
         assert_same_report(tmp_path, [outcome, outcomes[1]], supplies, cfg)
-        text = (tmp_path / "ours-json" / "summary.json").read_text(encoding="utf-8")
-        assert '"sites": []' in text
-        assert (tmp_path / "ours-csv" / "sites_deferred.csv").read_text() == (
-            ",".join(_site_ledger(outcome)) + "\n"
-        )
+        for fmt in ("csv", "json"):
+            assert (tmp_path / f"ours-{fmt}" / "sites_deferred.csv").read_text() == (
+                ",".join(_site_ledger(outcome)) + "\n"
+            )
 
     def test_ledger_longer_than_one_chunk(self, tmp_path):
         cfg, outcomes, supplies = _paired_outcomes(n_sites=3 * _CHUNK_ROWS)
@@ -295,21 +312,9 @@ class TestReportBytes:
         elite[:4] = [math.nan, math.inf, -math.inf, -0.0]
         outcome = dataclasses.replace(outcomes[1], offers=dataclasses.replace(offers, elite=elite))
         assert_same_report(tmp_path, [outcomes[0], outcome], supplies, cfg)
-        text = (tmp_path / "ours-json" / "summary.json").read_text(encoding="utf-8")
-        assert all(f'"elite": {cell},' in text for cell in ("NaN", "Infinity", "-Infinity", "-0.0"))
-
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16],
-            [0.1, 1e16, 1e-300, 2.5],
-            [0, 7, ""],
-            ["m\u00e4nty", 'q"uote', "\U0001f332"],
-            [1.5, 3, "x", math.nan],
-        ],
-    )
-    def test_json_cells_match_json_dumps(self, values):
-        assert _json_column(values) == [json.dumps(value) for value in values]
+        with open(tmp_path / "ours-json" / "sites_upfront.csv", newline="", encoding="utf-8") as fh:
+            cells = {row["elite"] for row in csv.DictReader(fh)}
+        assert {"nan", "inf", "-inf", "-0.00"} <= cells
 
     def test_sweep_table(self, tmp_path):
         cfg, outcomes, supplies = _paired_outcomes()

@@ -13,8 +13,7 @@ from .model import (  # noqa: F401
     AmenityParams,
     Mechanism,
     SchemeConfig,
-    SiteRecord,
+    SiteTable,
     SiteType,
     Species,
-    validate_site,
 )

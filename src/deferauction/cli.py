@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    SWEEP_POINT_COLUMNS,
     LoadError,
     SyntheticProfile,
     format_console_summary,
@@ -38,8 +39,9 @@ from .model import (
     ConfigError,
     Mechanism,
     SchemeConfig,
-    SiteRecord,
+    SiteTable,
     require_valid_scheme,
+    utf8_lines,
 )
 from .simulation import (
     RunOutcome,
@@ -267,7 +269,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _load_dataset(scenario: Scenario) -> list[SiteRecord]:
+def _load_dataset(scenario: Scenario) -> SiteTable:
     if scenario.dataset_path is not None:
         sites, issues = load_sites(scenario.dataset_path)
         for issue in issues:
@@ -287,7 +289,7 @@ def _elite_table(scenario: Scenario) -> EliteTable:
 SeedInputs = tuple[SiteColumns, np.ndarray]
 
 
-def seed_inputs(scenario: Scenario, dataset: list[SiteRecord]) -> SeedInputs:
+def seed_inputs(scenario: Scenario, dataset: SiteTable) -> SeedInputs:
     """The site columns and the harvest draw of `dataset` under the scenario's seed.
 
     They depend on the seed, the amenity settings, the harvest window and the
@@ -349,10 +351,14 @@ def _write_manifest(out_dir: Path, kind: str, scenario: Scenario, extra: dict | 
     return path
 
 
+def _read_json(path: str) -> object:
+    """The JSON value in a UTF-8 file; text that is not UTF-8 raises LoadError."""
+    return json.loads("".join(utf8_lines(path)))
+
+
 def _read_scenario_file(path: str, seed_override: int | None) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if "scenario" in raw:
+    raw = _read_json(path)
+    if isinstance(raw, dict) and "scenario" in raw:
         raw = raw["scenario"]
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: scenario file must contain a JSON object")
@@ -393,15 +399,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[dict[str, object]] = []
     schemes: dict[int, SchemeConfig] = {}  # point index -> its valid scheme
     for index, (rate, period, scale, seed) in enumerate(points):
-        rows.append(
-            {
-                "point": index,
-                "interest_rate": rate,
-                "payment_periods": period,
-                "bid_cap_scale": scale,
-                "seed": seed,
-            }
-        )
+        rows.append(dict(zip(SWEEP_POINT_COLUMNS, (index, rate, period, scale, seed))))
         point_scheme = dataclasses.replace(
             scenario.scheme,
             interest_rate_r=rate,
@@ -416,7 +414,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # A site CSV is read (or fails) once per sweep, a synthetic dataset once per
     # seed; points run grouped by seed, so one seed's inputs are alive at a time.
-    csv_sites: list[SiteRecord] | None = None
+    csv_sites: SiteTable | None = None
     csv_error: LoadError | OSError | None = None
     if scenario.dataset_path is not None and schemes:
         try:
@@ -485,8 +483,7 @@ def _run_sweep_point(
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     if args.profile:
-        with open(args.profile, encoding="utf-8") as fh:
-            profile = _profile_from_dict(json.load(fh))
+        profile = _profile_from_dict(_require_object(_read_json(args.profile), args.profile))
         if args.n is not None:
             profile = dataclasses.replace(profile, n_sites=args.n)
     else:
@@ -510,8 +507,7 @@ def _run_summaries(path: str) -> dict[str, dict]:
 
     A report of any other shape raises LoadError naming the field at fault.
     """
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = _read_json(path)
 
     def require(ok: bool, field: str, kind: str) -> None:
         if not ok:

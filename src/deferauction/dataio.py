@@ -1,9 +1,10 @@
 """Dataset ingestion, synthetic stand generation, and report files.
 
 The CSV schema is the sole ingestion format (UTF-8 with or without a
-byte-order mark, dot decimals, header mandatory). Generated datasets are
-deterministic in (profile, seed) and round-trip exactly through
-write_sites/load_sites.
+byte-order mark, dot decimals, header mandatory). Sites load and generate
+straight into a SiteTable: the loader parses and checks a chunk of rows a
+column at a time. Generated datasets are deterministic in (profile, seed)
+and round-trip exactly through write_sites/load_sites.
 """
 from __future__ import annotations
 
@@ -13,8 +14,7 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
-from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +22,13 @@ import numpy as np
 from .model import (
     DEFAULT_AREA_HA,
     DEFAULT_LAND_PAYMENT,
+    SITE_TYPES,
     LoadError,
     Mechanism,
     SchemeConfig,
-    SiteRecord,
-    SiteType,
+    SiteTable,
     Species,
     utf8_lines,
-    validate_site,
 )
 from .simulation import RunOutcome, RunSummary, SupplySummary
 from .streams import SYNTHETIC_STREAM, rng_stream
@@ -49,18 +48,25 @@ REQUIRED_COLUMNS = (
     "commercial_rotation_age",
 )
 OPTIONAL_COLUMNS = ("area_ha", "land_payment")
+# The numeric columns, in SiteTable order; the optional ones have defaults.
+NUMBER_COLUMNS = tuple(f.name for f in fields(SiteTable)[3:])
+OPTIONAL_DEFAULTS = {"area_ha": DEFAULT_AREA_HA, "land_payment": DEFAULT_LAND_PAYMENT}
 
-# Default commercial rotation age by site type (years); richer soils turn over faster.
-DEFAULT_ROTATION_AGES: dict[SiteType, float] = {
-    SiteType.HERB_RICH: 85.0,
-    SiteType.HERB_RICH_HEATH: 90.0,
-    SiteType.MESIC_HEATH: 95.0,
-    SiteType.SUB_XERIC_HEATH: 105.0,
-    SiteType.XERIC_HEATH: 120.0,
-    SiteType.BARREN_HEATH: 140.0,
-}
+# Default commercial rotation age by site type code (years); richer soils turn over faster.
+DEFAULT_ROTATION_AGES = (85.0, 90.0, 95.0, 105.0, 120.0, 140.0)
 
-_TYPE_ORDER = tuple(SiteType)
+_TYPE_NAMES = tuple(site_type.value for site_type in SITE_TYPES)
+# The dominant species by a SiteTable's broadleaf flag.
+_SPECIES_NAMES = (Species.CONIFER.value, Species.BROADLEAF.value)
+_NAME_COLUMNS = (
+    ("site_type", {name: code for code, name in enumerate(_TYPE_NAMES)}, "site type"),
+    ("dominant_species", {name: code for code, name in enumerate(_SPECIES_NAMES)}, "species"),
+)
+_EMPTY = "required cell is empty"
+
+# A site CSV is parsed this many rows at a time, so the text of a large file
+# is never held whole.
+_LOAD_CHUNK_ROWS = 2000
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ class SyntheticProfile:
         if abs(sum(self.age_band_weights) - 1.0) > 1e-9:
             raise ValueError("age_band_weights must sum to 1")
         for name in ("site_type_mix", "volume_v_max", "volume_growth", "v0_bare_land", "broadleaf_beta"):
-            if len(getattr(self, name)) != len(_TYPE_ORDER):
+            if len(getattr(self, name)) != len(SITE_TYPES):
                 raise ValueError(f"{name} must have one entry per site type")
 
 
@@ -168,19 +174,17 @@ def _best_harvest_value(
     return best
 
 
-def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[SiteRecord]:
-    """Deterministic synthetic dataset of n_sites valid stand records.
+def generate_synthetic(profile: SyntheticProfile, seed: int) -> SiteTable:
+    """Deterministic synthetic dataset of n_sites valid stands.
 
     All draws come from one named stream of the master seed and are aligned to
     the site index, so the same (profile, seed) always yields the same data.
     """
     profile.validate()
     n = profile.n_sites
-    if n == 0:
-        return []
     rng = rng_stream(seed, SYNTHETIC_STREAM)
 
-    type_idx = rng.choice(len(_TYPE_ORDER), size=n, p=profile.site_type_mix)
+    type_idx = rng.choice(len(SITE_TYPES), size=n, p=profile.site_type_mix)
     band = rng.choice(3, size=n, p=profile.age_band_weights)
     lo_edges = np.array([profile.age_min, profile.age_band_edges[0], profile.age_band_edges[1]])
     hi_edges = np.array([profile.age_band_edges[0], profile.age_band_edges[1], profile.age_max])
@@ -211,144 +215,167 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> list[SiteRecord]
     beta_b = np.array([b for _, b in profile.broadleaf_beta])[type_idx]
     shares = rng.beta(beta_a, beta_b)
 
-    sites: list[SiteRecord] = []
-    for i in range(n):
-        site_type = _TYPE_ORDER[int(type_idx[i])]
-        share = float(shares[i])
-        sites.append(
-            SiteRecord(
-                id=f"site-{i:06d}",
-                site_type=site_type,
-                stand_age=float(ages[i]),
-                stand_volume=float(volumes[i]),
-                dominant_species=Species.BROADLEAF if share >= 0.5 else Species.CONIFER,
-                broadleaf_share=share,
-                deadwood=float(deadwood[i]),
-                timber_value=float(timber_values[i]),
-                opportunity_cost_v0=float(v0[i]),
-                commercial_rotation_age=DEFAULT_ROTATION_AGES[site_type],
-                area_ha=profile.area_ha,
-                land_payment=profile.land_payment,
-            )
-        )
-    return sites
-
-
-def _parse_float(raw: str) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"cannot parse '{raw}' as a number") from None
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value '{raw}'")
-    return value
-
-
-def load_sites(path: str | Path) -> tuple[list[SiteRecord], list[RowIssue]]:
-    """Parse a site CSV into records plus a per-row issue report.
-
-    Rows with unparseable cells or invariant violations are excluded and
-    reported, as is any row repeating the id of an earlier kept row; only
-    structural problems (unreadable file, text that is not UTF-8, missing
-    required columns) reject the whole file.
-    """
-    path = Path(path)
-    sites: list[SiteRecord] = []
-    issues: list[RowIssue] = []
-    kept_rows: dict[str, int] = {}
-    reader = csv.DictReader(utf8_lines(path))
-    if reader.fieldnames is None:
-        raise LoadError(f"{path}: empty file, header row required")
-    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
-    if missing:
-        raise LoadError(f"{path}: missing required columns: {', '.join(missing)}")
-    for row_no, row in enumerate(reader, start=1):
-        try:
-            site = _parse_row(row)
-        except _RowError as err:
-            issues.append(RowIssue(row=row_no, column=err.column, message=err.message))
-            continue
-        violations = validate_site(site)
-        if violations:
-            issues.extend(
-                RowIssue(row=row_no, column=v.field, message=v.rule) for v in violations
-            )
-            continue
-        if site.id in kept_rows:
-            message = f"duplicate site id '{site.id}' (first on row {kept_rows[site.id]})"
-            issues.append(RowIssue(row=row_no, column="id", message=message))
-            continue
-        kept_rows[site.id] = row_no
-        sites.append(site)
-    return sites, issues
-
-
-class _RowError(Exception):
-    def __init__(self, column: str, message: str):
-        super().__init__(f"{column}: {message}")
-        self.column = column
-        self.message = message
-
-
-def _parse_row(row: dict[str, str]) -> SiteRecord:
-    def text(column: str) -> str:
-        value = (row.get(column) or "").strip()
-        if not value:
-            raise _RowError(column, "required cell is empty")
-        return value
-
-    def number(column: str) -> float:
-        try:
-            return _parse_float(text(column))
-        except ValueError as err:
-            raise _RowError(column, str(err)) from None
-
-    def optional_number(column: str, default: float) -> float:
-        raw = (row.get(column) or "").strip()
-        if not raw:
-            return default
-        try:
-            return _parse_float(raw)
-        except ValueError as err:
-            raise _RowError(column, str(err)) from None
-
-    try:
-        site_type = SiteType(text("site_type"))
-    except ValueError:
-        raise _RowError("site_type", f"unknown site type '{row.get('site_type')}'") from None
-    try:
-        species = Species(text("dominant_species"))
-    except ValueError:
-        raise _RowError(
-            "dominant_species", f"unknown species '{row.get('dominant_species')}'"
-        ) from None
-
-    return SiteRecord(
-        id=text("id"),
-        site_type=site_type,
-        stand_age=number("stand_age"),
-        stand_volume=number("stand_volume"),
-        dominant_species=species,
-        broadleaf_share=number("broadleaf_share"),
-        deadwood=number("deadwood"),
-        timber_value=number("timber_value"),
-        opportunity_cost_v0=number("opportunity_cost_v0"),
-        commercial_rotation_age=number("commercial_rotation_age"),
-        area_ha=optional_number("area_ha", DEFAULT_AREA_HA),
-        land_payment=optional_number("land_payment", DEFAULT_LAND_PAYMENT),
+    return SiteTable(
+        ids=[f"site-{i:06d}" for i in range(n)],
+        type_code=type_idx,
+        broadleaf=shares >= 0.5,
+        stand_age=ages,
+        stand_volume=volumes,
+        broadleaf_share=shares,
+        deadwood=deadwood,
+        timber_value=timber_values,
+        opportunity_cost_v0=v0,
+        commercial_rotation_age=np.array(DEFAULT_ROTATION_AGES)[type_idx],
+        area_ha=np.full(n, profile.area_ha, dtype=float),
+        land_payment=np.full(n, profile.land_payment, dtype=float),
     )
 
 
-def write_sites(sites: list[SiteRecord], path: str | Path) -> None:
-    """Write a site table in the ingestion schema, full float precision."""
+def _parse_number(cell: str, default: float | None) -> float | str:
+    """`cell` as a finite number, or why it is not one; an empty cell is `default` if given."""
+    text = cell.strip()
+    if not text:
+        return _EMPTY if default is None else default
+    try:
+        value = float(text)
+    except ValueError:
+        return f"cannot parse '{text}' as a number"
+    return value if math.isfinite(value) else f"non-finite value '{text}'"
+
+
+def _parse_chunk(
+    cells: list[tuple[str, ...]], position: dict[str, int]
+) -> tuple[SiteTable, list[tuple[str, dict[int, str]]]]:
+    """Rows parsed a column at a time from their cells, one tuple per header column.
+
+    Returns the rows as a table, with -1 for an unknown name and NaN for a
+    bad number, and each column's bad cells with why, in reporting order.
+    Python's float parses the numbers, so surrounding whitespace and digit
+    underscores are accepted; a column whose cells all parse takes one pass.
+    """
+    errors: list[tuple[str, dict[int, str]]] = []
+    codes: dict[str, np.ndarray] = {}
+    for column, names, kind in _NAME_COLUMNS:
+        raw = cells[position[column]]
+        codes[column] = np.array([names.get(cell.strip(), -1) for cell in raw], dtype=np.intp)
+        bad = np.flatnonzero(codes[column] < 0).tolist()
+        unknown = {i: f"unknown {kind} '{raw[i]}'" if raw[i].strip() else _EMPTY for i in bad}
+        errors.append((column, unknown))
+    ids = [cell.strip() for cell in cells[position["id"]]]
+    errors.append(("id", {i: _EMPTY for i, site_id in enumerate(ids) if not site_id}))
+    numbers: dict[str, np.ndarray] = {}
+    for name in NUMBER_COLUMNS:
+        default = OPTIONAL_DEFAULTS.get(name)
+        if name not in position:
+            numbers[name] = np.full(len(ids), default)
+            continue
+        raw = cells[position[name]]
+        try:
+            numbers[name] = np.array(list(map(float, raw)))
+        except ValueError:
+            parsed = [_parse_number(cell, default) for cell in raw]
+            numbers[name] = np.array([v if isinstance(v, float) else math.nan for v in parsed])
+        bad = np.flatnonzero(~np.isfinite(numbers[name])).tolist()
+        errors.append((name, {i: _parse_number(raw[i], default) for i in bad}))
+    broadleaf = codes["dominant_species"] == 1
+    return SiteTable(ids, codes["site_type"], broadleaf, **numbers), errors
+
+
+def _violations(sites: SiteTable) -> list[tuple[str, str, np.ndarray]]:
+    """(column, rule, the rows breaking it) per site invariant, in reporting order.
+
+    Only the rows that parsed count, and their values are all finite.
+    """
+    share = sites.broadleaf_share
+    share_ok = (share >= 0.0) & (share <= 1.0)
+    at_least_0 = "must be finite and >= 0"
+    return [
+        ("area_ha", "must be finite and > 0", sites.area_ha <= 0),
+        ("stand_age", at_least_0, sites.stand_age < 0),
+        ("stand_volume", at_least_0, sites.stand_volume < 0),
+        ("broadleaf_share", "must lie in [0, 1]", ~share_ok),
+        ("deadwood", at_least_0, sites.deadwood < 0),
+        ("timber_value", at_least_0, sites.timber_value < 0),
+        ("land_payment", at_least_0, sites.land_payment < 0),
+        ("opportunity_cost_v0", at_least_0, sites.opportunity_cost_v0 < 0),
+        ("commercial_rotation_age", "must be finite and > 0", sites.commercial_rotation_age <= 0),
+        (
+            "broadleaf_share",
+            "inconsistent with dominant_species "
+            "(share >= 0.5 must coincide with broadleaf dominance)",
+            share_ok & ((share >= 0.5) != sites.broadleaf),
+        ),
+    ]
+
+
+def load_sites(path: str | Path) -> tuple[SiteTable, list[RowIssue]]:
+    """Parse a site CSV into a table of its sound rows plus a per-row issue report.
+
+    Cells are parsed a chunk of rows and a column at a time, then the rows
+    are checked a column at a time. A row that does not parse reports its
+    first bad cell, taking site_type, dominant_species and id first, then
+    the numeric columns in order; a row that parses reports every invariant
+    it breaks. Either is excluded, as is any row repeating the id of an
+    earlier kept row. Issues come in row order. Blank lines are not rows,
+    and the missing cells of a short row are empty. Only structural problems
+    (unreadable file, text that is not UTF-8, missing required columns)
+    reject the whole file.
+    """
     path = Path(path)
-    columns = list(REQUIRED_COLUMNS) + list(OPTIONAL_COLUMNS)
+    reader = csv.reader(utf8_lines(path))
+    header = next(reader, None)
+    if header is None:
+        raise LoadError(f"{path}: empty file, header row required")
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise LoadError(f"{path}: missing required columns: {', '.join(missing)}")
+    # A repeated column name reads its last cell, as csv.DictReader does.
+    position = {name: i for i, name in enumerate(header)}
+    width = len(header)
+    padding = [""] * width
+    chunks: list[SiteTable] = []
+    first_error: dict[int, RowIssue] = {}
+    while lines := list(islice(reader, _LOAD_CHUNK_ROWS)):
+        rows = [row if len(row) >= width else row + padding[len(row) :] for row in lines if row]
+        if not rows:
+            continue
+        start = sum(map(len, chunks))
+        chunk, errors = _parse_chunk(list(zip(*rows)), position)
+        for column, messages in errors:
+            for i, message in messages.items():
+                first_error.setdefault(start + i, RowIssue(start + i + 1, column, message))
+        chunks.append(chunk)
+    sites = SiteTable.concat(chunks)
+
+    issues = list(first_error.values())
+    parsed = np.ones(len(sites), dtype=bool)
+    parsed[list(first_error)] = False
+    keep = parsed.copy()
+    for column, rule, broken in _violations(sites):
+        broken &= parsed
+        keep &= ~broken
+        issues.extend(RowIssue(row + 1, column, rule) for row in np.flatnonzero(broken).tolist())
+    first: dict[str, int] = {}
+    for row in np.flatnonzero(keep).tolist():
+        site_id = sites.ids[row]
+        if first.setdefault(site_id, row) != row:
+            message = f"duplicate site id '{site_id}' (first on row {first[site_id] + 1})"
+            issues.append(RowIssue(row + 1, "id", message))
+    issues.sort(key=lambda issue: issue.row)
+    return sites.take(np.array(list(first.values()), dtype=np.intp)), issues
+
+
+def write_sites(sites: SiteTable, path: str | Path) -> None:
+    """Write a site table in the ingestion schema, full float precision."""
+    cells = {name: getattr(sites, name).tolist() for name in NUMBER_COLUMNS}
+    cells["id"] = sites.ids
+    cells["site_type"] = [_TYPE_NAMES[code] for code in sites.type_code.tolist()]
+    cells["dominant_species"] = [_SPECIES_NAMES[flag] for flag in sites.broadleaf.tolist()]
+    header = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for site in sites:
-            cells = (getattr(site, column) for column in columns)
-            writer.writerow([c.value if isinstance(c, Enum) else c for c in cells])
+        writer.writerow(header)
+        writer.writerows(zip(*(cells[name] for name in header)))
 
 
 # Report columns, each declared once. summary.csv and every sweep.csv
@@ -426,9 +453,9 @@ def _site_ledger(outcome: RunOutcome) -> dict[str, list]:
         else:
             status.append("unfunded")
             year.append("")
-    sites = [offers.columns.sites[index] for index in ledger.site.tolist()]
+    sites = offers.columns.sites
     return {
-        "site_id": [site.id for site in sites],
+        "site_id": [sites.ids[index] for index in ledger.site.tolist()],
         "status": status,
         "year": year,
         "area_ha": ledger.area.tolist(),
@@ -436,8 +463,8 @@ def _site_ledger(outcome: RunOutcome) -> dict[str, list]:
         "downpayment_per_ha": ledger.downpayment_per_ha.tolist(),
         "instalment_per_ha": ledger.instalment_per_ha.tolist(),
         "total_payment_npv_per_ha": ledger.total_payment_npv_per_ha.tolist(),
-        "stand_age": offers.columns.stand_age[ledger.site].tolist(),
-        "site_type": [site.site_type.value for site in sites],
+        "stand_age": sites.stand_age[ledger.site].tolist(),
+        "site_type": [_TYPE_NAMES[code] for code in sites.type_code[ledger.site].tolist()],
     }
 
 

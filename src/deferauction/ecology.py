@@ -7,34 +7,29 @@ so it always lies in [0, 1] with 1 at the reference state.
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
+    SITE_TYPES,
     AmenityParams,
     ConfigError,
     SchemeConfig,
-    SiteRecord,
+    SiteTable,
     SiteType,
-    Species,
     utf8_lines,
 )
 
 AMENITY_LOOKAHEAD_YEARS = 50.0
 
-# Minimum stand age qualifying as old growth, by (site type, dominant species).
-# The three poorest types use one species-independent threshold.
-OLD_GROWTH_THRESHOLDS: dict[SiteType, dict[Species, float]] = {
-    SiteType.HERB_RICH: {Species.BROADLEAF: 70.0, Species.CONIFER: 100.0},
-    SiteType.HERB_RICH_HEATH: {Species.BROADLEAF: 80.0, Species.CONIFER: 100.0},
-    SiteType.MESIC_HEATH: {Species.BROADLEAF: 80.0, Species.CONIFER: 120.0},
-    SiteType.SUB_XERIC_HEATH: {Species.BROADLEAF: 140.0, Species.CONIFER: 140.0},
-    SiteType.XERIC_HEATH: {Species.BROADLEAF: 140.0, Species.CONIFER: 140.0},
-    SiteType.BARREN_HEATH: {Species.BROADLEAF: 140.0, Species.CONIFER: 140.0},
-}
+# Minimum stand age qualifying as old growth, indexed [type code, broadleaf]:
+# (conifer, broadleaf dominance) per site type in SiteType order. The three
+# poorest types use one species-independent threshold.
+OLD_GROWTH_THRESHOLDS = np.array(
+    [[100.0, 70.0], [100.0, 80.0], [120.0, 80.0], [140.0, 140.0], [140.0, 140.0], [140.0, 140.0]]
+)
 
 
 class EliteDataError(ValueError):
@@ -115,32 +110,26 @@ def amenity_gain(
     return a1 - a0
 
 
-def elite_index(
-    sites: Sequence[SiteRecord], table: EliteTable = DEFAULT_ELITE_TABLE
-) -> np.ndarray:
+def elite_index(sites: SiteTable, table: EliteTable = DEFAULT_ELITE_TABLE) -> np.ndarray:
     """Habitat condition index in [0, 1] of each site under a component table.
 
     Multiplies 1 - weight * (1 - min(current/reference, 1)) over the
     components applicable to a site's type, in table order. The ratio clamp
     keeps every factor, and hence the index, within [0, 1].
     """
-    types = list(SiteType)
-    codes = {site_type: code for code, site_type in enumerate(types)}
-    type_codes = np.fromiter((codes[s.site_type] for s in sites), np.intp, len(sites))
-    present = set(type_codes.tolist())
-    for code, site_type in enumerate(types):
-        if code in present and not table.for_site_type(site_type):
-            raise EliteDataError(f"no components apply to site type {site_type.value}")
+    for code in np.flatnonzero(np.bincount(sites.type_code, minlength=len(SITE_TYPES))).tolist():
+        if not table.for_site_type(SITE_TYPES[code]):
+            raise EliteDataError(f"no components apply to site type {SITE_TYPES[code].value}")
     index = np.ones(len(sites))
     for comp in table.components:
-        applies = np.array([comp.applies_to(t) for t in types])[type_codes]
+        applies = np.array([comp.applies_to(t) for t in SITE_TYPES])[sites.type_code]
         if not applies.any():
             continue
         if comp.name not in COMPONENT_SOURCES:
             raise EliteDataError(
                 f"missing component data: site records carry no observation for '{comp.name}'"
             )
-        current = np.fromiter((getattr(s, comp.name) for s in sites), float, len(sites))
+        current = getattr(sites, comp.name)
         factor = 1.0 - comp.weight * (1.0 - np.minimum(current / comp.reference, 1.0))
         index = np.where(applies, index * factor, index)
     return index
@@ -156,11 +145,14 @@ def load_elite_table(path: str | Path) -> EliteTable:
     """
     components: list[EliteComponent] = []
     reader = csv.DictReader(utf8_lines(Path(path)))
-    required = {"component", "site_types", "weight", "reference"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    required = ("component", "site_types", "weight", "reference")
+    if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
         raise ConfigError(f"elite table must have columns {sorted(required)}")
     for row in reader:
-        name = row["component"].strip()
+        name = (row["component"] or "").strip()
+        short = [column for column in required if row[column] is None]
+        if short:
+            raise ConfigError(f"component {name}: row has no {', '.join(short)} cell")
         if name not in COMPONENT_SOURCES:
             raise ConfigError(
                 f"component {name}: not a site attribute "

@@ -1,17 +1,19 @@
 """Shared domain types for the deferred-payment conservation auction.
 
-Everything here is an immutable value object plus boundary validators, and
-the UTF-8 line reader both CSV loaders share. Validation never raises on bad
-field values: validators return violation records so that loaders can report
-per-row problems and keep going.
+Everything here is an immutable value object, the site table, the scheme
+validators, and the UTF-8 line reader that every input file goes through.
+Validation never raises on bad field values: validators return violation
+records so that callers can report every problem at once.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 
 class SiteType(Enum):
@@ -39,26 +41,51 @@ DEFAULT_AREA_HA = 10.0
 DEFAULT_LAND_PAYMENT = 400.0
 
 
-@dataclass(frozen=True)
-class SiteRecord:
-    """One forest stand offered (or offerable) to the conservation program.
+# Site types in declaration order; a SiteTable's type codes index this tuple.
+SITE_TYPES = tuple(SiteType)
 
-    The conservation payment per hectare is always derived as
-    ``timber_value + land_payment``; it is intentionally not a stored field.
+
+@dataclass(frozen=True, eq=False)
+class SiteTable:
+    """Forest stands offered (or offerable) to the program, one row per stand.
+
+    Rows are in file or generation order. ``type_code`` indexes SITE_TYPES and
+    ``broadleaf`` says whether broadleaf is the dominant species; every other
+    column is a float64 array named after its site CSV column. The
+    conservation payment per hectare is always ``timber_value +
+    land_payment``; it is intentionally not a stored column.
     """
 
-    id: str
-    site_type: SiteType
-    stand_age: float
-    stand_volume: float
-    dominant_species: Species
-    broadleaf_share: float
-    deadwood: float
-    timber_value: float
-    opportunity_cost_v0: float
-    commercial_rotation_age: float
-    area_ha: float = DEFAULT_AREA_HA
-    land_payment: float = DEFAULT_LAND_PAYMENT
+    ids: list[str]
+    type_code: np.ndarray
+    broadleaf: np.ndarray
+    stand_age: np.ndarray
+    stand_volume: np.ndarray
+    broadleaf_share: np.ndarray
+    deadwood: np.ndarray
+    timber_value: np.ndarray
+    opportunity_cost_v0: np.ndarray
+    commercial_rotation_age: np.ndarray
+    area_ha: np.ndarray
+    land_payment: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: np.ndarray) -> SiteTable:
+        """The stands at the indices `rows`, in that order."""
+        arrays = (getattr(self, field.name)[rows] for field in fields(self)[1:])
+        return SiteTable([self.ids[row] for row in rows.tolist()], *arrays)
+
+    @classmethod
+    def concat(cls, tables: Sequence[SiteTable]) -> SiteTable:
+        """The stands of every table in `tables`, in order."""
+        empty = {"type_code": np.zeros(0, np.intp), "broadleaf": np.zeros(0, bool)}
+        arrays = (
+            np.concatenate([empty.get(f.name, np.zeros(0))] + [getattr(t, f.name) for t in tables])
+            for f in fields(cls)[1:]
+        )
+        return cls([site_id for table in tables for site_id in table.ids], *arrays)
 
 
 @dataclass(frozen=True)
@@ -123,40 +150,6 @@ class Violation:
 
 def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
-
-
-def validate_site(site: SiteRecord) -> list[Violation]:
-    """Check all SiteRecord invariants; returns an empty list when the record is sound."""
-    out: list[Violation] = []
-    if not site.id:
-        out.append(Violation("id", "must be a non-empty identifier"))
-    if not _finite(site.area_ha) or site.area_ha <= 0:
-        out.append(Violation("area_ha", "must be finite and > 0"))
-    if not _finite(site.stand_age) or site.stand_age < 0:
-        out.append(Violation("stand_age", "must be finite and >= 0"))
-    if not _finite(site.stand_volume) or site.stand_volume < 0:
-        out.append(Violation("stand_volume", "must be finite and >= 0"))
-    if not _finite(site.broadleaf_share) or not 0.0 <= site.broadleaf_share <= 1.0:
-        out.append(Violation("broadleaf_share", "must lie in [0, 1]"))
-    if not _finite(site.deadwood) or site.deadwood < 0:
-        out.append(Violation("deadwood", "must be finite and >= 0"))
-    for name in ("timber_value", "land_payment", "opportunity_cost_v0"):
-        value = getattr(site, name)
-        if not _finite(value) or value < 0:
-            out.append(Violation(name, "must be finite and >= 0"))
-    if not _finite(site.commercial_rotation_age) or site.commercial_rotation_age <= 0:
-        out.append(Violation("commercial_rotation_age", "must be finite and > 0"))
-    if _finite(site.broadleaf_share) and 0.0 <= site.broadleaf_share <= 1.0:
-        broadleaf_dominated = site.broadleaf_share >= 0.5
-        if broadleaf_dominated != (site.dominant_species is Species.BROADLEAF):
-            out.append(
-                Violation(
-                    "broadleaf_share",
-                    "inconsistent with dominant_species "
-                    "(share >= 0.5 must coincide with broadleaf dominance)",
-                )
-            )
-    return out
 
 
 # Lowest acceptance rate allowed for the truncated phi draw: below it the
@@ -233,10 +226,10 @@ class ConfigError(ValueError):
 
 
 class LoadError(ValueError):
-    """An input file cannot be read as a table at all (structure, not content)."""
+    """An input file cannot be read: its text is not UTF-8, or its structure is wrong."""
 
 
-def utf8_lines(path: Path) -> Iterator[str]:
+def utf8_lines(path: str | Path) -> Iterator[str]:
     """The lines of a UTF-8 text file, without a leading byte-order mark.
 
     Text that is not UTF-8 raises a LoadError naming its first bad byte.
@@ -247,7 +240,7 @@ def utf8_lines(path: Path) -> Iterator[str]:
         except UnicodeDecodeError as err:
             # The reader decodes in chunks, so `err` counts bytes from its
             # chunk; decoding the whole file gives the offset in the file.
-            data = path.read_bytes()
+            data = Path(path).read_bytes()
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as first:

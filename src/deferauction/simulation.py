@@ -9,7 +9,6 @@ unconserved stands keep dropping to harvest.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .ecology import (
     elite_index,
 )
 from .finance import annuity_factor, npv
-from .model import Mechanism, SchemeConfig, SiteRecord
+from .model import Mechanism, SchemeConfig, SiteTable
 
 # Harvest year of a stand the harvest draw never cuts.
 NEVER_CUT = -1
@@ -67,20 +66,17 @@ class RunSummary:
 class SiteColumns:
     """Per-site columns of one dataset under one seed, in dataset order.
 
-    ``v1`` is the conservation payment per hectare (timber value plus land
-    payment), ``v0`` the opportunity cost, ``amenity_gain`` a1 - a0 (zero for
-    Faustmannian owners), ``elite`` the habitat index, ``id_rank`` each site's
-    position when the ids are sorted, and ``old_growth`` whether the stand
-    meets its old-growth age threshold. None of them depends on r, x or the
-    bid caps, so one set serves every mechanism and sweep point of a seed.
+    ``sites`` is the dataset, which holds each site's own attributes. ``v1``
+    is the conservation payment per hectare (timber value plus land
+    payment), ``amenity_gain`` a1 - a0 (zero for Faustmannian owners),
+    ``elite`` the habitat index, ``id_rank`` each site's position when the
+    ids are sorted, and ``old_growth`` whether the stand meets its old-growth
+    age threshold. None of them depends on r, x or the bid caps, so one set
+    serves every mechanism and sweep point of a seed.
     """
 
-    sites: Sequence[SiteRecord]
-    area: np.ndarray
-    stand_age: np.ndarray
-    rotation_age: np.ndarray
+    sites: SiteTable
     v1: np.ndarray
-    v0: np.ndarray
     amenity_gain: np.ndarray
     elite: np.ndarray
     id_rank: np.ndarray
@@ -116,7 +112,7 @@ class OfferTable:
 
     @property
     def area(self) -> np.ndarray:
-        return self.columns.area[self.site]
+        return self.columns.sites.area_ha[self.site]
 
     @property
     def cost(self) -> np.ndarray:
@@ -143,19 +139,19 @@ class RunOutcome:
 
 
 def site_columns(
-    dataset: Sequence[SiteRecord],
+    sites: SiteTable,
     cfg: SchemeConfig,
     rng: np.random.Generator,
     elite_table: EliteTable = DEFAULT_ELITE_TABLE,
 ) -> SiteColumns:
-    """Owner types, amenity gains and habitat indices of every site in `dataset`.
+    """Owner types, amenity gains and habitat indices of every site in `sites`.
 
     Stands older than their commercial rotation age belong to Hartmanian
     owners; their preference scales come from `rng`, one draw per Hartmanian
-    site in dataset order. Site ids must be unique: a repeated id raises
+    site in table order. Site ids must be unique: a repeated id raises
     ValueError.
     """
-    ids = [site.id for site in dataset]
+    ids = sites.ids
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     for first, second in zip(by_id, by_id[1:]):
         if ids[first] == ids[second]:
@@ -163,27 +159,20 @@ def site_columns(
     id_rank = np.empty(len(ids), np.intp)
     id_rank[by_id] = np.arange(len(ids))
 
-    def attribute(name: str) -> np.ndarray:
-        return np.fromiter((getattr(site, name) for site in dataset), float, len(dataset))
-
-    stand_age = attribute("stand_age")
-    rotation_age = attribute("commercial_rotation_age")
+    stand_age = sites.stand_age
+    rotation_age = sites.commercial_rotation_age
     hartmanian = stand_age > rotation_age
     phi = draw_phi(rng, cfg.amenity, int(hartmanian.sum()))
-    gain = np.zeros(len(dataset))
+    gain = np.zeros(len(sites))
     gain[hartmanian] = amenity_gain(stand_age[hartmanian], rotation_age[hartmanian], phi, cfg)
-    thresholds = [OLD_GROWTH_THRESHOLDS[site.site_type][site.dominant_species] for site in dataset]
+    thresholds = OLD_GROWTH_THRESHOLDS[sites.type_code, sites.broadleaf.astype(np.intp)]
     return SiteColumns(
-        sites=dataset,
-        area=attribute("area_ha"),
-        stand_age=stand_age,
-        rotation_age=rotation_age,
-        v1=attribute("timber_value") + attribute("land_payment"),
-        v0=attribute("opportunity_cost_v0"),
+        sites=sites,
+        v1=sites.timber_value + sites.land_payment,
         amenity_gain=gain,
-        elite=elite_index(dataset, elite_table),
+        elite=elite_index(sites, elite_table),
         id_rank=id_rank,
-        old_growth=stand_age >= np.array(thresholds, dtype=float),
+        old_growth=stand_age >= thresholds,
     )
 
 
@@ -196,14 +185,14 @@ def build_offers(columns: SiteColumns, cfg: SchemeConfig, mechanism: Mechanism) 
     """
     if mechanism is Mechanism.DEFERRED:
         outlay, instalment, joins = optimal_downpayment(
-            columns.v1, columns.v0, columns.amenity_gain, cfg
+            columns.v1, columns.sites.opportunity_cost_v0, columns.amenity_gain, cfg
         )
         keep = np.flatnonzero(joins)
         outlay, instalment = outlay[keep], instalment[keep]
         total = outlay + instalment * annuity_factor(cfg.instalment_count_x, cfg.discount_rate)
     else:
         payment, joins = upfront_bid(
-            columns.v1, columns.v0, columns.amenity_gain, cfg.upfront_cap_hi
+            columns.v1, columns.sites.opportunity_cost_v0, columns.amenity_gain, cfg.upfront_cap_hi
         )
         keep = np.flatnonzero(joins)
         outlay = total = payment[keep]
@@ -221,7 +210,8 @@ def draw_harvest_schedule(
     harvest year uniformly from {y0, ..., window-1}; one draw per eligible
     site, in dataset order.
     """
-    first_year = np.maximum(0.0, np.ceil(columns.rotation_age - columns.stand_age))
+    sites = columns.sites
+    first_year = np.maximum(0.0, np.ceil(sites.commercial_rotation_age - sites.stand_age))
     eligible = first_year < cfg.harvest_window
     years = np.full(len(columns), NEVER_CUT, dtype=np.int64)
     years[eligible] = rng.integers(first_year[eligible].astype(np.int64), cfg.harvest_window)
@@ -393,7 +383,7 @@ def summarize_supply(offers: OfferTable) -> SupplySummary:
         sites=len(offers),
         area_ha=total_area,
         bd_index_sum=sum((offers.elite * area).tolist(), 0.0),
-        avg_stand_age=per_ha_average(offers.columns.stand_age[offers.site]),
+        avg_stand_age=per_ha_average(offers.columns.sites.stand_age[offers.site]),
         avg_downpayment=per_ha_average(offers.downpayment_per_ha),
         avg_instalment=per_ha_average(offers.instalment_per_ha),
         avg_total_payment_npv=per_ha_average(offers.total_payment_npv_per_ha),

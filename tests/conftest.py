@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from deferauction.model import SchemeConfig, SiteRecord, SiteType, Species
+from oracle import SiteRecord, site_table
+from deferauction.model import SchemeConfig, SiteType, Species
 from deferauction.simulation import site_columns
 from deferauction.streams import PHI_STREAM, rng_stream
 
@@ -39,7 +40,8 @@ def make_site(
 
 def is_old_growth(site: SiteRecord) -> bool:
     """The old-growth flag that site_columns computes for `site`."""
-    return bool(site_columns([site], SchemeConfig(), rng_stream(1, PHI_STREAM)).old_growth[0])
+    columns = site_columns(site_table([site]), SchemeConfig(), rng_stream(1, PHI_STREAM))
+    return bool(columns.old_growth[0])
 
 
 @pytest.fixture

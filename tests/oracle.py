@@ -9,7 +9,9 @@ keeps the per-offer engine: one ``Offer`` object per participating site,
 ranked with a sort key, funded by the selection loops over those objects and
 accounted through site-id maps, and the row-wise report writer: one dict per
 ledger and timeseries row, one formatted cell at a time, and ``json.dump`` of
-the summary.
+the summary. Sites are ``SiteRecord`` objects here, one per stand, as the
+per-row loader and the per-site generator built them; ``site_table`` and
+``site_records`` convert between them and the package's ``SiteTable``.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from deferauction.ecology import (
     AMENITY_LOOKAHEAD_YEARS,
     COMPONENT_SOURCES,
     DEFAULT_ELITE_TABLE,
-    OLD_GROWTH_THRESHOLDS,
     EliteDataError,
     EliteTable,
 )
@@ -39,16 +40,35 @@ from deferauction.finance import (
     discounted_instalment_sum,
     npv,
 )
-from deferauction.model import AmenityParams, Mechanism, SchemeConfig, SiteRecord
+from deferauction.model import (
+    DEFAULT_AREA_HA,
+    DEFAULT_LAND_PAYMENT,
+    SITE_TYPES,
+    AmenityParams,
+    Mechanism,
+    SchemeConfig,
+    SiteTable,
+    SiteType,
+    Species,
+    Violation,
+    utf8_lines,
+)
 from deferauction.dataio import (
+    DEFAULT_ROTATION_AGES,
     LEDGER_COLUMNS,
     REPORT_COLUMNS,
     REPORT_SCHEMA_VERSION,
+    REQUIRED_COLUMNS,
     SWEEP_AXIS_COLUMNS,
     SWEEP_POINT_COLUMNS,
     TIMESERIES_COLUMNS,
+    LoadError,
+    RowIssue,
+    SyntheticProfile,
+    _best_harvest_value,
     report_cells,
 )
+from deferauction.streams import SYNTHETIC_STREAM, rng_stream
 from deferauction.simulation import RunOutcome, RunSummary, SupplySummary
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -106,6 +126,263 @@ class BidCapBelief:
 
 def belief_from_config(cfg: SchemeConfig) -> BidCapBelief:
     return BidCapBelief(lo=cfg.bid_cap_lo, hi=cfg.bid_cap_hi)
+
+
+# --- site records, the per-row loader and the per-site generator ------------
+
+
+@dataclass(frozen=True)
+class SiteRecord:
+    """One forest stand offered (or offerable) to the conservation program."""
+
+    id: str
+    site_type: SiteType
+    stand_age: float
+    stand_volume: float
+    dominant_species: Species
+    broadleaf_share: float
+    deadwood: float
+    timber_value: float
+    opportunity_cost_v0: float
+    commercial_rotation_age: float
+    area_ha: float = DEFAULT_AREA_HA
+    land_payment: float = DEFAULT_LAND_PAYMENT
+
+
+_NUMBER_FIELDS = tuple(f.name for f in dataclasses.fields(SiteTable)[3:])
+
+
+def site_table(records: Sequence[SiteRecord]) -> SiteTable:
+    """The records as a SiteTable, in order."""
+    numbers = {
+        name: np.array([getattr(site, name) for site in records], dtype=float)
+        for name in _NUMBER_FIELDS
+    }
+    return SiteTable(
+        ids=[site.id for site in records],
+        type_code=np.array([SITE_TYPES.index(site.site_type) for site in records], dtype=np.intp),
+        broadleaf=np.array(
+            [site.dominant_species is Species.BROADLEAF for site in records], dtype=bool
+        ),
+        **numbers,
+    )
+
+
+def site_records(table: SiteTable) -> list[SiteRecord]:
+    """One SiteRecord per row of a SiteTable, in order."""
+    numbers = [getattr(table, name).tolist() for name in _NUMBER_FIELDS]
+    return [
+        SiteRecord(
+            site_id,
+            SITE_TYPES[code],
+            stand_age,
+            stand_volume,
+            Species.BROADLEAF if broadleaf else Species.CONIFER,
+            share,
+            *rest,
+        )
+        for site_id, code, broadleaf, stand_age, stand_volume, share, *rest in zip(
+            table.ids, table.type_code.tolist(), table.broadleaf.tolist(), *numbers
+        )
+    ]
+
+
+def _finite(x: float) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def validate_site(site: SiteRecord) -> list[Violation]:
+    """Check all SiteRecord invariants; returns an empty list when the record is sound."""
+    out: list[Violation] = []
+    if not site.id:
+        out.append(Violation("id", "must be a non-empty identifier"))
+    if not _finite(site.area_ha) or site.area_ha <= 0:
+        out.append(Violation("area_ha", "must be finite and > 0"))
+    if not _finite(site.stand_age) or site.stand_age < 0:
+        out.append(Violation("stand_age", "must be finite and >= 0"))
+    if not _finite(site.stand_volume) or site.stand_volume < 0:
+        out.append(Violation("stand_volume", "must be finite and >= 0"))
+    if not _finite(site.broadleaf_share) or not 0.0 <= site.broadleaf_share <= 1.0:
+        out.append(Violation("broadleaf_share", "must lie in [0, 1]"))
+    if not _finite(site.deadwood) or site.deadwood < 0:
+        out.append(Violation("deadwood", "must be finite and >= 0"))
+    for name in ("timber_value", "land_payment", "opportunity_cost_v0"):
+        value = getattr(site, name)
+        if not _finite(value) or value < 0:
+            out.append(Violation(name, "must be finite and >= 0"))
+    if not _finite(site.commercial_rotation_age) or site.commercial_rotation_age <= 0:
+        out.append(Violation("commercial_rotation_age", "must be finite and > 0"))
+    if _finite(site.broadleaf_share) and 0.0 <= site.broadleaf_share <= 1.0:
+        broadleaf_dominated = site.broadleaf_share >= 0.5
+        if broadleaf_dominated != (site.dominant_species is Species.BROADLEAF):
+            out.append(
+                Violation(
+                    "broadleaf_share",
+                    "inconsistent with dominant_species "
+                    "(share >= 0.5 must coincide with broadleaf dominance)",
+                )
+            )
+    return out
+
+
+def _parse_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot parse '{raw}' as a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value '{raw}'")
+    return value
+
+
+class _RowError(Exception):
+    def __init__(self, column: str, message: str):
+        super().__init__(f"{column}: {message}")
+        self.column = column
+        self.message = message
+
+
+def _parse_row(row: dict[str, str]) -> SiteRecord:
+    def text(column: str) -> str:
+        value = (row.get(column) or "").strip()
+        if not value:
+            raise _RowError(column, "required cell is empty")
+        return value
+
+    def number(column: str) -> float:
+        try:
+            return _parse_float(text(column))
+        except ValueError as err:
+            raise _RowError(column, str(err)) from None
+
+    def optional_number(column: str, default: float) -> float:
+        raw = (row.get(column) or "").strip()
+        if not raw:
+            return default
+        try:
+            return _parse_float(raw)
+        except ValueError as err:
+            raise _RowError(column, str(err)) from None
+
+    try:
+        site_type = SiteType(text("site_type"))
+    except ValueError:
+        raise _RowError("site_type", f"unknown site type '{row.get('site_type')}'") from None
+    try:
+        species = Species(text("dominant_species"))
+    except ValueError:
+        raise _RowError(
+            "dominant_species", f"unknown species '{row.get('dominant_species')}'"
+        ) from None
+
+    return SiteRecord(
+        id=text("id"),
+        site_type=site_type,
+        stand_age=number("stand_age"),
+        stand_volume=number("stand_volume"),
+        dominant_species=species,
+        broadleaf_share=number("broadleaf_share"),
+        deadwood=number("deadwood"),
+        timber_value=number("timber_value"),
+        opportunity_cost_v0=number("opportunity_cost_v0"),
+        commercial_rotation_age=number("commercial_rotation_age"),
+        area_ha=optional_number("area_ha", DEFAULT_AREA_HA),
+        land_payment=optional_number("land_payment", DEFAULT_LAND_PAYMENT),
+    )
+
+
+def load_sites(path: Path) -> tuple[list[SiteRecord], list[RowIssue]]:
+    """The per-row loader: csv.DictReader, one _parse_row and validate_site per row."""
+    sites: list[SiteRecord] = []
+    issues: list[RowIssue] = []
+    kept_rows: dict[str, int] = {}
+    reader = csv.DictReader(utf8_lines(path))
+    if reader.fieldnames is None:
+        raise LoadError(f"{path}: empty file, header row required")
+    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise LoadError(f"{path}: missing required columns: {', '.join(missing)}")
+    for row_no, row in enumerate(reader, start=1):
+        try:
+            site = _parse_row(row)
+        except _RowError as err:
+            issues.append(RowIssue(row=row_no, column=err.column, message=err.message))
+            continue
+        violations = validate_site(site)
+        if violations:
+            issues.extend(
+                RowIssue(row=row_no, column=v.field, message=v.rule) for v in violations
+            )
+            continue
+        if site.id in kept_rows:
+            message = f"duplicate site id '{site.id}' (first on row {kept_rows[site.id]})"
+            issues.append(RowIssue(row=row_no, column="id", message=message))
+            continue
+        kept_rows[site.id] = row_no
+        sites.append(site)
+    return sites, issues
+
+
+def generate_records(profile: SyntheticProfile, seed: int) -> list[SiteRecord]:
+    """The per-site generator: the same draws as generate_synthetic, one record per site."""
+    profile.validate()
+    n = profile.n_sites
+    if n == 0:
+        return []
+    rng = rng_stream(seed, SYNTHETIC_STREAM)
+
+    type_idx = rng.choice(len(SITE_TYPES), size=n, p=profile.site_type_mix)
+    band = rng.choice(3, size=n, p=profile.age_band_weights)
+    lo_edges = np.array([profile.age_min, profile.age_band_edges[0], profile.age_band_edges[1]])
+    hi_edges = np.array([profile.age_band_edges[0], profile.age_band_edges[1], profile.age_max])
+    ages = rng.uniform(lo_edges[band], hi_edges[band])
+    ages = np.clip(ages, profile.age_min, profile.age_max)
+
+    v_max = np.array(profile.volume_v_max)[type_idx]
+    growth = np.array(profile.volume_growth)[type_idx]
+    sd = profile.volume_noise_sd
+    volume_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
+    volumes = v_max * (1.0 - np.exp(-growth * ages)) ** 2 * volume_noise
+
+    sd = profile.price_noise_sd
+    price_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
+    timber_values = volumes * profile.timber_price_per_m3 * price_noise
+
+    sd = profile.v0_noise_sd
+    v0_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
+    v0 = _best_harvest_value(profile, type_idx, ages, timber_values) * v0_noise
+
+    sd = profile.deadwood_noise_sd
+    deadwood_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
+    deadwood = (
+        profile.deadwood_max * (ages / profile.age_max) ** profile.deadwood_exponent * deadwood_noise
+    )
+
+    beta_a = np.array([a for a, _ in profile.broadleaf_beta])[type_idx]
+    beta_b = np.array([b for _, b in profile.broadleaf_beta])[type_idx]
+    shares = rng.beta(beta_a, beta_b)
+
+    sites: list[SiteRecord] = []
+    for i in range(n):
+        code = int(type_idx[i])
+        share = float(shares[i])
+        sites.append(
+            SiteRecord(
+                id=f"site-{i:06d}",
+                site_type=SITE_TYPES[code],
+                stand_age=float(ages[i]),
+                stand_volume=float(volumes[i]),
+                dominant_species=Species.BROADLEAF if share >= 0.5 else Species.CONIFER,
+                broadleaf_share=share,
+                deadwood=float(deadwood[i]),
+                timber_value=float(timber_values[i]),
+                opportunity_cost_v0=float(v0[i]),
+                commercial_rotation_age=DEFAULT_ROTATION_AGES[code],
+                area_ha=profile.area_ha,
+                land_payment=profile.land_payment,
+            )
+        )
+    return sites
 
 
 # --- payments -------------------------------------------------------------
@@ -190,6 +467,17 @@ def elite_index(site: SiteRecord, table: EliteTable = DEFAULT_ELITE_TABLE) -> fl
         ratio = min(getattr(site, comp.name) / comp.reference, 1.0)
         index *= 1.0 - comp.weight * (1.0 - ratio)
     return index
+
+
+# Minimum stand age qualifying as old growth, by (site type, dominant species).
+OLD_GROWTH_THRESHOLDS: dict[SiteType, dict[Species, float]] = {
+    SiteType.HERB_RICH: {Species.BROADLEAF: 70.0, Species.CONIFER: 100.0},
+    SiteType.HERB_RICH_HEATH: {Species.BROADLEAF: 80.0, Species.CONIFER: 100.0},
+    SiteType.MESIC_HEATH: {Species.BROADLEAF: 80.0, Species.CONIFER: 120.0},
+    SiteType.SUB_XERIC_HEATH: {Species.BROADLEAF: 140.0, Species.CONIFER: 140.0},
+    SiteType.XERIC_HEATH: {Species.BROADLEAF: 140.0, Species.CONIFER: 140.0},
+    SiteType.BARREN_HEATH: {Species.BROADLEAF: 140.0, Species.CONIFER: 140.0},
+}
 
 
 def is_old_growth(site: SiteRecord) -> bool:
@@ -571,9 +859,10 @@ def site_ledger(outcome: RunOutcome) -> list[dict[str, object]]:
     ledger = offers.take(order)
     paid = (ledger.downpayment_per_ha, ledger.instalment_per_ha, ledger.total_payment_npv_per_ha)
     rows = []
+    sites = site_records(offers.columns.sites)
     numbers = (c.tolist() for c in (ledger.elite, *paid))
     for row, index, *cells in zip(order, ledger.site, *numbers):
-        site = offers.columns.sites[index]
+        site = sites[index]
         if row in outcome.conserved_year:
             status, year = "conserved", outcome.conserved_year[row]
         elif row in outcome.harvested_year:

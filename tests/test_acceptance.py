@@ -34,6 +34,8 @@ from oracle import (
     OwnerKind,
     optimal_downpayment_numeric,
     optimal_downpayment_value,
+    site_records,
+    site_table,
 )
 
 ACCEPTANCE_SEEDS = tuple(range(1, 21))
@@ -150,12 +152,12 @@ def test_criterion_04_elite_index_range_and_hand_case():
         )
         for _ in range(10_000)
     ]
-    values = elite_index(sites)
+    values = elite_index(site_table(sites))
     assert ((values >= 0.0) & (values <= 1.0)).all()
     reference = make_site(deadwood=30.0, stand_age=200.0, broadleaf_share=0.3,
                           dominant_species=Species.CONIFER)
     # broadleaf component does not apply to mesic heath; deadwood and age at reference
-    assert elite_index([reference])[0] == pytest.approx(1.0)
+    assert elite_index(site_table([reference]))[0] == pytest.approx(1.0)
     table = EliteTable(
         components=(
             EliteComponent("deadwood", weight=0.6, reference=20.0,
@@ -164,7 +166,7 @@ def test_criterion_04_elite_index_range_and_hand_case():
                            applicable_site_types=frozenset(SiteType)),
         )
     )
-    hand = float(elite_index([make_site(deadwood=10.0, stand_age=150.0)], table)[0])
+    hand = float(elite_index(site_table([make_site(deadwood=10.0, stand_age=150.0)]), table)[0])
     assert hand == pytest.approx(0.7)
     print(f"[criterion 4] PASS: 10000 random states in [0,1], reference=1, hand case={hand:.4f}")
 
@@ -319,7 +321,7 @@ def test_criterion_10_annual_harvest_rate_band():
         schedule = draw_harvest_schedule(columns, cfg, rng_stream(seed, HARVEST_STREAM))
         first_year = {
             site.id: max(0, math.ceil(site.commercial_rotation_age - site.stand_age))
-            for site in dataset
+            for site in site_records(dataset)
         }
         first_year = {k: v for k, v in first_year.items() if v < cfg.harvest_window}
         yearly = []

@@ -168,6 +168,42 @@ class TestRun:
         where = "byte 0xe4 at offset 39 (line 2)"
         assert capsys.readouterr().err == f"error: {table}: not UTF-8 text: {where}\n"
 
+    def test_elite_table_with_a_short_row_exits_2_naming_the_cells(self, tmp_path, capsys):
+        table = tmp_path / "elite.csv"
+        table.write_text("component,site_types,weight,reference\ndeadwood\n", encoding="utf-8")
+        scenario = write_scenario(tmp_path, elite_table=str(table))
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        message = "component deadwood: row has no site_types, weight, reference cell"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["scenario.json", "manifest.json"])
+    def test_non_utf8_scenario_exits_3_naming_the_byte(self, tmp_path, capsys, name):
+        scenario = tmp_path / name
+        scenario.write_bytes(b"\xff\xfe{}")
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
+        where = "byte 0xff at offset 0 (line 1)"
+        assert capsys.readouterr().err == f"error: {scenario}: not UTF-8 text: {where}\n"
+
+    @pytest.mark.parametrize("document", ["5", "[]", '"scenario"', "null"])
+    def test_scenario_that_is_not_an_object_exits_2_naming_the_file(
+        self, tmp_path, capsys, document
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(document, encoding="utf-8")
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        message = f"{scenario}: scenario file must contain a JSON object"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_scenario_with_byte_order_mark_is_read(self, tmp_path):
+        plain = write_scenario(tmp_path, name="plain.json")
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(BOM + plain.read_bytes())
+        for scenario in (plain, marked):
+            out_dir = tmp_path / scenario.stem
+            assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+        for name in ("summary.csv", "sites_deferred.csv", "manifest.json"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "marked" / name).read_bytes()
+
     def test_manifest_rerun_is_bit_identical(self, tmp_path):
         scenario = write_scenario(tmp_path)
         first = tmp_path / "first"
@@ -356,6 +392,20 @@ class TestGenData:
         assert main(["gen-data", "--n", "400", "--seed", "1", "--out", str(path)]) == EXIT_OK
         assert main(["validate", str(path)]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "content, code, message",
+        [
+            (b"5", EXIT_CONFIG, "{path} must be a JSON object, got 5"),
+            (b"\xff\xfe{}", EXIT_IO, "{path}: not UTF-8 text: byte 0xff at offset 0 (line 1)"),
+        ],
+    )
+    def test_unreadable_profile_names_the_file(self, tmp_path, capsys, content, code, message):
+        profile = tmp_path / "profile.json"
+        profile.write_bytes(content)
+        argv = ["gen-data", "--profile", str(profile), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {message.format(path=profile)}\n"
+
     def test_large_dataset_under_ten_seconds(self, tmp_path):
         path = tmp_path / "big.csv"
         start = time.monotonic()
@@ -489,6 +539,13 @@ class TestExtrapolate:
         capsys.readouterr()
         assert main(["extrapolate", "--area", "54000", "--from-run", str(summary)]) == EXIT_IO
         assert capsys.readouterr().err.startswith(f"error: {summary}: {field} must be ")
+
+    def test_from_run_non_utf8_report_exits_3_naming_the_byte(self, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        summary.write_bytes(b"\xff\xfe{}")
+        assert main(["extrapolate", "--area", "54000", "--from-run", str(summary)]) == EXIT_IO
+        where = "byte 0xff at offset 0 (line 1)"
+        assert capsys.readouterr().err == f"error: {summary}: not UTF-8 text: {where}\n"
 
     def test_from_run_uses_the_runs_scheme(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, scheme={"seed": 7, "instalment_count_x": 20})

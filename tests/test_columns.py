@@ -28,7 +28,8 @@ from deferauction.simulation import (
 from deferauction.streams import HARVEST_STREAM, PHI_STREAM, rng_stream
 
 SEED = 11
-DATASET = generate_synthetic(SyntheticProfile(n_sites=2_000), SEED)
+TABLE = generate_synthetic(SyntheticProfile(n_sites=2_000), SEED)
+DATASET = oracle.site_records(TABLE)
 # (interest rate r, payment periods x, bid-cap scale)
 POINTS = [(0.02, 10, 1.0), (0.03, 20, 0.5), (0.04, 10, 1.5)]
 # Budgets that bind: some offers are funded, some lost (up front), some unfunded.
@@ -44,7 +45,8 @@ def point_config(rate, periods, scale, **overrides):
 
 def offer_rows(table):
     """(site, elite, outlay, instalment, total NPV) of each row of an offer table."""
-    sites = [table.columns.sites[index] for index in table.site.tolist()]
+    records = oracle.site_records(table.columns.sites)
+    sites = [records[index] for index in table.site.tolist()]
     return list(
         zip(
             sites,
@@ -57,7 +59,7 @@ def offer_rows(table):
 
 
 def column_offers(dataset, cfg, mechanism):
-    columns = site_columns(dataset, cfg, rng_stream(cfg.seed, PHI_STREAM))
+    columns = site_columns(oracle.site_table(dataset), cfg, rng_stream(cfg.seed, PHI_STREAM))
     return offer_rows(build_offers(columns, cfg, mechanism))
 
 
@@ -84,7 +86,7 @@ def test_offers_equal_the_oracle_on_generated_data(point, mechanism):
 
 def test_columns_equal_the_oracle_owners_and_habitat_index():
     cfg = SchemeConfig(seed=SEED, amenity=dataclasses.replace(SchemeConfig().amenity, phi_sd=0.6))
-    columns = site_columns(DATASET, cfg, rng_stream(SEED, PHI_STREAM))
+    columns = site_columns(TABLE, cfg, rng_stream(SEED, PHI_STREAM))
     rng = rng_stream(SEED, PHI_STREAM)
     gains = []
     for site in DATASET:
@@ -153,7 +155,7 @@ def test_clamped_and_negative_loan_bids():
 
 def test_empty_dataset_has_empty_columns_and_schedule():
     cfg = SchemeConfig()
-    columns = site_columns([], cfg, rng_stream(1, PHI_STREAM))
+    columns = site_columns(oracle.site_table([]), cfg, rng_stream(1, PHI_STREAM))
     assert len(columns) == 0
     assert len(draw_harvest_schedule(columns, cfg, rng_stream(1, HARVEST_STREAM))) == 0
 
@@ -164,7 +166,7 @@ def test_harvest_draw_equals_the_per_site_loop(seed):
     # whole and fractional rotation gaps around the window's last year
     edges = _stands([55.0, 55.5, 56.0, 54.9, 95.0, 200.0], commercial_rotation_age=95.0)
     dataset = DATASET + edges
-    columns = site_columns(dataset, cfg, rng_stream(seed, PHI_STREAM))
+    columns = site_columns(oracle.site_table(dataset), cfg, rng_stream(seed, PHI_STREAM))
     schedule = schedule_by_id(
         dataset, draw_harvest_schedule(columns, cfg, rng_stream(seed, HARVEST_STREAM))
     )
@@ -179,7 +181,7 @@ def test_harvest_draw_equals_the_per_site_loop(seed):
 @pytest.mark.parametrize("point", POINTS, ids=lambda p: "r{}-x{}-cap{}".format(*p))
 def test_engine_equals_the_per_offer_engine(point, ranking, mechanism):
     cfg = point_config(*point)
-    columns = site_columns(DATASET, cfg, rng_stream(SEED, PHI_STREAM))
+    columns = site_columns(TABLE, cfg, rng_stream(SEED, PHI_STREAM))
     schedule = draw_harvest_schedule(columns, cfg, rng_stream(SEED, HARVEST_STREAM))
     table = build_offers(columns, cfg, mechanism)
     offers = oracle.offers(DATASET, cfg, mechanism, rng_stream(SEED, PHI_STREAM))

@@ -1,14 +1,22 @@
 import csv
 import dataclasses
+import io
 import json
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracle
+from deferauction import dataio
 from deferauction.dataio import (
     _CHUNK_ROWS,
+    OPTIONAL_COLUMNS,
+    REQUIRED_COLUMNS,
     LoadError,
     SyntheticProfile,
     _site_ledger,
@@ -20,7 +28,7 @@ from deferauction.dataio import (
     write_sweep,
 )
 from deferauction.finance import match_upfront_budget
-from deferauction.model import Mechanism, SchemeConfig, validate_site
+from deferauction.model import Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
     build_offers,
     draw_harvest_schedule,
@@ -45,7 +53,7 @@ class TestLoadSites:
         path.write_text(WELL_FORMED, encoding="utf-8")
         sites, issues = load_sites(path)
         assert len(sites) == 3 and issues == []
-        assert sites[1].area_ha == 12.0
+        assert sites.area_ha[1] == 12.0
 
     def test_bad_row_flagged_others_loaded(self, tmp_path):
         path = tmp_path / "sites.csv"
@@ -73,13 +81,13 @@ class TestLoadSites:
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         sites, issues = load_sites(path)
         assert issues == []
-        assert all(s.area_ha == 10.0 and s.land_payment == 400.0 for s in sites)
+        assert sites.area_ha.tolist() == [10.0] * 3 and sites.land_payment.tolist() == [400.0] * 3
 
     def test_repeated_id_reported_and_later_row_skipped(self, tmp_path):
         path = tmp_path / "sites.csv"
         path.write_text(WELL_FORMED + WELL_FORMED.splitlines()[1] + "\n", encoding="utf-8")
         sites, issues = load_sites(path)
-        assert [s.id for s in sites] == ["a1", "a2", "a3"]
+        assert sites.ids == ["a1", "a2", "a3"]
         assert len(issues) == 1
         assert (issues[0].row, issues[0].column) == (4, "id")
 
@@ -122,19 +130,19 @@ class TestGenerateSynthetic:
     def test_default_profile_is_valid_and_in_range(self):
         sites = generate_synthetic(SyntheticProfile(), 1)
         assert len(sites) == 400
-        for site in sites:
-            assert validate_site(site) == []
+        for site in oracle.site_records(sites):
+            assert oracle.validate_site(site) == []
             assert 6.0 <= site.stand_age <= 230.0
 
     def test_deterministic_for_seed(self):
         a = generate_synthetic(SyntheticProfile(n_sites=50), 11)
         b = generate_synthetic(SyntheticProfile(n_sites=50), 11)
-        assert a == b
+        assert oracle.site_records(a) == oracle.site_records(b)
         c = generate_synthetic(SyntheticProfile(n_sites=50), 12)
-        assert a != c
+        assert oracle.site_records(a) != oracle.site_records(c)
 
     def test_zero_sites(self):
-        assert generate_synthetic(SyntheticProfile(n_sites=0), 1) == []
+        assert len(generate_synthetic(SyntheticProfile(n_sites=0), 1)) == 0
 
     def test_round_trip_through_csv(self, tmp_path):
         sites = generate_synthetic(SyntheticProfile(n_sites=80), 2)
@@ -142,13 +150,13 @@ class TestGenerateSynthetic:
         write_sites(sites, path)
         loaded, issues = load_sites(path)
         assert issues == []
-        assert loaded == sites
+        assert oracle.site_records(loaded) == oracle.site_records(sites)
 
     def test_values_track_volume(self):
         sites = generate_synthetic(SyntheticProfile(), 3)
-        volume = np.array([s.stand_volume for s in sites])
-        v0 = np.array([s.opportunity_cost_v0 for s in sites])
-        v1 = np.array([s.timber_value + s.land_payment for s in sites])
+        volume = sites.stand_volume
+        v0 = sites.opportunity_cost_v0
+        v1 = sites.timber_value + sites.land_payment
 
         def spearman(x, y):
             rx = np.argsort(np.argsort(x)).astype(float)
@@ -161,6 +169,121 @@ class TestGenerateSynthetic:
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
             SyntheticProfile(site_type_mix=(1.0, 0.0, 0.0, 0.0, 0.0, 0.5)).validate()
+
+
+# A corpus of broken cells: each drawn row starts sound and has up to three
+# cells replaced from these, then may be cut short, run long or be blank.
+PADDING = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0", "\u2003", "\x0b"])
+IDS = ["a", "b", "c", "d", "e", "a,b", 'q"x', "m\u00e4nty"]
+BROKEN_CELLS = {
+    "id": ["", " ", "a", "b"],
+    "site_type": ["", "swamp", "Mesic_heath", "herb_rich;mesic_heath", "xeric_heath"],
+    "dominant_species": ["", "spruce", "Conifer", "broadleaf", "conifer"],
+}
+BROKEN_NUMBERS = [
+    "", " ", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "x", "1__0", "_1", "0x10",
+    "1_000", "1_0.5", "+3", ".5", "5.", "\u0663", "-1", "-0", "0", "1", "0.5", "1.5", "-0.2",
+]
+NUMERIC_COLUMNS = [c for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if c not in BROKEN_CELLS]
+
+
+@st.composite
+def site_rows(draw, header):
+    share = draw(st.floats(0.0, 1.0))
+    cells = {
+        "id": draw(st.sampled_from(IDS)),
+        "site_type": draw(st.sampled_from([t.value for t in SiteType])),
+        "dominant_species": "broadleaf" if share >= 0.5 else "conifer",
+        **{name: repr(draw(st.floats(0.001, 500.0))) for name in NUMERIC_COLUMNS},
+        "broadleaf_share": repr(share),
+    }
+    for column in draw(st.lists(st.sampled_from(header), max_size=3)):
+        cells[column] = draw(st.sampled_from(BROKEN_CELLS.get(column, BROKEN_NUMBERS)))
+    row = [draw(PADDING) + cells[column] + draw(PADDING) for column in header]
+    shape = draw(st.sampled_from(["whole", "whole", "whole", "short", "long", "blank"]))
+    if shape == "short":
+        return row[: draw(st.integers(1, len(row) - 1))]
+    if shape == "long":
+        return row + draw(st.lists(st.sampled_from(["", "x", "1"]), min_size=1, max_size=3))
+    return [] if shape == "blank" else row
+
+
+@st.composite
+def site_csvs(draw):
+    """A site CSV: the columns in any order, either optional column left out, up to 12 rows."""
+    header = [
+        column
+        for column in draw(st.permutations(REQUIRED_COLUMNS + OPTIONAL_COLUMNS))
+        if column in REQUIRED_COLUMNS or draw(st.booleans())
+    ]
+    rows = draw(st.lists(site_rows(header), max_size=12))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def assert_loads_like_the_oracle(path):
+    """The table loader keeps the rows and reports the issues of the per-row loader."""
+    table, issues = load_sites(path)
+    records, expected = oracle.load_sites(path)
+    assert issues == expected
+    assert oracle.site_records(table) == records
+    assert (table.type_code.dtype, table.broadleaf.dtype, table.area_ha.dtype) == (
+        np.intp,
+        bool,
+        np.float64,
+    )
+    return table, issues
+
+
+class TestTableLoaderAgainstOracle:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=site_csvs(), chunk_rows=st.sampled_from([1, 2, 5, 2000]))
+    def test_broken_cells(self, tmp_path, text, chunk_rows):
+        path = tmp_path / "sites.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(dataio, "_LOAD_CHUNK_ROWS", chunk_rows):
+            assert_loads_like_the_oracle(path)
+
+    def test_validate_golden_input(self):
+        path = Path(__file__).parent / "golden" / "validate" / "sites.csv"
+        table, issues = assert_loads_like_the_oracle(path)
+        assert len(table) > 0 and len(issues) > 0
+
+    def test_bad_rows_and_repeated_ids_across_chunks(self, tmp_path):
+        chunk = dataio._LOAD_CHUNK_ROWS
+        path = tmp_path / "sites.csv"
+        write_sites(generate_synthetic(SyntheticProfile(n_sites=2 * chunk + 500), 5), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        bad = lines[1].replace("site-000000", "site-bad").split(",")
+        bad[2] = "-1"
+        for at in (chunk, chunk + 1, 2 * chunk + 3):
+            lines[at] = lines[at - chunk + 7]  # repeats an id of an earlier chunk
+        lines[chunk - 1] = ",".join(bad)
+        lines.insert(chunk + 5, "")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table, issues = assert_loads_like_the_oracle(path)
+        assert [issue.column for issue in issues] == ["stand_age", "id", "id", "id"]
+        assert len(table) == 2 * chunk + 500 - 4
+
+    @pytest.mark.parametrize(
+        "profile, seed",
+        [
+            (SyntheticProfile(), 1),
+            (SyntheticProfile(n_sites=50), 11),
+            (SyntheticProfile(n_sites=0), 3),
+            (SyntheticProfile(n_sites=300, area_ha=2.5, land_payment=0.0), 7),
+        ],
+    )
+    def test_generated_table_equals_the_per_site_records(self, profile, seed):
+        table = generate_synthetic(profile, seed)
+        assert oracle.site_records(table) == oracle.generate_records(profile, seed)
 
 
 def _paired_outcomes(n_sites=120, seed=6, initial=1.5e6, dataset=None):
@@ -279,10 +402,9 @@ class TestReportBytes:
         assert_same_report(tmp_path, outcomes, supplies, cfg)
 
     def test_ids_that_need_quoting_or_escaping(self, tmp_path):
-        dataset = [
-            dataclasses.replace(site, id=f"{ESCAPED_IDS[i % len(ESCAPED_IDS)]}{i:03d}")
-            for i, site in enumerate(generate_synthetic(SyntheticProfile(n_sites=120), 6))
-        ]
+        sites = generate_synthetic(SyntheticProfile(n_sites=120), 6)
+        ids = [f"{ESCAPED_IDS[i % len(ESCAPED_IDS)]}{i:03d}" for i in range(len(sites))]
+        dataset = dataclasses.replace(sites, ids=ids)
         cfg, outcomes, supplies = _paired_outcomes(dataset=dataset)
         for outcome in outcomes:
             ids = _site_ledger(outcome)["site_id"]

@@ -14,7 +14,7 @@ from deferauction.ecology import (
     load_elite_table,
 )
 from deferauction.model import ConfigError, SchemeConfig, SiteType, Species
-from oracle import OwnerKind, amenity_pair, classify_landowner, make_owner
+from oracle import OwnerKind, amenity_pair, classify_landowner, make_owner, site_table
 
 
 def amenity_oracle(h, phi=1.0, d0=0.04, d1=0.95, k_max=23_500.0):
@@ -72,7 +72,7 @@ class TestAmenityPair:
 
 
 def index_of(site, table=DEFAULT_ELITE_TABLE):
-    return float(elite_index([site], table)[0])
+    return float(elite_index(site_table([site]), table)[0])
 
 
 class TestEliteIndex:

@@ -5,6 +5,12 @@ CSV files and ``manifest.json`` must match ``tests/golden/`` byte for byte;
 After an intended output change, rewrite the golden files with
 ``PYTHONPATH=src python tests/test_golden.py`` and record in CHANGES.md which
 bytes moved and why.
+
+``golden/validate`` pins the standard output of ``deferauction validate`` on
+a CSV of broken cells (empty, padded, non-finite and unparseable numbers,
+negative values, unknown names, species mismatches, repeated ids, blank,
+short and long rows), recorded with the per-row loader the table loader
+replaced. That script does not rewrite it.
 """
 from __future__ import annotations
 
@@ -79,6 +85,14 @@ def test_outputs_match_golden(case, tmp_path):
         difference = first_difference(expected, actual, numeric=rel.name == "summary.json")
         assert difference is None, f"{case}/{rel}: {difference}"
 
+
+
+def test_validate_output_matches_golden(capsys):
+    golden = GOLDEN / "validate"
+    assert main(["validate", str(golden / "sites.csv")]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.encode("utf-8") == (golden / "stdout.txt").read_bytes()
+    assert captured.err == ""
 
 if __name__ == "__main__":
     for name in CASES:

@@ -11,9 +11,8 @@ from deferauction.model import (
     Species,
     require_valid_scheme,
     validate_scheme,
-    validate_site,
 )
-from oracle import conservation_payment
+from oracle import conservation_payment, validate_site
 
 
 class TestValidateSite:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_site
+from oracle import site_table
 from deferauction.dataio import _site_ledger, _timeseries
 from deferauction.model import Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
@@ -58,7 +59,7 @@ def cases(draw):
         upfront_cap_hi=draw(CAPS),
         horizon_years=HORIZON,
     )
-    columns = site_columns(sites, cfg, rng_stream(cfg.seed, PHI_STREAM))
+    columns = site_columns(site_table(sites), cfg, rng_stream(cfg.seed, PHI_STREAM))
     harvest = draw(st.sampled_from(["drawn", "all-year-0", "random"]))
     if harvest == "drawn":
         schedule = draw_harvest_schedule(columns, cfg, rng_stream(cfg.seed, HARVEST_STREAM))

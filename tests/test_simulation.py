@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_site
+from oracle import site_records, site_table
 from deferauction.dataio import SyntheticProfile, generate_synthetic
 from deferauction.finance import match_upfront_budget, npv
 from deferauction.model import Mechanism, SchemeConfig, SiteType
@@ -38,18 +39,18 @@ def make_offer(site_id, cost_per_ha, elite=0.5, area=10.0, instalment=0.0, **sit
 
 def offer_table(offers):
     """An offer table with one row per make_offer row, over exactly those sites."""
-    columns = columns_of([site for site, *_ in offers], CFG, 1)
+    columns = columns_of(site_table([site for site, *_ in offers]), CFG, 1)
     elite, outlay, instalment = (np.array([o[k] for o in offers], dtype=float) for k in (1, 2, 3))
     return OfferTable(columns, np.arange(len(offers)), elite, outlay, instalment, outlay)
 
 
 def schedule_for(offers, years):
     """The harvest array of an offer table's sites from a site id to year map."""
-    return np.array([years.get(site.id, NEVER_CUT) for site in offers.columns.sites], dtype=int)
+    return np.array([years.get(site_id, NEVER_CUT) for site_id in offers.columns.sites.ids], dtype=int)
 
 
 def ids(offers):
-    return [offers.columns.sites[index].id for index in offers.site.tolist()]
+    return [offers.columns.sites.ids[index] for index in offers.site.tolist()]
 
 
 def by_id(outcome, years):
@@ -78,12 +79,12 @@ class TestBuildOffers:
             make_site(site_id=f"s{i}", stand_age=age, opportunity_cost_v0=0.0)
             for i, age in enumerate((30.0, 70.0, 120.0, 160.0))
         ]
-        offers = build_offers(columns_of(sites, CFG, 1), CFG, Mechanism.DEFERRED)
+        offers = build_offers(columns_of(site_table(sites), CFG, 1), CFG, Mechanism.DEFERRED)
         assert len(offers) == len(sites)
 
     def test_single_faustmannian_worked_bid(self):
         sites = [make_site(timber_value=6_600.0, opportunity_cost_v0=6_000.0, stand_age=60.0)]
-        offers = build_offers(columns_of(sites, CFG, 1), CFG, Mechanism.DEFERRED)
+        offers = build_offers(columns_of(site_table(sites), CFG, 1), CFG, Mechanism.DEFERRED)
         assert len(offers) == 1
         assert offers.downpayment_per_ha[0] == pytest.approx(6_922.37, abs=0.05)
 
@@ -102,7 +103,7 @@ class TestBuildOffers:
     def test_repeated_site_id_rejected(self):
         sites = [make_site(site_id="twin"), make_site(site_id="twin", stand_age=140.0)]
         with pytest.raises(ValueError, match="twin"):
-            build_offers(columns_of(sites, CFG, 1), CFG, Mechanism.UPFRONT)
+            build_offers(columns_of(site_table(sites), CFG, 1), CFG, Mechanism.UPFRONT)
 
     def test_supply_grows_with_interest_rate_on_synthetic_data(self):
         dataset = generate_synthetic(SyntheticProfile(), 5)
@@ -119,14 +120,14 @@ class TestHarvestSchedule:
         sites = [make_site(site_id=f"s{i}", stand_age=10.0, commercial_rotation_age=95.0)
                  for i in range(20)]
         cfg = SchemeConfig()
-        schedule = draw_harvest_schedule(columns_of(sites, cfg, 1), cfg, rng_stream(1, HARVEST_STREAM))
+        schedule = draw_harvest_schedule(columns_of(site_table(sites), cfg, 1), cfg, rng_stream(1, HARVEST_STREAM))
         assert schedule.tolist() == [NEVER_CUT] * 20
 
     def test_mature_stand_uniform_over_window(self):
         sites = [make_site(site_id=f"s{i}", stand_age=150.0, commercial_rotation_age=95.0)
                  for i in range(100_000)]
         cfg = SchemeConfig()
-        years = draw_harvest_schedule(columns_of(sites, cfg, 2), cfg, rng_stream(2, HARVEST_STREAM))
+        years = draw_harvest_schedule(columns_of(site_table(sites), cfg, 2), cfg, rng_stream(2, HARVEST_STREAM))
         assert len(years) == 100_000
         assert years.min() >= 0 and years.max() <= 39
         assert years.mean() == pytest.approx(19.5, abs=0.2)
@@ -135,7 +136,7 @@ class TestHarvestSchedule:
         sites = [make_site(site_id="s", stand_age=90.0, commercial_rotation_age=95.0)]
         cfg = SchemeConfig()
         for master in range(60):
-            columns = columns_of(sites, cfg, master)
+            columns = columns_of(site_table(sites), cfg, master)
             schedule = draw_harvest_schedule(columns, cfg, rng_stream(master, HARVEST_STREAM))
             assert 5 <= schedule[0] <= 39
 
@@ -147,7 +148,7 @@ class TestHarvestSchedule:
             schedule = draw_harvest_schedule(columns, cfg, rng_stream(seed, HARVEST_STREAM))
             first = {
                 s.id: max(0, math.ceil(s.commercial_rotation_age - s.stand_age))
-                for s in dataset
+                for s in site_records(dataset)
             }
             first = {k: v for k, v in first.items() if v < cfg.harvest_window}
             yearly = []

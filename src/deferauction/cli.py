@@ -482,6 +482,8 @@ def _run_sweep_point(
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 0:
+        raise ConfigError(f"--n must be >= 0, got {args.n}")
     if args.profile:
         profile = _profile_from_dict(_require_object(_read_json(args.profile), args.profile))
         if args.n is not None:

@@ -8,11 +8,12 @@ and round-trip exactly through write_sites/load_sites.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
-from collections.abc import Mapping, Sequence
+import re
+import weakref
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import accumulate, islice
 from pathlib import Path
@@ -28,9 +29,9 @@ from .model import (
     SchemeConfig,
     SiteTable,
     Species,
-    utf8_lines,
+    csv_rows,
 )
-from .simulation import RunOutcome, RunSummary, SupplySummary
+from .simulation import RunOutcome, RunSummary, SiteColumns, SupplySummary
 from .streams import SYNTHETIC_STREAM, rng_stream
 
 REPORT_SCHEMA_VERSION = 3
@@ -67,6 +68,8 @@ _EMPTY = "required cell is empty"
 # A site CSV is parsed this many rows at a time, so the text of a large file
 # is never held whole.
 _LOAD_CHUNK_ROWS = 2000
+# Site CSVs and ledgers are formatted and written this many rows at a time.
+_CHUNK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -318,11 +321,11 @@ def load_sites(path: str | Path) -> tuple[SiteTable, list[RowIssue]]:
     it breaks. Either is excluded, as is any row repeating the id of an
     earlier kept row. Issues come in row order. Blank lines are not rows,
     and the missing cells of a short row are empty. Only structural problems
-    (unreadable file, text that is not UTF-8, missing required columns)
-    reject the whole file.
+    (unreadable file, text that is not UTF-8, a row the csv module cannot
+    read, missing required columns) reject the whole file.
     """
     path = Path(path)
-    reader = csv.reader(utf8_lines(path))
+    reader = csv_rows(path)
     header = next(reader, None)
     if header is None:
         raise LoadError(f"{path}: empty file, header row required")
@@ -365,17 +368,21 @@ def load_sites(path: str | Path) -> tuple[SiteTable, list[RowIssue]]:
     return sites.take(np.array(list(first.values()), dtype=np.intp)), issues
 
 
+def _sites_text(sites: SiteTable, header: Sequence[str]) -> Iterator[list[list[str]]]:
+    """The `header` columns of a site table as CSV text, in chunks of rows; floats in full."""
+    for start in range(0, len(sites), _CHUNK_ROWS):
+        part = sites.take(np.arange(start, min(start + _CHUNK_ROWS, len(sites))))
+        cells = {name: list(map(repr, getattr(part, name).tolist())) for name in NUMBER_COLUMNS}
+        cells["id"] = list(map(_quote, part.ids))
+        cells["site_type"] = [_TYPE_NAMES[code] for code in part.type_code.tolist()]
+        cells["dominant_species"] = [_SPECIES_NAMES[flag] for flag in part.broadleaf.tolist()]
+        yield [cells[name] for name in header]
+
+
 def write_sites(sites: SiteTable, path: str | Path) -> None:
     """Write a site table in the ingestion schema, full float precision."""
-    cells = {name: getattr(sites, name).tolist() for name in NUMBER_COLUMNS}
-    cells["id"] = sites.ids
-    cells["site_type"] = [_TYPE_NAMES[code] for code in sites.type_code.tolist()]
-    cells["dominant_species"] = [_SPECIES_NAMES[flag] for flag in sites.broadleaf.tolist()]
     header = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*(cells[name] for name in header)))
+    _write_csv(Path(path), header, _sites_text(sites, header))
 
 
 # Report columns, each declared once. summary.csv and every sweep.csv
@@ -423,8 +430,8 @@ def _area_by_year(years: dict[int, int], area: list[float], n_years: int) -> lis
     return out
 
 
-def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> dict[str, list]:
-    """TIMESERIES_COLUMNS over the horizon, or the spending stream if longer."""
+def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object]]:
+    """TIMESERIES_COLUMNS rows over the horizon, or the spending stream if longer."""
     n_years = max(cfg.horizon, len(outcome.spending))
     area = outcome.offers.area.tolist()
     conserved = _area_by_year(outcome.conserved_year, area, n_years)
@@ -432,61 +439,73 @@ def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> dict[str, list]:
     spending = outcome.spending + [0.0] * (n_years - len(outcome.spending))
     cum_cost = list(accumulate(spending, initial=0.0))[1:]
     cum_area = list(accumulate(conserved, initial=0.0))[1:]
-    values = (list(range(n_years)), spending, cum_cost, conserved, cum_area, lost)
-    return dict(zip(TIMESERIES_COLUMNS, values))
+    values = (range(n_years), spending, cum_cost, conserved, cum_area, lost)
+    return [dict(zip(TIMESERIES_COLUMNS, row)) for row in zip(*values)]
 
 
-def _site_ledger(outcome: RunOutcome) -> dict[str, list]:
-    """LEDGER_COLUMNS, one row per offer, in site-id order."""
+_NEEDS_QUOTES = re.compile('[,"\n\r]').search
+
+
+def _quote(text: str) -> str:
+    """`text` as a CSV cell: quoted, inner quotes doubled, if it holds `,`, `"`, `\\n` or `\\r`."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def _text(rows: list[dict[str, object]], header: Sequence[str]) -> list[list[str]]:
+    """The `header` columns of a few rows as CSV text: floats to 0.01, a missing cell empty."""
+    cells = ([row.get(name, "") for row in rows] for name in header)
+    return [["%.2f" % v if isinstance(v, float) else _quote(str(v)) for v in col] for col in cells]
+
+
+# Per SiteColumns, so per seed: each site's ledger cells that no run changes,
+# as CSV text, shared by both mechanisms and every sweep point of the seed.
+# SiteColumns hash by identity, and an entry goes when its columns do.
+_SITE_TEXT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _site_text(columns: SiteColumns) -> tuple[np.ndarray, ...]:
+    """Per site, as CSV text: site_id; area_ha,elite; stand_age,site_type."""
+    sites = columns.sites
+    ages = zip(sites.stand_age.tolist(), sites.type_code.tolist())
+    text = (
+        [_quote(site_id) for site_id in sites.ids],
+        ["%.2f,%.2f" % cells for cells in zip(sites.area_ha.tolist(), columns.elite.tolist())],
+        ["%.2f,%s" % (age, _TYPE_NAMES[code]) for age, code in ages],  # names need no quotes
+    )
+    return tuple(np.array(column, dtype=object) for column in text)
+
+
+def _ledger_text(outcome: RunOutcome) -> Iterator[list[list[str]]]:
+    """LEDGER_COLUMNS as CSV text, in chunks of offers in site-id order; see _SITE_TEXT."""
     offers = outcome.offers
-    order = np.argsort(offers.columns.id_rank[offers.site])
-    ledger = offers.take(order)
-    status: list[str] = []
-    year: list[int | str] = []
-    for row in order.tolist():
-        if row in outcome.conserved_year:
-            status.append("conserved")
-            year.append(outcome.conserved_year[row])
-        elif row in outcome.harvested_year:
-            status.append("lost")
-            year.append(outcome.harvested_year[row])
-        else:
-            status.append("unfunded")
-            year.append("")
-    sites = offers.columns.sites
-    return {
-        "site_id": [sites.ids[index] for index in ledger.site.tolist()],
-        "status": status,
-        "year": year,
-        "area_ha": ledger.area.tolist(),
-        "elite": ledger.elite.tolist(),
-        "downpayment_per_ha": ledger.downpayment_per_ha.tolist(),
-        "instalment_per_ha": ledger.instalment_per_ha.tolist(),
-        "total_payment_npv_per_ha": ledger.total_payment_npv_per_ha.tolist(),
-        "stand_age": sites.stand_age[ledger.site].tolist(),
-        "site_type": [_TYPE_NAMES[code] for code in sites.type_code[ledger.site].tolist()],
-    }
+    columns = offers.columns
+    if (site_text := _SITE_TEXT.get(columns)) is None:
+        site_text = _SITE_TEXT[columns] = _site_text(columns)
+    fate = ["unfunded,"] * len(offers)
+    for status, years in (("lost", outcome.harvested_year), ("conserved", outcome.conserved_year)):
+        text = {year: f"{status},{year}" for year in set(years.values())}
+        for row, year in years.items():
+            fate[row] = text[year]
+    paid = (offers.downpayment_per_ha, offers.instalment_per_ha, offers.total_payment_npv_per_ha)
+    order = np.argsort(columns.id_rank[offers.site])
+    for start in range(0, len(order), _CHUNK_ROWS):
+        rows = order[start : start + _CHUNK_ROWS]
+        site_id, area_elite, age_type = (text[offers.site[rows]].tolist() for text in site_text)
+        payments = zip(*(column[rows].tolist() for column in paid))
+        fates = [fate[row] for row in rows.tolist()]
+        yield [site_id, fates, area_elite, ["%.2f,%.2f,%.2f" % c for c in payments], age_type]
 
 
-def _table(rows: list[dict[str, object]], header: Sequence[str]) -> dict[str, list]:
-    """`rows` as columns; a cell missing from a row is left empty."""
-    return {name: [row.get(name, "") for row in rows] for name in header}
+def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[list[Sequence[str]]]) -> None:
+    """Write `header`, then each chunk of rows.
 
-
-# Reports are formatted and written this many rows at a time, so the text of
-# a large ledger is never held whole.
-_CHUNK_ROWS = 1000
-
-
-def _write_csv(path: Path, header: Sequence[str], table: Mapping[str, Sequence[object]]) -> None:
-    """One line per row of `table`, cells in `header` order; floats round to 0.01."""
+    A chunk is columns of CSV text; a column may hold several cells joined by
+    commas. Large tables come a chunk at a time, so their text is never held whole.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for start in range(0, len(table[header[0]]), _CHUNK_ROWS):
-            chunk = (table[name][start : start + _CHUNK_ROWS] for name in header)
-            cells = [[f"{v:.2f}" if isinstance(v, float) else v for v in col] for col in chunk]
-            writer.writerows(zip(*cells))
+        fh.write(",".join(map(_quote, header)) + "\n")
+        for text in chunks:
+            fh.write("".join([",".join(row) + "\n" for row in zip(*text)]))
 
 
 def write_report(
@@ -520,14 +539,15 @@ def write_report(
             {"mechanism": outcome.mechanism.value, **report_cells(outcome, supply)}
             for outcome, supply, _ in reports
         ]
-        _write_csv(path, header, _table(rows, header))
+        _write_csv(path, header, [_text(rows, header)])
         written.append(path)
     for outcome, _, timeseries in reports:
         mech = outcome.mechanism.value
         if fmt in ("csv", "both"):
-            _write_csv(out_dir / f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, timeseries)
-            written.append(out_dir / f"timeseries_{mech}.csv")
-        _write_csv(out_dir / f"sites_{mech}.csv", LEDGER_COLUMNS, _site_ledger(outcome))
+            path = out_dir / f"timeseries_{mech}.csv"
+            _write_csv(path, TIMESERIES_COLUMNS, [_text(timeseries, TIMESERIES_COLUMNS)])
+            written.append(path)
+        _write_csv(out_dir / f"sites_{mech}.csv", LEDGER_COLUMNS, _ledger_text(outcome))
         written.append(out_dir / f"sites_{mech}.csv")
 
     if fmt in ("json", "both"):
@@ -537,7 +557,7 @@ def write_report(
                 "mechanism": outcome.mechanism.value,
                 "summary": dataclasses.asdict(outcome.summary),
                 "supply": dataclasses.asdict(supply) if supply else None,
-                "timeseries": [dict(zip(timeseries, row)) for row in zip(*timeseries.values())],
+                "timeseries": timeseries,
             }
             for outcome, supply, timeseries in reports
         ]
@@ -559,10 +579,8 @@ def write_sweep(path: Path, mechanisms: Sequence[Mechanism], rows: list[dict[str
     columns = SWEEP_POINT_COLUMNS + tuple(
         f"{mechanism.value}_{name}" for mechanism in mechanisms for name in REPORT_COLUMNS
     )
-    table = _table(rows, columns)
-    for name in SWEEP_AXIS_COLUMNS:
-        table[name] = [str(value) for value in table[name]]
-    _write_csv(path, columns, table)
+    exact = [{**row, **{name: str(row[name]) for name in SWEEP_AXIS_COLUMNS}} for row in rows]
+    _write_csv(path, columns, [_text(exact, columns)])
 
 
 def _round10(value: float) -> int:

@@ -6,7 +6,6 @@ so it always lies in [0, 1] with 1 at the reference state.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .model import (
     SchemeConfig,
     SiteTable,
     SiteType,
-    utf8_lines,
+    csv_rows,
 )
 
 AMENITY_LOOKAHEAD_YEARS = 50.0
@@ -141,16 +140,19 @@ def load_elite_table(path: str | Path) -> EliteTable:
     `site_types` is either `all` or a semicolon-separated list of site type
     names (e.g. `herb_rich;mesic_heath`). A table that cannot serve as the
     habitat index raises ConfigError naming the component or column at fault;
-    text that is not UTF-8 raises LoadError naming its first bad byte.
+    text that is not UTF-8, or a row the csv module cannot read, raises
+    LoadError naming the byte or the line.
     """
     components: list[EliteComponent] = []
-    reader = csv.DictReader(utf8_lines(Path(path)))
+    rows = csv_rows(Path(path))
+    header = next(rows, None)
     required = ("component", "site_types", "weight", "reference")
-    if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+    if header is None or not set(required).issubset(header):
         raise ConfigError(f"elite table must have columns {sorted(required)}")
-    for row in reader:
-        name = (row["component"] or "").strip()
-        short = [column for column in required if row[column] is None]
+    for cells in filter(None, rows):  # blank lines are not rows
+        row = dict(zip(header, cells))
+        name = row.get("component", "").strip()
+        short = [column for column in required if column not in row]
         if short:
             raise ConfigError(f"component {name}: row has no {', '.join(short)} cell")
         if name not in COMPONENT_SOURCES:

@@ -1,12 +1,14 @@
 """Shared domain types for the deferred-payment conservation auction.
 
 Everything here is an immutable value object, the site table, the scheme
-validators, and the UTF-8 line reader that every input file goes through.
+validators, the UTF-8 line reader that every input file goes through, and
+the CSV row reader on top of it.
 Validation never raises on bad field values: validators return violation
 records so that callers can report every problem at once.
 """
 from __future__ import annotations
 
+import csv
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
@@ -250,6 +252,15 @@ def utf8_lines(path: str | Path) -> Iterator[str]:
             raise LoadError(
                 f"{path}: not UTF-8 text: byte 0x{byte:02x} at offset {err.start} (line {line})"
             ) from None
+
+
+def csv_rows(path: str | Path) -> Iterator[list[str]]:
+    """The rows of a UTF-8 CSV file; a row csv cannot read raises LoadError naming its line."""
+    reader = csv.reader(utf8_lines(path))
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise LoadError(f"{path}: line {reader.line_num}: {err}") from None
 
 
 def require_valid_scheme(cfg: SchemeConfig) -> SchemeConfig:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from collections.abc import Sequence
@@ -881,11 +882,19 @@ def _round_cell(value: object) -> object:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: list[dict[str, object]]) -> None:
+    """One line per row, ended by "\\n", a cell quoted if it holds `,`, `"`, `\\n` or `\\r`.
+
+    csv.writer quotes a cell holding a character of its line terminator, so
+    each line is written with "\\r\\n" and its "\\r" then dropped.
+    """
+    lines = io.StringIO()
+    writer = csv.writer(lines, lineterminator="\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_round_cell(row.get(column, "")) for column in header])
+        for cells in [header] + [[_round_cell(row.get(c, "")) for c in header] for row in rows]:
+            lines.seek(0)
+            lines.truncate()
+            writer.writerow(cells)
+            fh.write(lines.getvalue()[:-2] + "\n")
 
 
 def write_report(

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from deferauction import cli
+from deferauction import cli, dataio
 from deferauction.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 
 
@@ -175,6 +175,14 @@ class TestRun:
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
         message = "component deadwood: row has no site_types, weight, reference cell"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_elite_table_cell_over_the_csv_field_limit_exits_3(self, tmp_path, capsys):
+        table = tmp_path / "elite.csv"
+        table.write_text(ELITE_TABLE.replace("20", "2" * 200_000), encoding="utf-8")
+        scenario = write_scenario(tmp_path, elite_table=str(table))
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
+        limit = "field larger than field limit (131072)"
+        assert capsys.readouterr().err == f"error: {table}: line 2: {limit}\n"
 
     @pytest.mark.parametrize("name", ["scenario.json", "manifest.json"])
     def test_non_utf8_scenario_exits_3_naming_the_byte(self, tmp_path, capsys, name):
@@ -369,6 +377,23 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [row["status"] for row in rows] == [f"error: {data}: {NOT_UTF8}"] * 2
 
+    def test_ledger_text_of_a_site_is_built_once_per_seed(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(columns):
+            built.append(len(columns))
+            return site_text(columns)
+
+        site_text = dataio._site_text
+        monkeypatch.setattr(dataio, "_site_text", counted)
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 60}})
+        argv = ["sweep", str(scenario), "--out-dir", str(tmp_path / "sweep"), "--seeds", "3,4"]
+        assert main(argv + ["--interest-rates", "0.02,0.03,0.04"]) == EXIT_OK
+        with open(tmp_path / "sweep" / "sweep.csv", newline="", encoding="utf-8") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == ["ok"] * 12
+        assert built == [60, 60]
+        assert len(dataio._SITE_TEXT) == 0  # freed with the last seed's inputs
+
     def test_engine_error_in_a_point_exits_4(self, tmp_path, monkeypatch):
         def broken(scenario, inputs=None):
             raise ValueError("engine bug")
@@ -406,6 +431,16 @@ class TestGenData:
         assert main(argv) == code
         assert capsys.readouterr().err == f"error: {message.format(path=profile)}\n"
 
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_negative_site_count_exits_2_naming_the_flag(self, tmp_path, capsys, profile):
+        argv = ["gen-data", "--n", "-5", "--out", str(tmp_path / "s.csv")]
+        if profile:
+            (tmp_path / "profile.json").write_text("{}", encoding="utf-8")
+            argv += ["--profile", str(tmp_path / "profile.json")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --n must be >= 0, got -5\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_large_dataset_under_ten_seconds(self, tmp_path):
         path = tmp_path / "big.csv"
         start = time.monotonic()
@@ -425,6 +460,14 @@ class TestValidateCommand:
         assert "10 valid rows, 10 issues" in out
         assert "row 11, id: duplicate site id 'site-000000' (first on row 1)" in out
 
+
+    def test_cell_over_the_csv_field_limit_exits_3_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "sites.csv"
+        header, row = LATIN1_CSV.decode("latin-1").splitlines()
+        path.write_text(f"{header}\n{'x' * 200_000}{row[5:]}\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_IO
+        limit = "field larger than field limit (131072)"
+        assert capsys.readouterr().err == f"error: {path}: line 2: {limit}\n"
 
     def test_non_utf8_file_exits_3(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

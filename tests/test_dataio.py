@@ -15,11 +15,11 @@ import oracle
 from deferauction import dataio
 from deferauction.dataio import (
     _CHUNK_ROWS,
+    LEDGER_COLUMNS,
     OPTIONAL_COLUMNS,
     REQUIRED_COLUMNS,
     LoadError,
     SyntheticProfile,
-    _site_ledger,
     generate_synthetic,
     load_sites,
     report_cells,
@@ -116,6 +116,14 @@ class TestLoadSites:
         with pytest.raises(LoadError, match=where):
             load_sites(path)
 
+    def test_cell_over_the_csv_field_limit_rejected_naming_the_line(self, tmp_path):
+        path = tmp_path / "sites.csv"
+        rows = WELL_FORMED.splitlines()
+        path.write_text("\n".join([*rows, "x" * 200_000 + rows[1][2:]]) + "\n", encoding="utf-8")
+        line = len(rows) + 1
+        with pytest.raises(LoadError, match=rf"sites.csv: line {line}: field larger than"):
+            load_sites(path)
+
     def test_unknown_site_type_flagged(self, tmp_path):
         path = tmp_path / "sites.csv"
         path.write_text(
@@ -149,6 +157,14 @@ class TestGenerateSynthetic:
         path = tmp_path / "gen.csv"
         write_sites(sites, path)
         loaded, issues = load_sites(path)
+        assert issues == []
+        assert oracle.site_records(loaded) == oracle.site_records(sites)
+
+    def test_ids_that_need_quoting_round_trip(self, tmp_path):
+        sites = generate_synthetic(SyntheticProfile(n_sites=len(ESCAPED_IDS)), 2)
+        sites = dataclasses.replace(sites, ids=list(ESCAPED_IDS))
+        write_sites(sites, tmp_path / "gen.csv")
+        loaded, issues = load_sites(tmp_path / "gen.csv")
         assert issues == []
         assert oracle.site_records(loaded) == oracle.site_records(sites)
 
@@ -373,7 +389,21 @@ def assert_same_report(tmp_path, outcomes, supplies, cfg):
             assert data == expected, f"{fmt}: {name} differs"
 
 
-ESCAPED_IDS = ("a,b", 'q"uote', "back\\slash", "m\u00e4nty", "\U0001f332", "new\nline")
+ESCAPED_IDS = (
+    "a,b",
+    'q"uote',
+    "back\\slash",
+    "m\u00e4nty",
+    "\U0001f332",
+    "new\nline",
+    "carriage\rreturn",
+)
+
+
+def _escaped_outcomes():
+    sites = generate_synthetic(SyntheticProfile(n_sites=120), 6)
+    ids = [f"{ESCAPED_IDS[i % len(ESCAPED_IDS)]}{i:03d}" for i in range(len(sites))]
+    return _paired_outcomes(dataset=dataclasses.replace(sites, ids=ids))
 
 
 class TestReportBytes:
@@ -397,19 +427,27 @@ class TestReportBytes:
 
     def test_paired_run_with_every_fate(self, tmp_path):
         cfg, outcomes, supplies = _paired_outcomes(initial=5e5)
-        statuses = set(_site_ledger(outcomes[1])["status"])
+        statuses = {row["status"] for row in oracle.site_ledger(outcomes[1])}
         assert statuses == {"conserved", "lost", "unfunded"}
         assert_same_report(tmp_path, outcomes, supplies, cfg)
 
     def test_ids_that_need_quoting_or_escaping(self, tmp_path):
-        sites = generate_synthetic(SyntheticProfile(n_sites=120), 6)
-        ids = [f"{ESCAPED_IDS[i % len(ESCAPED_IDS)]}{i:03d}" for i in range(len(sites))]
-        dataset = dataclasses.replace(sites, ids=ids)
-        cfg, outcomes, supplies = _paired_outcomes(dataset=dataset)
+        cfg, outcomes, supplies = _escaped_outcomes()
         for outcome in outcomes:
-            ids = _site_ledger(outcome)["site_id"]
+            ids = [row["site_id"] for row in oracle.site_ledger(outcome)]
             assert {site_id[:-3] for site_id in ids} == set(ESCAPED_IDS)
         assert_same_report(tmp_path, outcomes, supplies, cfg)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ledgers_read_back_with_the_dataset_ids(self, tmp_path, fmt):
+        cfg, outcomes, supplies = _escaped_outcomes()
+        write_report(outcomes, supplies, cfg, tmp_path, fmt)
+        for outcome in outcomes:
+            sites = outcome.offers.columns.sites
+            path = tmp_path / f"sites_{outcome.mechanism.value}.csv"
+            with open(path, newline="", encoding="utf-8") as fh:
+                ids = [row["site_id"] for row in csv.DictReader(fh)]
+            assert sorted(ids) == sorted(sites.ids[site] for site in outcome.offers.site.tolist())
 
     def test_mechanism_without_offers_writes_an_empty_ledger(self, tmp_path):
         cfg, outcomes, supplies = _paired_outcomes()
@@ -419,7 +457,7 @@ class TestReportBytes:
         assert_same_report(tmp_path, [outcome, outcomes[1]], supplies, cfg)
         for fmt in ("csv", "json"):
             assert (tmp_path / f"ours-{fmt}" / "sites_deferred.csv").read_text() == (
-                ",".join(_site_ledger(outcome)) + "\n"
+                ",".join(LEDGER_COLUMNS) + "\n"
             )
 
     def test_ledger_longer_than_one_chunk(self, tmp_path):
@@ -430,13 +468,24 @@ class TestReportBytes:
     def test_non_finite_ledger_numbers(self, tmp_path):
         cfg, outcomes, supplies = _paired_outcomes()
         offers = outcomes[1].offers
-        elite = offers.elite.copy()
-        elite[:4] = [math.nan, math.inf, -math.inf, -0.0]
-        outcome = dataclasses.replace(outcomes[1], offers=dataclasses.replace(offers, elite=elite))
+        odd = [math.nan, math.inf, -math.inf, -0.0]
+        elite = offers.columns.elite.copy()
+        stand_age = offers.columns.sites.stand_age.copy()
+        elite[offers.site[:4]] = stand_age[offers.site[:4]] = odd
+        sites = dataclasses.replace(offers.columns.sites, stand_age=stand_age)
+        columns = dataclasses.replace(offers.columns, sites=sites, elite=elite)
+        instalment = offers.instalment_per_ha.copy()
+        instalment[:4] = odd
+        offers = dataclasses.replace(
+            offers, columns=columns, elite=elite[offers.site], instalment_per_ha=instalment
+        )
+        outcome = dataclasses.replace(outcomes[1], offers=offers)
         assert_same_report(tmp_path, [outcomes[0], outcome], supplies, cfg)
         with open(tmp_path / "ours-json" / "sites_upfront.csv", newline="", encoding="utf-8") as fh:
-            cells = {row["elite"] for row in csv.DictReader(fh)}
-        assert {"nan", "inf", "-inf", "-0.00"} <= cells
+            rows = list(csv.DictReader(fh))
+        for column in ("elite", "stand_age", "instalment_per_ha"):
+            cells = {row[column] for row in rows}
+            assert {"nan", "inf", "-inf", "-0.00"} <= cells
 
     def test_sweep_table(self, tmp_path):
         cfg, outcomes, supplies = _paired_outcomes()

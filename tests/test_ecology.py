@@ -13,7 +13,7 @@ from deferauction.ecology import (
     elite_index,
     load_elite_table,
 )
-from deferauction.model import ConfigError, SchemeConfig, SiteType, Species
+from deferauction.model import ConfigError, LoadError, SchemeConfig, SiteType, Species
 from oracle import OwnerKind, amenity_pair, classify_landowner, make_owner, site_table
 
 
@@ -234,6 +234,18 @@ def test_elite_table_content_errors_are_config_errors(tmp_path, row):
     path = tmp_path / "elite.csv"
     path.write_text(f"component,site_types,weight,reference\n{row}\n", encoding="utf-8")
     with pytest.raises(ConfigError):
+        load_elite_table(path)
+
+
+def test_elite_table_cell_over_the_csv_field_limit_is_a_load_error(tmp_path):
+    path = tmp_path / "elite.csv"
+    path.write_text(
+        "component,site_types,weight,reference\n"
+        "deadwood,all,0.5,18\n"
+        f"stand_age,all,0.3,{'1' * 200_000}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(LoadError, match=r"elite.csv: line 3: field larger than"):
         load_elite_table(path)
 
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_site
-from oracle import site_table
-from deferauction.dataio import _site_ledger, _timeseries
+from oracle import site_ledger, site_table
+from deferauction.dataio import _timeseries
 from deferauction.model import Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
     NEVER_CUT,
@@ -87,14 +87,11 @@ def check_invariants(outcome, cfg):
     fates = set(outcome.conserved_year) | set(outcome.harvested_year)
     assert fates <= set(range(len(outcome.offers)))
     summary = outcome.summary
-    ledger = _site_ledger(outcome)
-    conserved = [
-        area for area, status in zip(ledger["area_ha"], ledger["status"]) if status == "conserved"
-    ]
+    conserved = [row["area_ha"] for row in site_ledger(outcome) if row["status"] == "conserved"]
     assert summary.sites_conserved == len(conserved)
     # the ledger is in site-id order, the summary sums in funding order
     assert math.isclose(summary.area_ha, sum(conserved), rel_tol=1e-12)
-    assert _timeseries(outcome, cfg)["cumulative_cost"][-1] == summary.costs_absolute
+    assert _timeseries(outcome, cfg)[-1]["cumulative_cost"] == summary.costs_absolute
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from deferauction.dataio import (
     SyntheticProfile,
-    _site_ledger,
     generate_synthetic,
     load_sites,
     write_report,
@@ -80,7 +80,7 @@ def test_run_funded_ratio_and_losses(runs, mechanism):
     funded = outcome.summary.sites_conserved
     assert 0 < funded < len(offers[mechanism])
     assert values[f"{prefix}.funded_ratio"] == funded / len(offers[mechanism])
-    lost = _site_ledger(outcome)["status"].count("lost")
+    lost = [row["status"] for row in oracle.site_ledger(outcome)].count("lost")
     assert values[f"{prefix}.lost"] == lost
     assert (lost > 0) == (mechanism is Mechanism.UPFRONT)
 

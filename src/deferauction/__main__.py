@@ -1,0 +1,7 @@
+"""`python -m deferauction`: the command-line interface of deferauction.cli."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,6 @@ from .dataio import (
 from .ecology import DEFAULT_ELITE_TABLE, EliteTable, load_elite_table
 from .finance import match_upfront_budget
 from .model import (
-    AmenityParams,
     ConfigError,
     Mechanism,
     SchemeConfig,
@@ -85,107 +84,71 @@ class Scenario:
     fmt: str
 
 
-def _require_number(value, name: str, integer: bool = False):
-    """Return `value` if it is a JSON number (an integer if asked); else raise ConfigError."""
-    ok = isinstance(value, int) if integer else isinstance(value, (int, float))
-    if not ok or isinstance(value, bool):
-        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _require_object(raw, name: str) -> dict:
+def _object(raw, name: str, known) -> dict:
+    """`raw` if it is a JSON object with no key outside `known`; else raise ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {', '.join(sorted(unknown))}")
     return raw
 
 
-def _check_numbers(cls, raw: dict, prefix: str) -> None:
-    """Type-check the numeric fields of `raw` against the annotations of dataclass `cls`."""
-    for name, hint in typing.get_type_hints(cls).items():
-        kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-        if name not in raw or (raw[name] is None and type(None) in kinds):
-            continue
-        if int in kinds:
-            _require_number(raw[name], prefix + name, integer=True)
-        elif float in kinds:
-            _require_number(raw[name], prefix + name)
+def _from_json(cls, raw, name: str):
+    """The dataclass `cls` from the JSON object `raw`, each field read as annotated."""
+    hints = typing.get_type_hints(cls)
+    raw = _object(raw, name, hints)
+    return cls(**{key: _typed(hints[key], value, f"{name}.{key}") for key, value in raw.items()})
 
 
-def _scheme_from_dict(raw: dict) -> SchemeConfig:
-    known = {f.name for f in dataclasses.fields(SchemeConfig)}
-    unknown = set(_require_object(raw, "scheme")) - known
-    if unknown:
-        raise ConfigError(f"unknown scheme fields: {', '.join(sorted(unknown))}")
-    _check_numbers(SchemeConfig, raw, "")
-    kwargs = dict(raw)
-    if "amenity" in kwargs:
-        amenity = _require_object(kwargs["amenity"], "amenity")
-        amenity_known = {f.name for f in dataclasses.fields(AmenityParams)}
-        amenity_unknown = set(amenity) - amenity_known
-        if amenity_unknown:
-            raise ConfigError(f"unknown amenity fields: {', '.join(sorted(amenity_unknown))}")
-        _check_numbers(AmenityParams, amenity, "amenity.")
-        kwargs["amenity"] = AmenityParams(**amenity)
-    try:
-        cfg = SchemeConfig(**kwargs)
-    except TypeError as err:
-        raise ConfigError(f"bad scheme config: {err}") from None
-    return require_valid_scheme(cfg)
+def _typed(hint, value, name: str):
+    """`value` checked against the annotation `hint`; a value of another type raises ConfigError.
 
-
-def _profile_from_dict(raw: dict) -> SyntheticProfile:
-    known = {f.name for f in dataclasses.fields(SyntheticProfile)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown synthetic profile fields: {', '.join(sorted(unknown))}")
-    _check_numbers(SyntheticProfile, raw, "dataset.synthetic.")
-    kwargs = {
-        key: tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        if isinstance(value, list)
-        else value
-        for key, value in raw.items()
-    }
-    try:
-        profile = SyntheticProfile(**kwargs)
-        profile.validate()
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad synthetic profile: {err}") from None
-    return profile
+    Lists become tuples and objects nested dataclasses. An int passes as a
+    float and stays an int, so a manifest echoes its input.
+    """
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        return None if value is None else _typed(args[0], value, name)
+    if dataclasses.is_dataclass(hint):
+        return _from_json(hint, value, name)
+    if typing.get_origin(hint) is tuple:
+        fixed = args[-1] is not Ellipsis
+        if not isinstance(value, list) or fixed and len(value) != len(args):
+            length = f" of {len(args)}" if fixed else ""
+            raise ConfigError(f"{name} must be a list{length}, got {value!r}")
+        kinds = args if fixed else args[:1] * len(value)
+        items = enumerate(zip(kinds, value))
+        return tuple(_typed(kind, item, f"{name}[{i}]") for i, (kind, item) in items)
+    ok = isinstance(value, float | int if hint is float else hint) and not isinstance(value, bool)
+    if not ok or hint is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be {_KINDS[hint]}, got {value!r}")
+    return value
 
 
 def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     """Validate and fully resolve a scenario dict (defaults applied, seed pinned)."""
-    known_keys = {
-        "dataset",
-        "scheme",
-        "mechanisms",
-        "ranking",
-        "budget",
-        "elite_table",
-        "seed",
-        "format",
-    }
-    unknown = set(raw) - known_keys
-    if unknown:
-        raise ConfigError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
-
-    dataset = _require_object(raw.get("dataset", {"synthetic": {"n_sites": 400}}), "dataset")
+    keys = ("dataset", "scheme", "mechanisms", "ranking", "budget", "elite_table", "seed", "format")
+    _object(raw, "scenario", keys)
+    dataset = raw.get("dataset", {"synthetic": {"n_sites": 400}})
+    dataset = _object(dataset, "dataset", ("path", "synthetic"))
     dataset_path: str | None = None
     synthetic: SyntheticProfile | None = None
     if "path" in dataset:
-        dataset_path = str(Path(dataset["path"]).expanduser())
+        dataset_path = str(Path(_typed(str, dataset["path"], "dataset.path")).expanduser())
     elif "synthetic" in dataset:
-        synthetic = _profile_from_dict(
-            _require_object(dataset.get("synthetic") or {}, "dataset.synthetic")
-        )
+        profile = {} if dataset["synthetic"] is None else dataset["synthetic"]
+        synthetic = _from_json(SyntheticProfile, profile, "dataset.synthetic")
+        synthetic.validate()
     else:
         raise ConfigError("dataset must specify either 'path' or 'synthetic'")
 
-    scheme = _scheme_from_dict(raw.get("scheme", {}))
-    seed = raw.get("seed", scheme.seed)
-    if seed_override is not None:
-        seed = seed_override
-    scheme = dataclasses.replace(scheme, seed=_require_number(seed, "seed", integer=True))
+    scheme = _from_json(SchemeConfig, raw.get("scheme", {}), "scheme")
+    seed = raw.get("seed", scheme.seed) if seed_override is None else seed_override
+    scheme = require_valid_scheme(dataclasses.replace(scheme, seed=_typed(int, seed, "seed")))
 
     mech_raw = raw.get("mechanisms", "both")
     if mech_raw == "both":
@@ -212,9 +175,9 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     if ranking not in RANKINGS:
         raise ConfigError(f"ranking must be one of {RANKINGS}")
 
-    budget = _require_object(raw.get("budget", {}), "budget")
+    budget = _object(raw.get("budget", {}), "budget", ("initial", "upfront"))
     initial = budget.get("initial", DEFAULT_INITIAL_BUDGET)
-    initial_budget = float(_require_number(initial, "budget.initial"))
+    initial_budget = float(_typed(float, initial, "budget.initial"))
     if Mechanism.DEFERRED in mechanisms and initial_budget <= 0:
         raise ConfigError("budget.initial must be > 0 for a deferred run")
     upfront_budget = budget.get("upfront", NPV_MATCHED)
@@ -225,7 +188,7 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
                     "an npv-matched up-front budget requires a deferred run in the same scenario"
                 )
         else:
-            upfront_budget = float(_require_number(upfront_budget, "budget.upfront"))
+            upfront_budget = float(_typed(float, upfront_budget, "budget.upfront"))
             if upfront_budget <= 0:
                 raise ConfigError("budget.upfront must be > 0 or 'npv-matched'")
     else:
@@ -243,7 +206,7 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
         ranking=ranking,
         initial_budget=initial_budget,
         upfront_budget=upfront_budget,
-        elite_table_path=raw.get("elite_table"),
+        elite_table_path=_typed(str | None, raw.get("elite_table"), "elite_table"),
         fmt=fmt,
     )
 
@@ -484,8 +447,10 @@ def _run_sweep_point(
 def cmd_gen_data(args: argparse.Namespace) -> int:
     if args.n is not None and args.n < 0:
         raise ConfigError(f"--n must be >= 0, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.profile:
-        profile = _profile_from_dict(_require_object(_read_json(args.profile), args.profile))
+        profile = _from_json(SyntheticProfile, _read_json(args.profile), args.profile)
         if args.n is not None:
             profile = dataclasses.replace(profile, n_sites=args.n)
     else:

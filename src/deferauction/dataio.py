@@ -24,6 +24,7 @@ from .model import (
     DEFAULT_AREA_HA,
     DEFAULT_LAND_PAYMENT,
     SITE_TYPES,
+    ConfigError,
     LoadError,
     Mechanism,
     SchemeConfig,
@@ -132,17 +133,29 @@ class SyntheticProfile:
     land_payment: float = DEFAULT_LAND_PAYMENT
 
     def validate(self) -> None:
-        if self.n_sites < 0:
-            raise ValueError("n_sites must be >= 0")
-        if not self.age_min < self.age_max:
-            raise ValueError("age range must be non-empty")
-        if abs(sum(self.site_type_mix) - 1.0) > 1e-9:
-            raise ValueError("site_type_mix must sum to 1")
-        if abs(sum(self.age_band_weights) - 1.0) > 1e-9:
-            raise ValueError("age_band_weights must sum to 1")
+        """Raise ConfigError naming the first broken rule that the generator's draws need."""
         for name in ("site_type_mix", "volume_v_max", "volume_growth", "v0_bare_land", "broadleaf_beta"):
             if len(getattr(self, name)) != len(SITE_TYPES):
-                raise ValueError(f"{name} must have one entry per site type")
+                raise ConfigError(
+                    f"bad synthetic profile: {name} must have one entry per site type"
+                )
+        ages = [self.age_min, *self.age_band_edges, self.age_max]
+        rules = [
+            ("n_sites", self.n_sites >= 0, ">= 0"),
+            ("age_min", self.age_min >= 0, ">= 0"),
+            ("age_max", self.age_min < self.age_max, "> age_min"),
+            ("age_band_edges", ages == sorted(ages), "ordered within [age_min, age_max]"),
+            ("broadleaf_beta", min(map(min, self.broadleaf_beta)) > 0, "pairs of parameters > 0"),
+            ("v0_horizon", self.v0_horizon >= 0, ">= 0"),
+        ]
+        for name in ("site_type_mix", "age_band_weights"):
+            p = getattr(self, name)
+            rules.append((name, min(p) >= 0 and abs(sum(p) - 1.0) <= 1e-9, ">= 0 and sum to 1"))
+        for name in ("volume_noise_sd", "price_noise_sd", "v0_noise_sd", "deadwood_noise_sd"):
+            rules.append((name, getattr(self, name) >= 0, ">= 0"))
+        for name, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"bad synthetic profile: {name} must be {rule}")
 
 
 def _best_harvest_value(
@@ -182,6 +195,8 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> SiteTable:
 
     All draws come from one named stream of the master seed and are aligned to
     the site index, so the same (profile, seed) always yields the same data.
+    A profile that fails validate(), or whose draws give a stand load_sites
+    would reject, raises ConfigError naming the field or column.
     """
     profile.validate()
     n = profile.n_sites
@@ -218,7 +233,7 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> SiteTable:
     beta_b = np.array([b for _, b in profile.broadleaf_beta])[type_idx]
     shares = rng.beta(beta_a, beta_b)
 
-    return SiteTable(
+    sites = SiteTable(
         ids=[f"site-{i:06d}" for i in range(n)],
         type_code=type_idx,
         broadleaf=shares >= 0.5,
@@ -232,6 +247,12 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> SiteTable:
         area_ha=np.full(n, profile.area_ha, dtype=float),
         land_payment=np.full(n, profile.land_payment, dtype=float),
     )
+    # What load_sites would reject, so that generated data round-trips.
+    finite = [(col, "must be finite", ~np.isfinite(getattr(sites, col))) for col in NUMBER_COLUMNS]
+    for column, rule, broken in finite + _violations(sites):
+        if broken.any():
+            raise ConfigError(f"bad synthetic profile: generated {column} {rule}")
+    return sites
 
 
 def _parse_number(cell: str, default: float | None) -> float | str:
@@ -583,8 +604,9 @@ def write_sweep(path: Path, mechanisms: Sequence[Mechanism], rows: list[dict[str
     _write_csv(path, columns, [_text(exact, columns)])
 
 
-def _round10(value: float) -> int:
-    return int(round(value / 10.0)) * 10
+def _round10(value: float) -> int | float:
+    """`value` to the nearest 10; an overflowed (non-finite) sum as it is."""
+    return int(round(value / 10.0)) * 10 if math.isfinite(value) else value
 
 
 def format_console_summary(

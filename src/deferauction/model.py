@@ -191,8 +191,14 @@ def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
         out.append(Violation("horizon_years", "must be >= 1"))
     if cfg.harvest_window < 1:
         out.append(Violation("harvest_window", "must be >= 1"))
-    if cfg.interest_rate_r >= 0 and cfg.lending_period_t >= 1 and cfg.instalment_count_x >= 1:
-        omega = 1.0 - (1.0 + cfg.interest_rate_r) ** cfg.lending_period_t / cfg.instalment_count_x
+    if cfg.seed < 0:
+        out.append(Violation("seed", "must be >= 0"))
+    r, t, x = cfg.interest_rate_r, cfg.lending_period_t, cfg.instalment_count_x
+    if r >= 0 and t >= 1 and x >= 1:
+        try:
+            omega = 1.0 - (1.0 + r) ** t / x
+        except OverflowError:  # (1+r)^t or x is beyond the float range
+            omega = math.nan
         if not 0.0 < omega < 1.0:
             out.append(
                 Violation(
@@ -234,9 +240,14 @@ class LoadError(ValueError):
 def utf8_lines(path: str | Path) -> Iterator[str]:
     """The lines of a UTF-8 text file, without a leading byte-order mark.
 
-    Text that is not UTF-8 raises a LoadError naming its first bad byte.
+    Text that is not UTF-8 raises a LoadError naming its first bad byte, and
+    so does a path that open() refuses, such as one holding a NUL.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except ValueError as err:
+        raise LoadError(f"{str(path)!r}: {err}") from None
+    with fh:
         try:
             yield from fh
         except UnicodeDecodeError as err:

@@ -1,7 +1,11 @@
 import csv
 import json
+import math
 import os
+import subprocess
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -18,6 +22,11 @@ NOT_UTF8 = "not UTF-8 text: byte 0xe4 at offset 136 (line 2)"
 BOM = b"\xef\xbb\xbf"
 AVERAGES = {"avg_downpayment": 1.0, "avg_instalment": 2.0}
 ELITE_TABLE = "component,site_types,weight,reference\ndeadwood,all,1.0,20\n"
+RUN = ["run", "{scenario}", "--out-dir", "{out}"]
+OMEGA = (
+    "interest_rate_r/lending_period_t/instalment_count_x: "
+    "omega = 1 - (1+r)^t/x must lie in (0, 1), "
+)
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -101,6 +110,128 @@ class TestRun:
         scenario = write_scenario(tmp_path, **overrides)
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"dataset": {"path": 5}}, "dataset.path must be a string, got 5"),
+            ({"elite_table": 5}, "elite_table must be a string, got 5"),
+            ({"elite_table": ["a"]}, "elite_table must be a string, got ['a']"),
+            (
+                {"dataset": {"synthetic": {"broadleaf_beta": [1, 2, 3, 4, 5, 6]}}},
+                "dataset.synthetic.broadleaf_beta[0] must be a list of 2, got 1",
+            ),
+            (
+                {"dataset": {"synthetic": {"broadleaf_beta": [[1, 2, 3]] * 6}}},
+                "dataset.synthetic.broadleaf_beta[0] must be a list of 2, got [1, 2, 3]",
+            ),
+            (
+                {"dataset": {"synthetic": {"age_band_edges": [10]}}},
+                "dataset.synthetic.age_band_edges must be a list of 2, got [10]",
+            ),
+            (
+                {"dataset": {"synthetic": {"age_band_weights": [1.0]}}},
+                "dataset.synthetic.age_band_weights must be a list of 3, got [1.0]",
+            ),
+            (
+                {"dataset": {"synthetic": {"site_type_mix": ["a"] * 6}}},
+                "dataset.synthetic.site_type_mix[0] must be a finite number, got 'a'",
+            ),
+            ({"budget": {"initial": 1e309}}, "budget.initial must be a finite number, got inf"),
+            ({"budget": {"upfront": math.nan}}, "budget.upfront must be a finite number, got nan"),
+            ({"scheme": {"amenity": [1]}}, "scheme.amenity must be a JSON object, got [1]"),
+            (
+                {"scheme": {"amenity": {"d0": True}}},
+                "scheme.amenity.d0 must be a finite number, got True",
+            ),
+            ({"scheme": {"harvest_window": 2.0}}, "scheme.harvest_window must be an integer, got 2.0"),
+            ({"scheme": {"amenity": {"d9": 1}}}, "unknown scheme.amenity fields: d9"),
+            ({"dataset": {"synthetic": {"x": 1}}}, "unknown dataset.synthetic fields: x"),
+            ({"dataset": {"path": "a.csv", "x": 1}}, "unknown dataset fields: x"),
+            ({"budget": {"initial": 1.0, "x": 1}}, "unknown budget fields: x"),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_its_dotted_path(
+        self, tmp_path, capsys, overrides, message
+    ):
+        scenario = write_scenario(tmp_path, **overrides)
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "overrides, argv, message",
+        [
+            ({"seed": -1}, RUN, "seed: must be >= 0"),
+            ({"scheme": {"seed": -3}}, RUN, "seed: must be >= 0"),
+            ({}, RUN + ["--seed", "-2"], "seed: must be >= 0"),
+            ({}, ["gen-data", "--seed", "-1", "--out", "{out}"], "--seed must be >= 0, got -1"),
+            ({"scheme": {"lending_period_t": 100000}}, RUN, OMEGA + "got nan"),
+            ({"scheme": {"instalment_count_x": 10**600}}, RUN, OMEGA + "got nan"),
+        ],
+        ids=["seed", "scheme-seed", "seed-flag", "gen-data-seed", "long-period", "huge-count"],
+    )
+    def test_unrunnable_seed_or_period_exits_2_naming_the_field(
+        self, tmp_path, capsys, overrides, argv, message
+    ):
+        scenario = write_scenario(tmp_path, **overrides)
+        argv = [arg.format(scenario=scenario, out=tmp_path / "out") for arg in argv]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "synthetic, message",
+        [
+            ({"site_type_mix": [1.1, -0.1, 0, 0, 0, 0]}, "site_type_mix must be >= 0 and sum to 1"),
+            ({"age_band_weights": [1.1, -0.1, 0]}, "age_band_weights must be >= 0 and sum to 1"),
+            (
+                {"broadleaf_beta": [[0, 1]] + [[1, 1]] * 5},
+                "broadleaf_beta must be pairs of parameters > 0",
+            ),
+            (
+                {"age_band_edges": [200, 10]},
+                "age_band_edges must be ordered within [age_min, age_max]",
+            ),
+            ({"volume_noise_sd": -1}, "volume_noise_sd must be >= 0"),
+            ({"v0_horizon": -5}, "v0_horizon must be >= 0"),
+            ({"age_min": -50}, "age_min must be >= 0"),
+            ({"area_ha": -1}, "generated area_ha must be finite and > 0"),
+            ({"area_ha": 0}, "generated area_ha must be finite and > 0"),
+            ({"v0_discount_rate": -1}, "generated opportunity_cost_v0 must be finite"),
+            ({"volume_v_max": [-1] * 6}, "generated stand_volume must be finite and >= 0"),
+            ({"timber_price_per_m3": -1}, "generated timber_value must be finite and >= 0"),
+            ({"land_payment": -1}, "generated land_payment must be finite and >= 0"),
+            ({"deadwood_max": -1}, "generated deadwood must be finite and >= 0"),
+            ({"v0_bare_land": [-1e6] * 6}, "generated opportunity_cost_v0 must be finite and >= 0"),
+            (
+                {"v0_harvest_net_factor": -1},
+                "generated opportunity_cost_v0 must be finite and >= 0",
+            ),
+        ],
+    )
+    def test_profile_out_of_range_exits_2_naming_the_field(
+        self, tmp_path, capsys, synthetic, message
+    ):
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 50, **synthetic}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: bad synthetic profile: {message}\n"
+
+    @pytest.mark.parametrize(
+        "overrides", [{"dataset": {"path": "a\0b.csv"}}, {"elite_table": "a\0b.csv"}]
+    )
+    def test_path_holding_a_nul_exits_3(self, tmp_path, capsys, overrides):
+        scenario = write_scenario(tmp_path, **overrides)
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
+        assert capsys.readouterr().err == "error: 'a\\x00b.csv': embedded null byte\n"
+
+    def test_overflowed_totals_print_as_they_are(self, tmp_path, capsys):
+        huge = {"synthetic": {"n_sites": 30, "area_ha": 1e308}}
+        scenario = write_scenario(tmp_path, dataset=huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+        assert "  Costs, total (NPV), EUR        inf\n" in capsys.readouterr().out
 
     def test_unknown_scenario_key_exits_2(self, tmp_path):
         scenario = write_scenario(tmp_path, extra_knob=1)
@@ -305,6 +436,15 @@ class TestSweep:
         assert rows[1]["status"].startswith("error")
 
 
+    def test_negative_seed_is_an_error_row(self, tmp_path):
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 40}})
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", str(scenario), "--out-dir", str(out_dir), "--seeds=-1,2"]
+        assert main(argv + ["--interest-rates", "0.03", "--payment-periods", "10"]) == EXIT_OK
+        with open(out_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == ["error: seed: must be >= 0", "ok"]
+
     def test_points_equal_runs_of_their_manifests(self, tmp_path, capsys):
         data = tmp_path / "sites.csv"
         assert main(["gen-data", "--n", "60", "--seed", "3", "--out", str(data)]) == EXIT_OK
@@ -440,6 +580,23 @@ class TestGenData:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: --n must be >= 0, got -5\n"
         assert not (tmp_path / "s.csv").exists()
+
+    def test_profile_out_of_range_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"area_ha": 0, "n_sites": 5}), encoding="utf-8")
+        argv = ["gen-data", "--profile", str(profile), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_CONFIG
+        message = "bad synthetic profile: generated area_ha must be finite and > 0"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_profile_field_of_the_wrong_type_names_the_file_and_field(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"broadleaf_beta": [1] * 6}), encoding="utf-8")
+        argv = ["gen-data", "--profile", str(profile), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_CONFIG
+        message = f"{profile}.broadleaf_beta[0] must be a list of 2, got 1"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_large_dataset_under_ten_seconds(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -604,3 +761,14 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "deferauction", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"deferauction {cli.__version__}\n"

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +29,7 @@ from deferauction.dataio import (
     write_sweep,
 )
 from deferauction.finance import match_upfront_budget
-from deferauction.model import Mechanism, SchemeConfig, SiteType
+from deferauction.model import ConfigError, Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
     build_offers,
     draw_harvest_schedule,
@@ -134,6 +135,60 @@ class TestLoadSites:
         assert issues[0].column == "site_type"
 
 
+@st.composite
+def profiles(draw):
+    """Synthetic profiles of at most 30 sites, every field drawn.
+
+    In half the examples each field comes from its plausible range; in the
+    other half from a wide one, with negatives and extremes.
+    """
+    wild = draw(st.booleans())
+
+    def number(lo, hi, wide_lo):
+        if wild:
+            extremes = st.sampled_from([0.0, 1e-300, 1e300, -1e300])
+            return draw(st.one_of(st.floats(wide_lo, hi), extremes))
+        return draw(st.floats(lo, hi))
+
+    def probabilities(size):
+        if wild:
+            return draw(st.tuples(*[st.floats(-0.2, 1.0)] * size))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+        return tuple(w / sum(weights) for w in weights)
+
+    def beta():
+        return number(0.05, 12.0, -0.5)
+
+    ages = [number(0.0, 400.0, -10.0) for _ in range(4)]
+    if not wild or draw(st.booleans()):
+        ages.sort()
+    age_min, edge_lo, edge_hi, age_max = ages
+    return SyntheticProfile(
+        n_sites=draw(st.integers(-1 if wild else 0, 30)),
+        age_min=age_min,
+        age_max=age_max,
+        age_band_weights=probabilities(3),
+        age_band_edges=(edge_lo, edge_hi),
+        site_type_mix=probabilities(6),
+        volume_v_max=tuple(number(0.0, 600.0, -50.0) for _ in range(6)),
+        volume_growth=tuple(number(0.001, 0.1, -0.05) for _ in range(6)),
+        volume_noise_sd=number(0.0, 2.0, -0.1),
+        timber_price_per_m3=number(0.0, 100.0, -5.0),
+        price_noise_sd=number(0.0, 2.0, -0.1),
+        v0_harvest_net_factor=number(0.0, 1.5, -0.5),
+        v0_bare_land=tuple(number(0.0, 2000.0, -500.0) for _ in range(6)),
+        v0_discount_rate=number(0.0, 0.2, -1.5),
+        v0_horizon=draw(st.integers(-2 if wild else 0, 60)),
+        v0_noise_sd=number(0.0, 2.0, -0.1),
+        deadwood_max=number(0.0, 80.0, -5.0),
+        deadwood_exponent=number(0.0, 4.0, -2.0),
+        deadwood_noise_sd=number(0.0, 2.0, -0.1),
+        broadleaf_beta=tuple((beta(), beta()) for _ in range(6)),
+        area_ha=number(0.001, 50.0, -1.0),
+        land_payment=number(0.0, 1000.0, -10.0),
+    )
+
+
 class TestGenerateSynthetic:
     def test_default_profile_is_valid_and_in_range(self):
         sites = generate_synthetic(SyntheticProfile(), 1)
@@ -185,6 +240,20 @@ class TestGenerateSynthetic:
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
             SyntheticProfile(site_type_mix=(1.0, 0.0, 0.0, 0.0, 0.0, 0.5)).validate()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # draws that overflow or divide by 0
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(profile=profiles(), seed=st.integers(0, 2**32))
+    def test_a_profile_that_generates_round_trips(self, profile, seed):
+        try:
+            sites = generate_synthetic(profile, seed)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            write_sites(sites, Path(tmp) / "gen.csv")
+            loaded, issues = load_sites(Path(tmp) / "gen.csv")
+        assert issues == []
+        assert oracle.site_records(loaded) == oracle.site_records(sites)
 
 
 # A corpus of broken cells: each drawn row starts sound and has up to three

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import types
 import typing
@@ -82,6 +83,20 @@ class Scenario:
     upfront_budget: float | str | None
     elite_table_path: str | None
     fmt: str
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """The axes of a sweep; its points are their product, in field order.
+
+    A sweep's manifest records the plan under "axes", and each axis flag of
+    `sweep` replaces its own field. No seeds means the scenario's seed.
+    """
+
+    interest_rates: tuple[float, ...] = (0.02, 0.03, 0.04)
+    payment_periods: tuple[int, ...] = (10, 20)
+    bid_cap_scales: tuple[float, ...] = (1.0,)
+    seeds: tuple[int, ...] = ()
 
 
 _KINDS = {int: "an integer", float: "a finite number", str: "a string"}
@@ -300,6 +315,9 @@ def execute_scenario(
                 )
             outcome = run_upfront(cfg, float(budget), ranked, schedule)
         outcomes.append(outcome)
+        for name, value in report_cells(outcome, supplies[mechanism]).items():
+            if not math.isfinite(value):  # a sum overflowed
+                raise ConfigError(f"{mechanism.value} run: {name} is {value}; an input is too large")
     return outcomes, supplies
 
 
@@ -319,13 +337,17 @@ def _read_json(path: str) -> object:
     return json.loads("".join(utf8_lines(path)))
 
 
-def _read_scenario_file(path: str, seed_override: int | None) -> Scenario:
+def _read_manifest(path: str) -> dict:
+    """A manifest, or a scenario file as a manifest: its scenario object is under "scenario"."""
     raw = _read_json(path)
-    if isinstance(raw, dict) and "scenario" in raw:
-        raw = raw["scenario"]
-    if not isinstance(raw, dict):
+    manifest = raw if isinstance(raw, dict) and "scenario" in raw else {"scenario": raw}
+    if not isinstance(manifest["scenario"], dict):
         raise ConfigError(f"{path}: scenario file must contain a JSON object")
-    return resolve_scenario(raw, seed_override)
+    return manifest
+
+
+def _read_scenario_file(path: str, seed_override: int | None) -> Scenario:
+    return resolve_scenario(_read_manifest(path)["scenario"], seed_override)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -342,23 +364,37 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_list(raw: str, cast) -> list:
-    return [cast(part) for part in raw.split(",") if part.strip()]
+def _number(text: str, kind: type) -> object:
+    """`text` as a `kind`, or as it is if it is not one, for _typed to judge."""
+    try:
+        return kind(text)
+    except ValueError:
+        return text
+
+
+def _sweep_plan(axes: object, args: argparse.Namespace, seed: int) -> SweepPlan:
+    """The plan in a manifest's `axes`, each axis flag given in `args` in place of its field."""
+    plan = _from_json(SweepPlan, axes, "axes")
+    for name, hint in typing.get_type_hints(SweepPlan).items():
+        if (text := getattr(args, name)) is not None:
+            kind = typing.get_args(hint)[0]
+            values = [_number(part, kind) for part in text.split(",") if part.strip()]
+            axis = _typed(hint, values, "--" + name.replace("_", "-"))
+            plan = dataclasses.replace(plan, **{name: axis})
+    plan = dataclasses.replace(plan, seeds=plan.seeds or (seed,))
+    if not all(dataclasses.astuple(plan)):
+        raise ConfigError("sweep axes must be non-empty")
+    return plan
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _read_scenario_file(args.scenario, args.seed)
+    manifest = _read_manifest(args.scenario)
+    scenario = resolve_scenario(manifest["scenario"], args.seed)
+    plan = _sweep_plan(manifest.get("axes", {}), args, scenario.scheme.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rates = _parse_list(args.interest_rates, float)
-    periods = _parse_list(args.payment_periods, int)
-    scales = _parse_list(args.bid_cap_scales, float)
-    seeds = _parse_list(args.seeds, int) if args.seeds else [scenario.scheme.seed]
-    if not rates or not periods or not scales or not seeds:
-        raise ConfigError("sweep axes must be non-empty")
-
-    points = list(product(rates, periods, scales, seeds))
+    points = list(product(*dataclasses.astuple(plan)))
     rows: list[dict[str, object]] = []
     schemes: dict[int, SchemeConfig] = {}  # point index -> its valid scheme
     for index, (rate, period, scale, seed) in enumerate(points):
@@ -384,7 +420,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             csv_sites = _load_dataset(scenario)
         except (LoadError, OSError) as err:
             csv_error = err
-    for seed in dict.fromkeys(seeds):
+    for seed in dict.fromkeys(plan.seeds):
         group = [index for index, scheme in schemes.items() if scheme.seed == seed]
         if not group:
             continue
@@ -403,38 +439,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _run_sweep_point(
                 dataclasses.replace(scenario, scheme=schemes[index]),
                 inputs,
-                out_dir / f"point_{index:04d}",
+                out_dir / f"point_{index:04d}" if args.point_dirs else None,
                 rows[index],
             )
 
     sweep_path = out_dir / "sweep.csv"
     write_sweep(sweep_path, scenario.mechanisms, rows)
-    _write_manifest(
-        out_dir,
-        "sweep",
-        scenario,
-        extra={
-            "axes": {
-                "interest_rates": rates,
-                "payment_periods": periods,
-                "bid_cap_scales": scales,
-                "seeds": seeds,
-            }
-        },
-    )
+    _write_manifest(out_dir, "sweep", scenario, extra={"axes": dataclasses.asdict(plan)})
     print(f"sweep: {len(points)} points -> {sweep_path}")
     return EXIT_OK
 
 
 def _run_sweep_point(
-    scenario: Scenario, inputs: SeedInputs, point_dir: Path, row: dict[str, object]
+    scenario: Scenario, inputs: SeedInputs, point_dir: Path | None, row: dict[str, object]
 ) -> None:
-    """Run one sweep point into `point_dir`; its status and result cells go into `row`."""
+    """Run one sweep point, into `point_dir` if given; its status and result cells go into `row`."""
     try:
-        point_dir.mkdir(parents=True, exist_ok=True)
         outcomes, supplies = execute_scenario(scenario, inputs)
-        write_report(outcomes, supplies, scenario.scheme, point_dir, scenario.fmt)
-        _write_manifest(point_dir, "run", scenario)
+        if point_dir is not None:
+            write_report(outcomes, supplies, scenario.scheme, point_dir, scenario.fmt)
+            _write_manifest(point_dir, "run", scenario)
     except (ConfigError, LoadError, OSError) as err:
         row["status"] = f"error: {err}"
         return
@@ -567,10 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("scenario")
     sweep_p.add_argument("--out-dir", default="runs/sweep")
     sweep_p.add_argument("--seed", type=int, default=None)
-    sweep_p.add_argument("--interest-rates", default="0.02,0.03,0.04")
-    sweep_p.add_argument("--payment-periods", default="10,20")
-    sweep_p.add_argument("--bid-cap-scales", default="1.0")
-    sweep_p.add_argument("--seeds", default="", help="comma-separated seeds, default scenario seed")
+    for axis in dataclasses.fields(SweepPlan):
+        flag = "--" + axis.name.replace("_", "-")
+        sweep_p.add_argument(flag, help="comma-separated; replaces the manifest's or default axis")
+    sweep_p.add_argument("--point-dirs", action="store_true", help="also write point_NNNN/ runs")
     sweep_p.set_defaults(func=cmd_sweep)
 
     gen_p = sub.add_parser("gen-data", help="generate a synthetic site CSV")

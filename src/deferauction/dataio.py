@@ -23,6 +23,7 @@ import numpy as np
 from .model import (
     DEFAULT_AREA_HA,
     DEFAULT_LAND_PAYMENT,
+    MAX_YEARS,
     SITE_TYPES,
     ConfigError,
     LoadError,
@@ -71,6 +72,8 @@ _EMPTY = "required cell is empty"
 _LOAD_CHUNK_ROWS = 2000
 # Site CSVs and ledgers are formatted and written this many rows at a time.
 _CHUNK_ROWS = 1000
+# Upper bound of a synthetic profile's site count.
+MAX_SITES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,13 @@ class SyntheticProfile:
         ages = [self.age_min, *self.age_band_edges, self.age_max]
         rules = [
             ("n_sites", self.n_sites >= 0, ">= 0"),
+            ("n_sites", self.n_sites <= MAX_SITES, f"<= {MAX_SITES}"),
             ("age_min", self.age_min >= 0, ">= 0"),
             ("age_max", self.age_min < self.age_max, "> age_min"),
             ("age_band_edges", ages == sorted(ages), "ordered within [age_min, age_max]"),
             ("broadleaf_beta", min(map(min, self.broadleaf_beta)) > 0, "pairs of parameters > 0"),
             ("v0_horizon", self.v0_horizon >= 0, ">= 0"),
+            ("v0_horizon", self.v0_horizon <= MAX_YEARS, f"<= {MAX_YEARS}"),
         ]
         for name in ("site_type_mix", "age_band_weights"):
             p = getattr(self, name)

@@ -154,6 +154,9 @@ def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+# Upper bound of every field counted in years: each sizes an array or a loop.
+MAX_YEARS = 1_000
+
 # Lowest acceptance rate allowed for the truncated phi draw: below it the
 # rejection sampler needs over a thousand normal draws per owner on average.
 PHI_ACCEPTANCE_FLOOR = 1e-3
@@ -191,6 +194,9 @@ def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
         out.append(Violation("horizon_years", "must be >= 1"))
     if cfg.harvest_window < 1:
         out.append(Violation("harvest_window", "must be >= 1"))
+    for name in ("horizon_years", "harvest_window"):
+        if (getattr(cfg, name) or 0) > MAX_YEARS:
+            out.append(Violation(name, f"must be <= {MAX_YEARS}"))
     if cfg.seed < 0:
         out.append(Violation("seed", "must be >= 0"))
     r, t, x = cfg.interest_rate_r, cfg.lending_period_t, cfg.instalment_count_x
@@ -205,6 +211,12 @@ def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
                     "interest_rate_r/lending_period_t/instalment_count_x",
                     f"omega = 1 - (1+r)^t/x must lie in (0, 1), got {omega:.6f}",
                 )
+            )
+        else:  # a t or x so large that omega overflows has broken the rule above
+            out.extend(
+                Violation(name, f"must be <= {MAX_YEARS}")
+                for name, value in (("lending_period_t", t), ("instalment_count_x", x))
+                if value > MAX_YEARS
             )
     am = cfg.amenity
     if not _finite(am.d0) or am.d0 <= 0:

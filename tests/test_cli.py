@@ -29,6 +29,22 @@ OMEGA = (
 )
 
 
+OVERFLOW = "deferred run: area_ha is inf; an input is too large"
+
+
+def huge_area_csv(tmp_path):
+    """A generated 30-site CSV whose every site has an area of 1e308 ha."""
+    data = tmp_path / "huge.csv"
+    assert main(["gen-data", "--n", "30", "--seed", "3", "--out", str(data)]) == EXIT_OK
+    with open(data, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, "area_ha": "1e308"} for row in rows)
+    return data
+
+
 def write_scenario(tmp_path, name="scenario.json", **overrides):
     scenario = {
         "dataset": {"synthetic": {"n_sites": 80}},
@@ -225,13 +241,21 @@ class TestRun:
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
         assert capsys.readouterr().err == "error: 'a\\x00b.csv': embedded null byte\n"
 
-    def test_overflowed_totals_print_as_they_are(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_overflowed_totals_exit_2_naming_the_mechanism_and_field(
+        self, tmp_path, capsys, source
+    ):
         huge = {"synthetic": {"n_sites": 30, "area_ha": 1e308}}
+        if source == "csv":
+            data = huge_area_csv(tmp_path)
+            huge = {"path": str(data)}
         scenario = write_scenario(tmp_path, dataset=huge)
+        capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
-        assert "  Costs, total (NPV), EUR        inf\n" in capsys.readouterr().out
+            assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {OVERFLOW}\n"
+        assert not (tmp_path / "o" / "summary.csv").exists()
 
     def test_unknown_scenario_key_exits_2(self, tmp_path):
         scenario = write_scenario(tmp_path, extra_knob=1)
@@ -401,6 +425,7 @@ class TestSweep:
                     "0.03",
                     "--payment-periods",
                     "10",
+                    "--point-dirs",
                 ]
             )
             == EXIT_OK
@@ -454,6 +479,7 @@ class TestSweep:
         sweep_dir = tmp_path / "sweep"
         capsys.readouterr()
         argv = ["sweep", str(scenario), "--out-dir", str(sweep_dir), "--seeds", "2,1,2"]
+        argv += ["--point-dirs"]
         assert main(argv + ["--interest-rates", "0.02,0.03", "--payment-periods", "10"]) == EXIT_OK
         assert capsys.readouterr().err.count("warning:") == 1
         with open(sweep_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
@@ -474,7 +500,7 @@ class TestSweep:
         scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 30}})
         sweep_dir = tmp_path / "sweep"
         argv = ["sweep", str(scenario), "--out-dir", str(sweep_dir), "--payment-periods", "10"]
-        argv += ["--interest-rates", "0.025,0.03,0.035", "--bid-cap-scales", "1.125"]
+        argv += ["--interest-rates", "0.025,0.03,0.035", "--bid-cap-scales", "1.125", "--point-dirs"]
         assert main(argv) == EXIT_OK
         with open(sweep_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -528,11 +554,85 @@ class TestSweep:
         monkeypatch.setattr(dataio, "_site_text", counted)
         scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 60}})
         argv = ["sweep", str(scenario), "--out-dir", str(tmp_path / "sweep"), "--seeds", "3,4"]
-        assert main(argv + ["--interest-rates", "0.02,0.03,0.04"]) == EXIT_OK
+        assert main(argv + ["--interest-rates", "0.02,0.03,0.04", "--point-dirs"]) == EXIT_OK
         with open(tmp_path / "sweep" / "sweep.csv", newline="", encoding="utf-8") as fh:
             assert [row["status"] for row in csv.DictReader(fh)] == ["ok"] * 12
         assert built == [60, 60]
         assert len(dataio._SITE_TEXT) == 0  # freed with the last seed's inputs
+
+    @pytest.mark.parametrize(
+        "axes, override",
+        [
+            (["--interest-rates", "0.05", "--payment-periods", "5", "--seeds", "3"], []),
+            (["--interest-rates", "0.02,0.04", "--payment-periods", "10", "--seeds", "3,4"], []),
+            (
+                ["--interest-rates", "0.02,0.04", "--payment-periods", "10", "--seeds", "3,4"],
+                ["--interest-rates", "0.03"],
+            ),
+        ],
+        ids=["one-point", "grid", "override-one-axis"],
+    )
+    def test_manifest_rerun_reproduces_the_sweep(self, tmp_path, axes, override):
+        """`sweep <dir>/manifest.json` runs the plan it records; a flag replaces its own axis."""
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 40}})
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        assert main(["sweep", str(scenario), "--out-dir", str(first), *axes]) == EXIT_OK
+        manifest = str(first / "manifest.json")
+        assert main(["sweep", manifest, "--out-dir", str(rerun), *override]) == EXIT_OK
+        expected = first
+        if override:  # the first sweep's axes, with the override in place of its own
+            expected = tmp_path / "direct"
+            argv = ["sweep", str(scenario), "--out-dir", str(expected), *axes, *override]
+            assert main(argv) == EXIT_OK
+        for name in ("sweep.csv", "manifest.json"):
+            assert (rerun / name).read_bytes() == (expected / name).read_bytes(), name
+
+    def test_point_dirs_leave_the_table_unchanged(self, tmp_path):
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 40}})
+        argv = ["sweep", str(scenario), "--seeds", "3,4"]
+        assert main(argv + ["--out-dir", str(tmp_path / "table")]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path / "table")) == ["manifest.json", "sweep.csv"]
+        assert main(argv + ["--out-dir", str(tmp_path / "dirs"), "--point-dirs"]) == EXIT_OK
+        assert len(os.listdir(tmp_path / "dirs")) == 2 + 12
+        for name in ("sweep.csv", "manifest.json"):
+            table = (tmp_path / "table" / name).read_bytes()
+            assert table == (tmp_path / "dirs" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--interest-rates", "abc"], "--interest-rates[0] must be a finite number, got 'abc'"),
+            (["--seeds", "x"], "--seeds[0] must be an integer, got 'x'"),
+            (["--payment-periods", "1.5"], "--payment-periods[0] must be an integer, got '1.5'"),
+            (["--interest-rates", "nan,0.03"], "--interest-rates[0] must be a finite number, got nan"),
+            (["--bid-cap-scales", "1,1e999"], "--bid-cap-scales[1] must be a finite number, got inf"),
+            (["--interest-rates", ","], "sweep axes must be non-empty"),
+        ],
+        ids=["rate-text", "seed-text", "fractional-period", "nan-rate", "inf-scale", "empty"],
+    )
+    def test_bad_axis_flag_exits_2_naming_it(self, tmp_path, capsys, flag, message):
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 40}})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(scenario), "--out-dir", str(out_dir), *flag]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_malformed_manifest_axes_exit_2_naming_the_field(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 40}})
+        raw = json.loads(scenario.read_text(encoding="utf-8"))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"scenario": raw, "axes": {"seeds": [1, "2"]}}))
+        assert main(["sweep", str(manifest), "--out-dir", str(tmp_path / "s")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: axes.seeds[1] must be an integer, got '2'\n"
+
+    def test_overflowed_point_is_an_error_row(self, tmp_path):
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 30, "area_ha": 1e308}})
+        argv = ["sweep", str(scenario), "--out-dir", str(tmp_path / "sweep"), "--seeds", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv + ["--interest-rates", "0.03", "--payment-periods", "10"]) == EXIT_OK
+        with open(tmp_path / "sweep" / "sweep.csv", newline="", encoding="utf-8") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == [f"error: {OVERFLOW}"]
 
     def test_engine_error_in_a_point_exits_4(self, tmp_path, monkeypatch):
         def broken(scenario, inputs=None):

@@ -17,6 +17,7 @@ from deferauction import dataio
 from deferauction.dataio import (
     _CHUNK_ROWS,
     LEDGER_COLUMNS,
+    MAX_SITES,
     OPTIONAL_COLUMNS,
     REQUIRED_COLUMNS,
     LoadError,
@@ -29,7 +30,7 @@ from deferauction.dataio import (
     write_sweep,
 )
 from deferauction.finance import match_upfront_budget
-from deferauction.model import ConfigError, Mechanism, SchemeConfig, SiteType
+from deferauction.model import MAX_YEARS, ConfigError, Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
     build_offers,
     draw_harvest_schedule,
@@ -206,6 +207,14 @@ class TestGenerateSynthetic:
 
     def test_zero_sites(self):
         assert len(generate_synthetic(SyntheticProfile(n_sites=0), 1)) == 0
+
+    @pytest.mark.parametrize("field, bound", [("n_sites", MAX_SITES), ("v0_horizon", MAX_YEARS)])
+    def test_size_fields_are_bounded(self, field, bound):
+        SyntheticProfile(**{field: bound}).validate()
+        for huge in (bound + 1, 10**21):
+            with pytest.raises(ConfigError) as err:
+                SyntheticProfile(**{field: huge}).validate()
+            assert str(err.value) == f"bad synthetic profile: {field} must be <= {bound}"
 
     def test_round_trip_through_csv(self, tmp_path):
         sites = generate_synthetic(SyntheticProfile(n_sites=80), 2)

@@ -35,7 +35,7 @@ SCENARIO = {
 }
 CASES = {
     "run": ["run", "--format", "both"],
-    "sweep": ["sweep", "--interest-rates", "0.02,0.04", "--payment-periods", "10"],
+    "sweep": ["sweep", "--interest-rates", "0.02,0.04", "--payment-periods", "10", "--point-dirs"],
 }
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 

@@ -4,11 +4,13 @@ import pytest
 
 from conftest import make_site
 from deferauction.model import (
+    MAX_YEARS,
     AmenityParams,
     ConfigError,
     SchemeConfig,
     SiteType,
     Species,
+    Violation,
     require_valid_scheme,
     validate_scheme,
 )
@@ -81,6 +83,24 @@ class TestValidateScheme:
         assert any("omega" in v.rule for v in violations)
         with pytest.raises(ConfigError):
             require_valid_scheme(cfg)
+
+    @pytest.mark.parametrize(
+        "field, zero_rate",
+        [
+            ("lending_period_t", True),
+            ("instalment_count_x", True),
+            ("horizon_years", False),
+            ("harvest_window", False),
+        ],
+    )
+    def test_year_fields_are_bounded(self, field, zero_rate):
+        # at r = 0, omega = 1 - 1/x stays in (0, 1) however long the lending period
+        base = SchemeConfig(interest_rate_r=0.0) if zero_rate else SchemeConfig()
+        at_bound = dataclasses.replace(base, **{field: MAX_YEARS})
+        assert validate_scheme(at_bound) == []
+        for huge in (MAX_YEARS + 1, 10**12):
+            cfg = dataclasses.replace(base, **{field: huge})
+            assert validate_scheme(cfg) == [Violation(field, f"must be <= {MAX_YEARS}")]
 
     def test_belief_cap_order(self):
         cfg = SchemeConfig(bid_cap_lo=500.0, bid_cap_hi=400.0)

@@ -1,15 +1,29 @@
-"""The README's library example runs against the current API."""
+"""The README's examples run against the current API and command line."""
 import re
+import shlex
 from pathlib import Path
+
+from deferauction.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(title: str) -> str:
+    """The text of the README section headed `## {title}`."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def library_example() -> str:
     """The python block of the README's "Library use" section."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(r"```python\n(.*?)```", section("Library use"), re.DOTALL).group(1)
+
+
+def commands() -> list[list[str]]:
+    """The arguments of each `deferauction` command in the "Command line" block."""
+    block = re.search(r"```\n(.*?)```", section("Command line"), re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("deferauction ")]
 
 
 def test_library_example_runs(capsys):
@@ -17,3 +31,9 @@ def test_library_example_runs(capsys):
     exec(compile(library_example(), "README.md (Library use)", "exec"), namespace)
     assert capsys.readouterr().out.startswith("RunSummary(")
     assert len(namespace["conserved_ids"]) == namespace["outcome"].summary.sites_conserved > 0
+
+
+def test_command_line_examples_parse():
+    parser = build_parser()
+    names = [parser.parse_args(argv).command for argv in commands()]
+    assert names == ["run", "sweep", "sweep", "gen-data", "validate", "extrapolate"]

@@ -296,24 +296,25 @@ def execute_scenario(
     supplies: dict[Mechanism, SupplySummary] = {}
 
     for mechanism in scenario.mechanisms:
-        offers = build_offers(columns, cfg, mechanism)
-        supplies[mechanism] = summarize_supply(offers)
-        if scenario.ranking == "old_growth":
-            offers = select_old_growth(offers)
-        ranked = rank_benefit_cost(offers)
-        if mechanism is Mechanism.DEFERRED:
-            outcome = deferred_outcome = run_deferred(cfg, scenario.initial_budget, ranked, schedule)
-        else:
-            budget = scenario.upfront_budget
-            if budget == NPV_MATCHED:  # resolve_scenario puts the deferred run first
-                budget = match_upfront_budget(
-                    deferred_outcome.spending[0],
-                    deferred_outcome.summary.instalment_cost_per_year,
-                    cfg.instalment_count_x,
-                    cfg.discount_rate,
-                    cfg.horizon,
-                )
-            outcome = run_upfront(cfg, float(budget), ranked, schedule)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            offers = build_offers(columns, cfg, mechanism)
+            supplies[mechanism] = summarize_supply(offers)
+            if scenario.ranking == "old_growth":
+                offers = select_old_growth(offers)
+            ranked = rank_benefit_cost(offers)
+            if mechanism is Mechanism.DEFERRED:
+                outcome = deferred_outcome = run_deferred(cfg, scenario.initial_budget, ranked, schedule)
+            else:
+                budget = scenario.upfront_budget
+                if budget == NPV_MATCHED:  # resolve_scenario puts the deferred run first
+                    budget = match_upfront_budget(
+                        deferred_outcome.spending[0],
+                        deferred_outcome.summary.instalment_cost_per_year,
+                        cfg.instalment_count_x,
+                        cfg.discount_rate,
+                        cfg.horizon,
+                    )
+                outcome = run_upfront(cfg, float(budget), ranked, schedule)
         outcomes.append(outcome)
         for name, value in report_cells(outcome, supplies[mechanism]).items():
             if not math.isfinite(value):  # a sum overflowed

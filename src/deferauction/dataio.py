@@ -33,7 +33,7 @@ from .model import (
     Species,
     csv_rows,
 )
-from .simulation import RunOutcome, RunSummary, SiteColumns, SupplySummary
+from .simulation import CONSERVED, FATES, LOST, RunOutcome, RunSummary, SiteColumns, SupplySummary
 from .streams import SYNTHETIC_STREAM, rng_stream
 
 REPORT_SCHEMA_VERSION = 3
@@ -449,19 +449,14 @@ def report_cells(outcome: RunOutcome, supply: SupplySummary | None) -> dict[str,
     return cells
 
 
-def _area_by_year(years: dict[int, int], area: list[float], n_years: int) -> list[float]:
-    out = [0.0] * n_years
-    for row, year in years.items():
-        out[year] += area[row]
-    return out
-
-
 def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object]]:
     """TIMESERIES_COLUMNS rows over the horizon, or the spending stream if longer."""
     n_years = max(cfg.horizon, len(outcome.spending))
-    area = outcome.offers.area.tolist()
-    conserved = _area_by_year(outcome.conserved_year, area, n_years)
-    lost = _area_by_year(outcome.harvested_year, area, n_years)
+    # Each year's area adds in funding order, as np.bincount adds in input order.
+    conserved, lost = (
+        np.bincount(outcome.year[fate], outcome.offers.area[fate], n_years).astype(float).tolist()
+        for fate in (outcome.fate == CONSERVED, outcome.fate == LOST)
+    )
     spending = outcome.spending + [0.0] * (n_years - len(outcome.spending))
     cum_cost = list(accumulate(spending, initial=0.0))[1:]
     cum_area = list(accumulate(conserved, initial=0.0))[1:]
@@ -507,19 +502,16 @@ def _ledger_text(outcome: RunOutcome) -> Iterator[list[list[str]]]:
     columns = offers.columns
     if (site_text := _SITE_TEXT.get(columns)) is None:
         site_text = _SITE_TEXT[columns] = _site_text(columns)
-    fate = ["unfunded,"] * len(offers)
-    for status, years in (("lost", outcome.harvested_year), ("conserved", outcome.conserved_year)):
-        text = {year: f"{status},{year}" for year in set(years.values())}
-        for row, year in years.items():
-            fate[row] = text[year]
+    years = ["", *map(str, range(outcome.year.max(initial=-1) + 1))]  # by year + 1
+    cells = np.array([[f"{name},{year}" for name in FATES] for year in years], dtype=object)
+    fate = cells[outcome.year + 1, outcome.fate]  # one text per (year, fate), shared by its rows
     paid = (offers.downpayment_per_ha, offers.instalment_per_ha, offers.total_payment_npv_per_ha)
     order = np.argsort(columns.id_rank[offers.site])
     for start in range(0, len(order), _CHUNK_ROWS):
         rows = order[start : start + _CHUNK_ROWS]
         site_id, area_elite, age_type = (text[offers.site[rows]].tolist() for text in site_text)
-        payments = zip(*(column[rows].tolist() for column in paid))
-        fates = [fate[row] for row in rows.tolist()]
-        yield [site_id, fates, area_elite, ["%.2f,%.2f,%.2f" % c for c in payments], age_type]
+        payments = ["%.2f,%.2f,%.2f" % c for c in zip(*(column[rows].tolist() for column in paid))]
+        yield [site_id, fate[rows].tolist(), area_elite, payments, age_type]
 
 
 def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[list[Sequence[str]]]) -> None:

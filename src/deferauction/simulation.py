@@ -2,9 +2,9 @@
 
 A scenario computes its per-site columns once, draws one harvest
 realization, and then builds offers and runs either mechanism against them.
-The deferred mechanism buys everything it can at year 0 and owes instalments
-afterwards; the up-front mechanism buys gradually from an annual budget while
-unconserved stands keep dropping to harvest.
+Both buy the same way (`fund`) and differ in when the state pays: the deferred
+mechanism buys what it can at year 0 and owes instalments afterwards; the
+up-front one buys yearly from an annual budget while stands go to harvest.
 """
 from __future__ import annotations
 
@@ -120,22 +120,46 @@ class OfferTable:
         return self.downpayment_per_ha * self.area
 
 
-@dataclass(frozen=True)
+UNFUNDED, CONSERVED, LOST = 0, 1, 2  # RunOutcome.fate codes
+FATES = ("unfunded", "conserved", "lost")  # the ledger's status name of each code
+
+
+@dataclass(frozen=True, eq=False)
 class RunOutcome:
     """Everything one mechanism run produced: site fates, yearly spending, and accounting.
 
-    ``offers`` are in funding order. ``conserved_year`` and ``harvested_year``
-    map an offer's row in ``offers`` to the year of its fate, in the order the
-    run decided them; offers in neither stayed unfunded. ``spending[y]`` is the
-    outlay in year y.
+    ``offers`` are in funding order. ``fate[row]`` is the offer's fate code
+    (UNFUNDED, CONSERVED or LOST), ``year[row]`` the year of that fate, -1 while
+    unfunded. Runs decide fates a year at a time, each year in funding order:
+    that is `decision_order`. ``spending[y]`` is the outlay in year y.
     """
 
     mechanism: Mechanism
     offers: OfferTable
-    conserved_year: dict[int, int]
-    harvested_year: dict[int, int]
+    fate: np.ndarray
+    year: np.ndarray
     spending: list[float]
     summary: RunSummary
+
+    @property
+    def conserved_year(self) -> dict[int, int]:
+        """Offer row to year of conservation, in decision order."""
+        return self._years(CONSERVED)
+
+    @property
+    def harvested_year(self) -> dict[int, int]:
+        """Offer row to harvest year of each lost offer, in decision order."""
+        return self._years(LOST)
+
+    def _years(self, code: int) -> dict[int, int]:
+        rows = decision_order(self.fate, self.year, code)
+        return dict(zip(rows.tolist(), self.year[rows].tolist()))
+
+
+def decision_order(fate: np.ndarray, year: np.ndarray, code: int) -> np.ndarray:
+    """The rows of fate `code` in the order a run decides them: by year, then by row."""
+    rows = np.flatnonzero(fate == code)
+    return rows[np.argsort(year[rows], kind="stable")]
 
 
 def site_columns(
@@ -236,6 +260,23 @@ def select_old_growth(offers: OfferTable) -> OfferTable:
     return offers.take(offers.columns.old_growth[offers.site])
 
 
+def fund(costs: list[float], rows: list[int], budget: float) -> tuple[list[int], float]:
+    """Skip-and-continue greedy funding of `rows`, best first: those `budget` pays, and their cost.
+
+    A row is funded if its cost fits what is left of the budget, else skipped,
+    so cheaper later rows may still be funded; a NaN cost never fits.
+    """
+    funded: list[int] = []
+    remaining = budget
+    spent = 0.0
+    for row in rows:
+        if costs[row] <= remaining:
+            remaining -= costs[row]
+            spent += costs[row]
+            funded.append(row)
+    return funded, spent
+
+
 def run_deferred(
     cfg: SchemeConfig,
     initial_budget: float,
@@ -244,38 +285,23 @@ def run_deferred(
 ) -> RunOutcome:
     """Fund ranked offers from the initial budget, all at year 0.
 
-    Greedy skip-and-continue: an offer too expensive for the remaining budget
-    is skipped and cheaper lower-ranked offers still get funded. Offers whose
-    site is already cut at year 0 are unavailable. Funded sites pay
-    instalments in years 1..x; the program closes after year 0, so no site is
-    ever awaiting conservation and no harvest loss is booked.
+    Offers whose site is already cut at year 0 are unavailable. Funded sites
+    pay instalments in years 1..x; the program closes after year 0, so no
+    site is ever awaiting conservation and no harvest loss is booked.
     """
     if initial_budget < 0:
         raise ValueError("initial_budget must be >= 0")
-    costs = ranking.cost.tolist()
-    instalments = (ranking.instalment_per_ha * ranking.area).tolist()
-    cut_at_start = (schedule[ranking.site] == 0).tolist()
-    remaining = initial_budget
-    conserved: dict[int, int] = {}
-    instalment_per_year = 0.0
-    spent = 0.0
-    for row, cost in enumerate(costs):
-        if not cut_at_start[row] and cost <= remaining:
-            remaining -= cost
-            spent += cost
-            conserved[row] = 0
-            instalment_per_year += instalments[row]
+    fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
+    year = np.full(len(ranking), -1, dtype=np.int64)
+    available = np.flatnonzero(schedule[ranking.site] != 0).tolist()
+    funded, spent = fund(ranking.cost.tolist(), available, initial_budget)
+    fate[funded], year[funded] = CONSERVED, 0
+    instalment_per_year = sum((ranking.instalment_per_ha * ranking.area)[funded].tolist(), 0.0)
     spending = [spent]
     if instalment_per_year > 0:
         spending += [instalment_per_year] * cfg.instalment_count_x
-    return RunOutcome(
-        mechanism=Mechanism.DEFERRED,
-        offers=ranking,
-        conserved_year=conserved,
-        harvested_year={},
-        spending=spending,
-        summary=account(initial_budget, ranking, conserved, {}, spending, cfg),
-    )
+    summary = account(initial_budget, ranking, fate, year, spending, cfg)
+    return RunOutcome(Mechanism.DEFERRED, ranking, fate, year, spending, summary)
 
 
 def run_upfront(
@@ -287,71 +313,51 @@ def run_upfront(
     """Fund ranked offers gradually from an annual budget over the horizon.
 
     Each year, stands reaching their harvest year while still unconserved are
-    lost; the year's budget funds the best remaining offers
-    (skip-and-continue). Unspent budget does not roll over.
+    lost; then the year's budget funds the best remaining offers. Unspent
+    budget does not roll over.
     """
     if annual_budget < 0:
         raise ValueError("annual_budget must be >= 0")
     costs = ranking.cost.tolist()
-    harvest = schedule[ranking.site].tolist()
-    pending = list(range(len(ranking)))
-    conserved: dict[int, int] = {}
-    harvested: dict[int, int] = {}
+    harvest = schedule[ranking.site]
+    fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
+    year = np.full(len(ranking), -1, dtype=np.int64)
     spending: list[float] = []
-    for year in range(cfg.horizon):
-        remaining = annual_budget
-        spent = 0.0
-        leftover: list[int] = []
-        for row in pending:
-            if 0 <= harvest[row] <= year:
-                harvested[row] = harvest[row]
-            elif costs[row] <= remaining:
-                remaining -= costs[row]
-                spent += costs[row]
-                conserved[row] = year
-            else:
-                leftover.append(row)
+    for now in range(cfg.horizon):
+        waiting = fate == UNFUNDED
+        due = waiting & (harvest >= 0) & (harvest <= now)
+        fate[due], year[due] = LOST, harvest[due]
+        funded, spent = fund(costs, np.flatnonzero(waiting & ~due).tolist(), annual_budget)
+        fate[funded], year[funded] = CONSERVED, now
         spending.append(spent)
-        pending = leftover
-    return RunOutcome(
-        mechanism=Mechanism.UPFRONT,
-        offers=ranking,
-        conserved_year=conserved,
-        harvested_year=harvested,
-        spending=spending,
-        summary=account(annual_budget, ranking, conserved, harvested, spending, cfg),
-    )
+    summary = account(annual_budget, ranking, fate, year, spending, cfg)
+    return RunOutcome(Mechanism.UPFRONT, ranking, fate, year, spending, summary)
 
 
 def account(
     budget: float,
     offers: OfferTable,
-    conserved_year: dict[int, int],
-    harvested_year: dict[int, int],
+    fate: np.ndarray,
+    year: np.ndarray,
     spending: list[float],
     cfg: SchemeConfig,
 ) -> RunSummary:
-    """Accounting summary of a completed run.
+    """Accounting summary of a completed run with the given fate columns.
 
     Benefits accrue at the year each site is conserved; lost benefits are
     booked (negatively) at each lost site's harvest year; both discount at the
     accounting rate. Averages cover conserved sites only. Every sum adds
-    Python floats in the order of `conserved_year` and `harvested_year`, so
-    totals are reproducible bit for bit.
+    Python floats in decision order (year, then funding order), so totals are
+    reproducible bit for bit.
     """
     delta = cfg.discount_rate
     area = offers.area
-
-    def rows(years: dict[int, int]) -> np.ndarray:
-        return np.fromiter(years, np.intp, len(years))
-
-    def discounted_benefits(years: dict[int, int]) -> list[float]:
-        discount = np.fromiter(((1.0 + delta) ** (-y) for y in years.values()), float, len(years))
-        return (cfg.benefit_per_ha * area[rows(years)] * discount).tolist()
-
-    conserved, lost = rows(conserved_year), rows(harvested_year)
-    benefits = sum(discounted_benefits(conserved_year), 0.0)
-    lost_total = sum(discounted_benefits(harvested_year), 0.0)
+    conserved, lost = (decision_order(fate, year, code) for code in (CONSERVED, LOST))
+    discount = np.array([(1.0 + delta) ** -y for y in range(year.max(initial=0) + 1)])
+    benefits, lost_total = (
+        sum((cfg.benefit_per_ha * area[rows] * discount[year[rows]]).tolist(), 0.0)
+        for rows in (conserved, lost)
+    )
     lost_benefits = -lost_total if lost_total > 0 else 0.0
     instalments = offers.instalment_per_ha[conserved] * area[conserved]
     totals = dataclasses.asdict(summarize_supply(offers.take(conserved)))

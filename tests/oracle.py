@@ -862,12 +862,13 @@ def site_ledger(outcome: RunOutcome) -> list[dict[str, object]]:
     rows = []
     sites = site_records(offers.columns.sites)
     numbers = (c.tolist() for c in (ledger.elite, *paid))
+    conserved_year, harvested_year = outcome.conserved_year, outcome.harvested_year
     for row, index, *cells in zip(order, ledger.site, *numbers):
         site = sites[index]
-        if row in outcome.conserved_year:
-            status, year = "conserved", outcome.conserved_year[row]
-        elif row in outcome.harvested_year:
-            status, year = "lost", outcome.harvested_year[row]
+        if row in conserved_year:
+            status, year = "conserved", conserved_year[row]
+        elif row in harvested_year:
+            status, year = "lost", harvested_year[row]
         else:
             status, year = "unfunded", ""
         values = (site.id, status, year, site.area_ha, *cells)

@@ -251,8 +251,8 @@ class TestRun:
             huge = {"path": str(data)}
         scenario = write_scenario(tmp_path, dataset=huge)
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():  # the error names the field; numpy must not warn
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {OVERFLOW}\n"
         assert not (tmp_path / "o" / "summary.csv").exists()
@@ -625,12 +625,14 @@ class TestSweep:
         assert main(["sweep", str(manifest), "--out-dir", str(tmp_path / "s")]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: axes.seeds[1] must be an integer, got '2'\n"
 
-    def test_overflowed_point_is_an_error_row(self, tmp_path):
+    def test_overflowed_point_is_an_error_row(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 30, "area_ha": 1e308}})
         argv = ["sweep", str(scenario), "--out-dir", str(tmp_path / "sweep"), "--seeds", "3"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        capsys.readouterr()
+        with warnings.catch_warnings():  # the error row names the field; numpy must not warn
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(argv + ["--interest-rates", "0.03", "--payment-periods", "10"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
         with open(tmp_path / "sweep" / "sweep.csv", newline="", encoding="utf-8") as fh:
             assert [row["status"] for row in csv.DictReader(fh)] == [f"error: {OVERFLOW}"]
 

@@ -528,15 +528,16 @@ class TestReportBytes:
             assert sorted(ids) == sorted(sites.ids[site] for site in outcome.offers.site.tolist())
 
     def test_mechanism_without_offers_writes_an_empty_ledger(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes()
-        deferred = outcomes[0]
-        empty = deferred.offers.take(np.zeros(0, dtype=np.intp))
-        outcome = run_deferred(cfg, 1e6, empty, np.zeros(0, dtype=np.int64))
-        assert_same_report(tmp_path, [outcome, outcomes[1]], supplies, cfg)
-        for fmt in ("csv", "json"):
-            assert (tmp_path / f"ours-{fmt}" / "sites_deferred.csv").read_text() == (
-                ",".join(LEDGER_COLUMNS) + "\n"
-            )
+        # Each mechanism in turn; an empty run's timeseries cells are still floats.
+        for index, run in enumerate((run_deferred, run_upfront)):
+            cfg, outcomes, supplies = _paired_outcomes()
+            empty = outcomes[index].offers.take(np.zeros(0, dtype=np.intp))
+            outcomes[index] = run(cfg, 1e6, empty, np.zeros(0, dtype=np.int64))
+            mech = outcomes[index].mechanism.value
+            assert_same_report(tmp_path / mech, outcomes, supplies, cfg)
+            for fmt in ("csv", "json"):
+                ledger = tmp_path / mech / f"ours-{fmt}" / f"sites_{mech}.csv"
+                assert ledger.read_text() == ",".join(LEDGER_COLUMNS) + "\n"
 
     def test_ledger_longer_than_one_chunk(self, tmp_path):
         cfg, outcomes, supplies = _paired_outcomes(n_sites=3 * _CHUNK_ROWS)

@@ -2,7 +2,9 @@
 
 Hypothesis draws the stands, the bid caps, the budget and the harvest years,
 including every stand cut in year 0, zero-cost offers, a zero budget and
-extreme caps; every run must keep the engine's invariants.
+extreme caps, and sets some outlays to 0, NaN or +-inf, as overflowed inputs
+give. Every run must keep the engine's invariants and decide exactly what the
+reference loops of ``tests/oracle.py`` decide on the same ranked offers.
 """
 import dataclasses
 import math
@@ -11,12 +13,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import make_site
 from oracle import site_ledger, site_table
 from deferauction.dataio import _timeseries
 from deferauction.model import Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
+    CONSERVED,
+    LOST,
     NEVER_CUT,
+    UNFUNDED,
     build_offers,
     draw_harvest_schedule,
     rank_benefit_cost,
@@ -29,6 +35,8 @@ from deferauction.streams import HARVEST_STREAM, PHI_STREAM, rng_stream
 HORIZON = 12
 CAPS = st.one_of(st.sampled_from([1e-3, 1e7]), st.floats(1.0, 20_000.0))
 MONEY = st.floats(0.0, 20_000.0)
+# An outlay per hectare that replaces the bid: none, or one an overflow could give.
+ODD_OUTLAYS = st.sampled_from([None, None, 0.0, math.nan, math.inf, -math.inf])
 
 
 @st.composite
@@ -70,53 +78,87 @@ def cases(draw):
         schedule = np.array(draw(st.lists(years, min_size=len(sites), max_size=len(sites))),
                             dtype=np.int64)
     budget = draw(st.one_of(st.just(0.0), st.floats(1.0, 1e6)))
-    free = draw(st.lists(st.booleans(), min_size=len(sites), max_size=len(sites)))
-    return cfg, columns, schedule, budget, free
+    outlays = draw(st.lists(ODD_OUTLAYS, min_size=len(sites), max_size=len(sites)))
+    return cfg, columns, schedule, budget, outlays
 
 
-def with_zero_costs(offers, free):
-    """`offers` with the outlay of row i set to zero where free[i] holds."""
-    free = np.array(free[: len(offers)], dtype=bool)
-    return dataclasses.replace(
-        offers, downpayment_per_ha=np.where(free, 0.0, offers.downpayment_per_ha)
-    )
+def with_odd_outlays(offers, outlays):
+    """`offers` with the outlay per hectare of row i set to outlays[i] where that is not None."""
+    downpayment = offers.downpayment_per_ha.copy()
+    for row, outlay in enumerate(outlays[: len(offers)]):
+        if outlay is not None:
+            downpayment[row] = outlay
+    return dataclasses.replace(offers, downpayment_per_ha=downpayment)
+
+
+def same(actual, expected):
+    """Equal bit for bit, NaN included: a float's repr round-trips exactly."""
+    return repr(actual) == repr(expected)
 
 
 def check_invariants(outcome, cfg):
-    assert not set(outcome.conserved_year) & set(outcome.harvested_year)
-    fates = set(outcome.conserved_year) | set(outcome.harvested_year)
-    assert fates <= set(range(len(outcome.offers)))
+    fate, year = outcome.fate, outcome.year
+    assert len(fate) == len(year) == len(outcome.offers)
+    assert set(fate.tolist()) <= {UNFUNDED, CONSERVED, LOST}
+    assert ((year == -1) == (fate == UNFUNDED)).all()
     summary = outcome.summary
     conserved = [row["area_ha"] for row in site_ledger(outcome) if row["status"] == "conserved"]
-    assert summary.sites_conserved == len(conserved)
-    # the ledger is in site-id order, the summary sums in funding order
+    assert summary.sites_conserved == len(conserved) == (fate == CONSERVED).sum()
+    # the ledger is in site-id order, the summary sums in decision order
     assert math.isclose(summary.area_ha, sum(conserved), rel_tol=1e-12)
-    assert _timeseries(outcome, cfg)[-1]["cumulative_cost"] == summary.costs_absolute
+    assert same(_timeseries(outcome, cfg)[-1]["cumulative_cost"], summary.costs_absolute)
+
+
+def check_against_reference(outcome, run, cfg, budget, schedule):
+    """`outcome` equals the reference loop `run` on the same ranked offers, bit for bit."""
+    ranked = outcome.offers
+    records = oracle.site_records(ranked.columns.sites)
+    mechanism = outcome.mechanism
+    columns = (ranked.elite, ranked.downpayment_per_ha, ranked.instalment_per_ha,
+               ranked.total_payment_npv_per_ha)
+    offers = [
+        oracle.Offer(records[site], mechanism, *cells)
+        for site, *cells in zip(ranked.site.tolist(), *(column.tolist() for column in columns))
+    ]
+    ids = ranked.columns.sites.ids
+    cut = {ids[site]: year for site, year in enumerate(schedule.tolist()) if year != NEVER_CUT}
+    expected = run(cfg, budget, offers, cut)
+    offer_ids = [ids[site] for site in ranked.site.tolist()]
+    for view, reference in ((outcome.conserved_year, expected.conserved_year),
+                            (outcome.harvested_year, expected.harvested_year)):
+        assert [(offer_ids[row], year) for row, year in view.items()] == list(reference.items())
+    assert same(outcome.spending, expected.spending)
+    assert same(outcome.summary, expected.summary)
 
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
 def test_deferred_run_keeps_its_invariants(case):
-    cfg, columns, schedule, budget, free = case
-    offers = with_zero_costs(build_offers(columns, cfg, Mechanism.DEFERRED), free)
+    cfg, columns, schedule, budget, outlays = case
+    offers = with_odd_outlays(build_offers(columns, cfg, Mechanism.DEFERRED), outlays)
     outcome = run_deferred(cfg, budget, rank_benefit_cost(offers), schedule)
     check_invariants(outcome, cfg)
-    assert outcome.spending[0] <= budget
+    check_against_reference(outcome, oracle.run_deferred, cfg, budget, schedule)
+    assert set(outcome.year.tolist()) <= {-1, 0}
+    assert not (outcome.fate == LOST).any()
+    if np.isfinite(outcome.offers.cost).all():
+        assert outcome.spending[0] <= budget
     cut_at_start = schedule[outcome.offers.site] == 0
-    assert not any(cut_at_start[row] for row in outcome.conserved_year)
+    assert not (cut_at_start & (outcome.fate == CONSERVED)).any()
 
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
 def test_upfront_run_keeps_its_invariants(case):
-    cfg, columns, schedule, budget, free = case
-    offers = with_zero_costs(build_offers(columns, cfg, Mechanism.UPFRONT), free)
+    cfg, columns, schedule, budget, outlays = case
+    offers = with_odd_outlays(build_offers(columns, cfg, Mechanism.UPFRONT), outlays)
     outcome = run_upfront(cfg, budget, rank_benefit_cost(offers), schedule)
     check_invariants(outcome, cfg)
+    check_against_reference(outcome, oracle.run_upfront, cfg, budget, schedule)
     assert len(outcome.spending) == HORIZON
-    assert all(spent <= budget for spent in outcome.spending)
+    if np.isfinite(outcome.offers.cost).all():
+        assert all(spent <= budget for spent in outcome.spending)
     harvest = schedule[outcome.offers.site]
-    for row, year in outcome.harvested_year.items():
-        assert year == harvest[row]
-    for row, year in outcome.conserved_year.items():
-        assert harvest[row] == NEVER_CUT or harvest[row] > year
+    lost, conserved = outcome.fate == LOST, outcome.fate == CONSERVED
+    assert (outcome.year[lost] == harvest[lost]).all()
+    assert ((harvest[conserved] == NEVER_CUT) | (harvest[conserved] > outcome.year[conserved])).all()

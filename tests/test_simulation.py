@@ -10,6 +10,7 @@ from deferauction.dataio import SyntheticProfile, generate_synthetic
 from deferauction.finance import match_upfront_budget, npv
 from deferauction.model import Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
+    CONSERVED,
     NEVER_CUT,
     OfferTable,
     account,
@@ -327,7 +328,8 @@ class TestAccount:
         assert conserved(outcome) == {"s": 0}
         # direct check of the discounting rule instead: one site, year 5
         spending = [0.0] * 5 + [1_000.0]
-        summary = account(1_000.0, offers, {0: 5}, {}, spending, cfg)
+        fate, year = np.array([CONSERVED], dtype=np.int8), np.array([5])
+        summary = account(1_000.0, offers, fate, year, spending, cfg)
         assert summary.benefits_npv == pytest.approx(5_980 * 10 * 1.03 ** (-5), abs=1e-6)
         assert summary.benefits_npv == pytest.approx(51_580, abs=10)
 
@@ -386,9 +388,10 @@ class TestDeterminism:
             for name in ("elite", "downpayment_per_ha", "instalment_per_ha",
                          "total_payment_npv_per_ha"):
                 assert getattr(first.offers, name).tolist() == getattr(second.offers, name).tolist()
-            assert dataclasses.replace(first, offers=None) == dataclasses.replace(
-                second, offers=None
-            )
+            for name in ("fate", "year"):
+                assert getattr(first, name).tolist() == getattr(second, name).tolist()
+            assert first.spending == second.spending
+            assert first.summary == second.summary
 
 
 class TestSupplySummary:

@@ -177,24 +177,35 @@ def _best_harvest_value(
     current timber value, mature stands price near harvest-now.
     """
     growth = np.asarray(profile.volume_growth)[type_idx]
-    bare = np.asarray(profile.v0_bare_land)[type_idx]
+    bare = np.asarray(profile.v0_bare_land)[type_idx][:, None]
     waits = np.arange(profile.v0_horizon + 1)
     best = np.full(len(ages), -np.inf)
     discounts = (1.0 + profile.v0_discount_rate) ** (-waits)
-    curve_now = (1.0 - np.exp(-growth * ages)) ** 2
-    # Chunk over candidate years to keep memory flat for very large datasets.
+    curve_now = ((1.0 - np.exp(-growth * ages)) ** 2)[:, None]
+    neg_growth = -growth[:, None]
+    net_timber = profile.v0_harvest_net_factor * timber_values[:, None]
+    # Chunk over candidate years to keep memory flat for very large datasets;
+    # each chunk's values are computed in place, with the operations of
+    # (net_timber * ((1 - exp(-growth (age + wait)))^2 / curve_now) + bare) * discount.
+    buffer = np.empty(len(ages) * min(len(waits), 32))
     for start in range(0, len(waits), 32):
         chunk = waits[start : start + 32]
-        curve_later = (1.0 - np.exp(-growth[:, None] * (ages[:, None] + chunk[None, :]))) ** 2
-        relative_growth = curve_later / curve_now[:, None]
-        value = (
-            profile.v0_harvest_net_factor * timber_values[:, None] * relative_growth
-            + bare[:, None]
-        ) * discounts[None, start : start + 32]
-        best = np.maximum(best, value.max(axis=1))
+        value = buffer[: len(ages) * len(chunk)].reshape(len(ages), len(chunk))
+        np.add(ages[:, None], chunk, out=value)
+        np.multiply(neg_growth, value, out=value)
+        np.exp(value, out=value)
+        np.subtract(1.0, value, out=value)
+        np.square(value, out=value)
+        np.divide(value, curve_now, out=value)
+        np.multiply(net_timber, value, out=value)
+        np.add(value, bare, out=value)
+        np.multiply(value, discounts[start : start + 32], out=value)
+        np.maximum(best, value.max(axis=1), out=best)
     return best
 
 
+# A profile can overflow or divide by zero; the checks at the end name the column.
+@np.errstate(all="ignore")
 def generate_synthetic(profile: SyntheticProfile, seed: int) -> SiteTable:
     """Deterministic synthetic dataset of n_sites valid stands.
 

@@ -21,7 +21,7 @@ from .ecology import (
     amenity_gain,
     elite_index,
 )
-from .finance import annuity_factor, npv
+from .finance import annuity_factor, npv, ordered_sum
 from .model import Mechanism, SchemeConfig, SiteTable
 
 # Harvest year of a stand the harvest draw never cuts.
@@ -260,21 +260,63 @@ def select_old_growth(offers: OfferTable) -> OfferTable:
     return offers.take(offers.columns.old_growth[offers.site])
 
 
-def fund(costs: list[float], rows: list[int], budget: float) -> tuple[list[int], float]:
+# Rows in the funding round after one that decided less than half its rows; see `fund`.
+_WINDOW = 64
+
+
+def fund(costs: np.ndarray, rows: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
     """Skip-and-continue greedy funding of `rows`, best first: those `budget` pays, and their cost.
 
     A row is funded if its cost fits what is left of the budget, else skipped,
     so cheaper later rows may still be funded; a NaN cost never fits.
+
+    The decisions are those of a loop over the rows, made in rounds over a
+    leading window of the undecided rows. A round subtracts the window's costs
+    from what remains, left to right as the loop does (`np.subtract.accumulate`),
+    funds the prefix in which each cost fits what remained before it (compared
+    cost by cost, so NaN and inf - inf decide as in the loop), and skips the
+    first row that does not fit. What remains cannot grow until a negative
+    cost is funded, so every later row of the window before its first negative
+    cost that does not fit now never will, and is skipped too. The first window
+    holds every row; a round that decides less than half its window leaves the
+    next one `_WINDOW` rows, any other round doubles it. So a round costs at
+    most a constant times the rows it or the round before decided, and the work
+    is linear in len(rows): about `_WINDOW` elements per row at worst, when
+    costs that fit and costs that only just fail alternate, where rounds over
+    every undecided row would be quadratic.
     """
-    funded: list[int] = []
+    # Rows from `head` on are undecided, in order; a round writes the rows of
+    # its window it left undecided back at the window's end, never before `head`.
+    undecided = np.array(rows, dtype=np.intp)
+    head, width = 0, len(undecided)
+    funded: list[np.ndarray] = []
     remaining = budget
-    spent = 0.0
-    for row in rows:
-        if costs[row] <= remaining:
-            remaining -= costs[row]
-            spent += costs[row]
-            funded.append(row)
-    return funded, spent
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, as in the loop
+        while head < len(undecided):
+            window = undecided[head : head + width]
+            cost = costs[window]
+            before = np.subtract.accumulate(np.concatenate(([remaining], cost)))
+            fits = cost <= before[:-1]
+            first = int(fits.argmin())
+            if fits[first]:  # every row of the window fits
+                funded.append(window)
+                head, remaining, width = head + len(window), before[-1], width * 2
+                continue
+            funded.append(window[:first])
+            remaining, rest = before[first], cost[first:]
+            keep = rest <= remaining
+            negative = rest < 0
+            grows = int(negative.argmax())
+            if negative[grows]:  # what remains grows if this negative cost is funded
+                keep[grows:] = True
+            keep[0] = False  # the row that did not fit
+            kept = window[first:][keep]
+            decided = len(window) - len(kept)
+            head += decided
+            undecided[head : head + len(kept)] = kept
+            width = width * 2 if 2 * decided >= len(window) else _WINDOW
+    funded_rows = np.concatenate(funded) if funded else np.empty(0, np.intp)
+    return funded_rows, ordered_sum(costs[funded_rows])
 
 
 def run_deferred(
@@ -293,10 +335,10 @@ def run_deferred(
         raise ValueError("initial_budget must be >= 0")
     fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
     year = np.full(len(ranking), -1, dtype=np.int64)
-    available = np.flatnonzero(schedule[ranking.site] != 0).tolist()
-    funded, spent = fund(ranking.cost.tolist(), available, initial_budget)
+    available = np.flatnonzero(schedule[ranking.site] != 0)
+    funded, spent = fund(ranking.cost, available, initial_budget)
     fate[funded], year[funded] = CONSERVED, 0
-    instalment_per_year = sum((ranking.instalment_per_ha * ranking.area)[funded].tolist(), 0.0)
+    instalment_per_year = ordered_sum((ranking.instalment_per_ha * ranking.area)[funded])
     spending = [spent]
     if instalment_per_year > 0:
         spending += [instalment_per_year] * cfg.instalment_count_x
@@ -318,18 +360,21 @@ def run_upfront(
     """
     if annual_budget < 0:
         raise ValueError("annual_budget must be >= 0")
-    costs = ranking.cost.tolist()
+    costs = ranking.cost
     harvest = schedule[ranking.site]
-    fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
-    year = np.full(len(ranking), -1, dtype=np.int64)
+    cut = np.where(harvest >= 0, harvest, cfg.horizon)  # the year a waiting offer is lost
+    funded_year = np.full(len(ranking), -1, dtype=np.int64)
+    pending = np.arange(len(ranking))
     spending: list[float] = []
     for now in range(cfg.horizon):
-        waiting = fate == UNFUNDED
-        due = waiting & (harvest >= 0) & (harvest <= now)
-        fate[due], year[due] = LOST, harvest[due]
-        funded, spent = fund(costs, np.flatnonzero(waiting & ~due).tolist(), annual_budget)
-        fate[funded], year[funded] = CONSERVED, now
+        pending = pending[(funded_year[pending] < 0) & (cut[pending] > now)]
+        funded, spent = fund(costs, pending, annual_budget)
+        funded_year[funded] = now
         spending.append(spent)
+    # An offer still waiting in its cut year is lost then; one funded is conserved before it.
+    lost = (funded_year < 0) & (cut < cfg.horizon)
+    fate = np.where(funded_year >= 0, CONSERVED, np.where(lost, LOST, UNFUNDED)).astype(np.int8)
+    year = np.where(lost, harvest, funded_year)
     summary = account(annual_budget, ranking, fate, year, spending, cfg)
     return RunOutcome(Mechanism.UPFRONT, ranking, fate, year, spending, summary)
 
@@ -346,16 +391,16 @@ def account(
 
     Benefits accrue at the year each site is conserved; lost benefits are
     booked (negatively) at each lost site's harvest year; both discount at the
-    accounting rate. Averages cover conserved sites only. Every sum adds
-    Python floats in decision order (year, then funding order), so totals are
-    reproducible bit for bit.
+    accounting rate. Averages cover conserved sites only. Every sum adds left
+    to right from 0.0 (`ordered_sum`) in decision order (year, then funding
+    order), so totals are reproducible bit for bit on every supported Python.
     """
     delta = cfg.discount_rate
     area = offers.area
     conserved, lost = (decision_order(fate, year, code) for code in (CONSERVED, LOST))
     discount = np.array([(1.0 + delta) ** -y for y in range(year.max(initial=0) + 1)])
     benefits, lost_total = (
-        sum((cfg.benefit_per_ha * area[rows] * discount[year[rows]]).tolist(), 0.0)
+        ordered_sum(cfg.benefit_per_ha * area[rows] * discount[year[rows]])
         for rows in (conserved, lost)
     )
     lost_benefits = -lost_total if lost_total > 0 else 0.0
@@ -365,11 +410,11 @@ def account(
     return RunSummary(
         sites_conserved=sites,
         **totals,
-        harvested_area_ha=sum(area[lost].tolist(), 0.0),
-        instalment_cost_per_year=sum(instalments.tolist(), 0.0),
+        harvested_area_ha=ordered_sum(area[lost]),
+        instalment_cost_per_year=ordered_sum(instalments),
         budget=budget,
         costs_npv=npv(spending, delta),
-        costs_absolute=sum(spending),
+        costs_absolute=ordered_sum(spending),
         benefits_npv=benefits,
         lost_benefits=lost_benefits,
         ex_post_net_benefits=benefits + lost_benefits,
@@ -379,16 +424,16 @@ def account(
 def summarize_supply(offers: OfferTable) -> SupplySummary:
     """Count, area, habitat-index sum, and per-hectare averages over `offers`, in their order."""
     area = offers.area
-    total_area = sum(area.tolist(), 0.0)
+    total_area = ordered_sum(area)
 
     def per_ha_average(per_ha: np.ndarray) -> float:
         """Area-weighted average; 0 when there is no area."""
-        return sum((per_ha * area).tolist(), 0.0) / total_area if total_area else 0.0
+        return ordered_sum(per_ha * area) / total_area if total_area else 0.0
 
     return SupplySummary(
         sites=len(offers),
         area_ha=total_area,
-        bd_index_sum=sum((offers.elite * area).tolist(), 0.0),
+        bd_index_sum=ordered_sum(offers.elite * area),
         avg_stand_age=per_ha_average(offers.columns.sites.stand_age[offers.site]),
         avg_downpayment=per_ha_average(offers.downpayment_per_ha),
         avg_instalment=per_ha_average(offers.instalment_per_ha),
@@ -434,7 +479,7 @@ def extrapolate_national(
     deferred_npv = downpayments + instalments * annuity_factor(cfg.instalment_count_x, delta)
     area_per_year = area_ha / cfg.horizon
     cost_per_year = area_per_year * avg_upfront
-    upfront_npv = sum(cost_per_year * (1.0 + delta) ** (-y) for y in range(cfg.horizon))
+    upfront_npv = ordered_sum([cost_per_year * (1.0 + delta) ** (-y) for y in range(cfg.horizon)])
     return ExtrapolationReport(
         area_ha=area_ha,
         deferred_downpayments_total=downpayments,

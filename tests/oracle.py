@@ -39,7 +39,6 @@ from deferauction.finance import (
     annuity_factor,
     compound_factor,
     discounted_instalment_sum,
-    npv,
 )
 from deferauction.model import (
     DEFAULT_AREA_HA,
@@ -694,6 +693,27 @@ class Outcome:
     summary: RunSummary
 
 
+def fold(values) -> float:
+    """`values` added one at a time from 0.0: Python 3.11's `sum` of floats, on every Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def fund(costs: Sequence[float], rows: Sequence[int], budget: float) -> tuple[list[int], float]:
+    """Skip-and-continue funding of `rows` in order: the rows `budget` pays for, and their cost."""
+    funded: list[int] = []
+    remaining = budget
+    spent = 0.0
+    for row in rows:
+        if costs[row] <= remaining:
+            remaining -= costs[row]
+            spent += costs[row]
+            funded.append(row)
+    return funded, spent
+
+
 def run_deferred(
     cfg: SchemeConfig, initial_budget: float, ranking: list[Offer], schedule: dict[str, int]
 ) -> Outcome:
@@ -752,10 +772,10 @@ def run_upfront(
 
 
 def _per_ha_average(pairs: list[tuple[float, float]]) -> float:
-    total_area = sum(area for _, area in pairs)
+    total_area = fold(area for _, area in pairs)
     if total_area == 0:
         return 0.0
-    return sum(value * area for value, area in pairs) / total_area
+    return fold(value * area for value, area in pairs) / total_area
 
 
 def account(
@@ -772,15 +792,15 @@ def account(
     conserved = [(by_id[sid], year) for sid, year in conserved_year.items()]
     lost = [(by_id[sid], year) for sid, year in harvested_year.items()]
     delta = cfg.discount_rate
-    benefits = sum(
-        (cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in conserved), 0.0
+    benefits = fold(
+        cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in conserved
     )
-    lost_total = sum(
+    lost_total = fold(
         cfg.benefit_per_ha * o.area_ha * (1.0 + delta) ** (-year) for o, year in lost
     )
     lost_benefits = -lost_total if lost_total > 0 else 0.0
     if mechanism is Mechanism.DEFERRED:
-        instalment_cost = sum((o.instalment_per_ha * o.area_ha for o, _ in conserved), 0.0)
+        instalment_cost = fold(o.instalment_per_ha * o.area_ha for o, _ in conserved)
     else:
         instalment_cost = 0.0
     supply = summarize_supply([o for o, _ in conserved])
@@ -792,11 +812,11 @@ def account(
         avg_downpayment=supply.avg_downpayment,
         avg_instalment=supply.avg_instalment,
         avg_total_payment_npv=supply.avg_total_payment_npv,
-        harvested_area_ha=sum((o.area_ha for o, _ in lost), 0.0),
+        harvested_area_ha=fold(o.area_ha for o, _ in lost),
         instalment_cost_per_year=instalment_cost,
         budget=budget,
-        costs_npv=npv(spending, delta),
-        costs_absolute=sum(spending),
+        costs_npv=fold(a * (1.0 + delta) ** (-y) for y, a in enumerate(spending)),
+        costs_absolute=fold(spending),
         benefits_npv=benefits,
         lost_benefits=lost_benefits,
         ex_post_net_benefits=benefits + lost_benefits,
@@ -806,8 +826,8 @@ def account(
 def summarize_supply(offers: list[Offer]) -> SupplySummary:
     return SupplySummary(
         sites=len(offers),
-        area_ha=sum((o.area_ha for o in offers), 0.0),
-        bd_index_sum=sum((o.elite * o.area_ha for o in offers), 0.0),
+        area_ha=fold(o.area_ha for o in offers),
+        bd_index_sum=fold(o.elite * o.area_ha for o in offers),
         avg_stand_age=_per_ha_average([(o.site.stand_age, o.area_ha) for o in offers]),
         avg_downpayment=_per_ha_average([(o.downpayment_per_ha, o.area_ha) for o in offers]),
         avg_instalment=_per_ha_average([(o.instalment_per_ha, o.area_ha) for o in offers]),

@@ -229,7 +229,7 @@ class TestRun:
     ):
         scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 50, **synthetic}})
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: bad synthetic profile: {message}\n"
 

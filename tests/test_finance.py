@@ -9,8 +9,9 @@ from deferauction.finance import (
     discounted_instalment_sum,
     match_upfront_budget,
     npv,
+    ordered_sum,
 )
-from oracle import annual_instalment, total_revenue
+from oracle import annual_instalment, fold, total_revenue
 
 
 def compound_oracle(r: float, t: int) -> float:
@@ -116,6 +117,26 @@ class TestNpv:
                 b[y] = float(rng.normal(0, 1e5))
             both = [x + y for x, y in zip(a, b)]
             assert npv(both, 0.03) == pytest.approx(npv(a, 0.03) + npv(b, 0.03), abs=1e-6)
+
+
+class TestOrderedSum:
+    def test_adds_without_compensating_rounding(self):
+        # Python 3.12's builtin sum gives 1.0 here, Python 3.11's 0.0.
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+        assert npv([1e16, 1.0, -1e16], 0.0) == 0.0
+
+    def test_equals_the_plain_fold_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        odd = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308]
+        cases = [[], [-0.0], [-0.0, -0.0], [-0.0, 0.0], [1e308, 1e308, -math.inf]]
+        for size in (1, 2, 10, 1_500):
+            for _ in range(20):
+                values = rng.normal(0.0, 10.0 ** rng.integers(-3, 17), size)
+                values[rng.random(size) < 0.02] = rng.choice(odd)
+                cases.append(values.tolist())
+        for values in cases:
+            assert repr(ordered_sum(values)) == repr(fold(values))
+            assert repr(ordered_sum(np.array(values))) == repr(fold(values))
 
 
 class TestDiscountedInstalmentSum:

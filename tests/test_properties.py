@@ -2,9 +2,11 @@
 
 Hypothesis draws the stands, the bid caps, the budget and the harvest years,
 including every stand cut in year 0, zero-cost offers, a zero budget and
-extreme caps, and sets some outlays to 0, NaN or +-inf, as overflowed inputs
-give. Every run must keep the engine's invariants and decide exactly what the
-reference loops of ``tests/oracle.py`` decide on the same ranked offers.
+extreme caps, and sets some outlays to 0, NaN, +-inf or a negative amount, as
+overflowed inputs give. Every run must keep the engine's invariants and decide
+exactly what the reference loops of ``tests/oracle.py`` decide on the same
+ranked offers. ``fund`` alone is compared with the plain loop ``oracle.fund``
+on cost lists, including those that make its rounds work hardest.
 """
 import dataclasses
 import math
@@ -25,6 +27,7 @@ from deferauction.simulation import (
     UNFUNDED,
     build_offers,
     draw_harvest_schedule,
+    fund,
     rank_benefit_cost,
     run_deferred,
     run_upfront,
@@ -36,7 +39,7 @@ HORIZON = 12
 CAPS = st.one_of(st.sampled_from([1e-3, 1e7]), st.floats(1.0, 20_000.0))
 MONEY = st.floats(0.0, 20_000.0)
 # An outlay per hectare that replaces the bid: none, or one an overflow could give.
-ODD_OUTLAYS = st.sampled_from([None, None, 0.0, math.nan, math.inf, -math.inf])
+ODD_OUTLAYS = st.sampled_from([None, None, 0.0, math.nan, math.inf, -math.inf, -1e6])
 
 
 @st.composite
@@ -162,3 +165,58 @@ def test_upfront_run_keeps_its_invariants(case):
     lost, conserved = outcome.fate == LOST, outcome.fate == CONSERVED
     assert (outcome.year[lost] == harvest[lost]).all()
     assert ((harvest[conserved] == NEVER_CUT) | (harvest[conserved] > outcome.year[conserved])).all()
+
+
+def check_fund(costs, budget, rows=None):
+    """`fund` funds what `oracle.fund` funds, in its order, and spends the same bits."""
+    costs = np.array(costs, dtype=float)
+    rows = np.arange(len(costs)) if rows is None else np.array(rows, dtype=np.intp)
+    funded, spent = fund(costs, rows, budget)
+    expected, expected_spent = oracle.fund(costs.tolist(), rows.tolist(), budget)
+    assert funded.tolist() == expected
+    assert same(spent, expected_spent)
+    return expected
+
+
+COSTS = st.one_of(
+    st.floats(0.0, 100.0),
+    st.sampled_from([0.0, -0.0, 1.0, 50.0, math.nan, math.inf, -math.inf, -1e6, 1e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(COSTS, max_size=300),
+    st.sampled_from([0.0, 10.0, 100.0, 1e4, math.inf]),
+    st.randoms(use_true_random=False),
+)
+def test_fund_decides_as_the_loop(costs, budget, random):
+    rows = [row for row in range(len(costs)) if random.random() < 0.8]
+    if random.random() < 0.2:
+        random.shuffle(rows)
+    check_fund(costs, budget, rows)
+
+
+def test_fund_with_fitting_and_only_just_failing_costs_in_turn():
+    # Each even row fits, and each odd one costs one ulp more than what remains,
+    # though every later odd row fits then: no round can skip more than one row.
+    budget, n = 1e6, 3_000
+    costs = [1.0 if row % 2 == 0 else math.nextafter(budget - (row + 1) // 2, math.inf)
+             for row in range(n)]
+    assert check_fund(costs, budget) == list(range(0, n, 2))
+
+
+def test_fund_negative_infinite_cost_after_a_skip_makes_a_later_row_affordable():
+    # Row 0 does not fit and is skipped; row 3 does not fit what is left then,
+    # but row 2's -inf cost leaves an infinite budget before it.
+    assert check_fund([5.0, 4.0, -math.inf, 4.0, 5.0], 3.0) == [2, 3, 4]
+
+
+def test_fund_infinite_cost_of_an_infinite_budget_leaves_nan():
+    # inf - inf is NaN, and no later cost fits NaN, not even -inf.
+    assert check_fund([1.0, math.inf, 1.0, 0.0, -math.inf], math.inf) == [0, 1]
+
+
+def test_fund_without_rows():
+    assert check_fund([1.0, 2.0], 10.0, rows=[]) == []
+    assert check_fund([], 10.0) == []

@@ -187,6 +187,8 @@ def _best_harvest_value(
     # Chunk over candidate years to keep memory flat for very large datasets;
     # each chunk's values are computed in place, with the operations of
     # (net_timber * ((1 - exp(-growth (age + wait)))^2 / curve_now) + bare) * discount.
+    # Each chunk must be a contiguous view (a flat slice reshaped, never a column
+    # slice of a wider buffer): numpy's SIMD exp may round strided input differently.
     buffer = np.empty(len(ages) * min(len(waits), 32))
     for start in range(0, len(waits), 32):
         chunk = waits[start : start + 32]

@@ -49,10 +49,10 @@ def discounted_instalment_sum(m, periods: int, delta: float):
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    terms = (m * (1.0 + delta) ** (-i) for i in range(1, periods + 1))
-    if np.ndim(m) == 0:
-        return ordered_sum(list(terms))
-    return sum(terms)  # arrays add elementwise from 0, one year at a time, on every Python
+    total = 0.0
+    for i in range(1, periods + 1):
+        total = total + m * (1.0 + delta) ** (-i)
+    return total
 
 
 def annuity_factor(periods: int, delta: float) -> float:

@@ -260,63 +260,21 @@ def select_old_growth(offers: OfferTable) -> OfferTable:
     return offers.take(offers.columns.old_growth[offers.site])
 
 
-# Rows in the funding round after one that decided less than half its rows; see `fund`.
-_WINDOW = 64
-
-
-def fund(costs: np.ndarray, rows: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
+def fund(costs: list[float], rows: list[int], budget: float) -> tuple[list[int], float]:
     """Skip-and-continue greedy funding of `rows`, best first: those `budget` pays, and their cost.
 
     A row is funded if its cost fits what is left of the budget, else skipped,
     so cheaper later rows may still be funded; a NaN cost never fits.
-
-    The decisions are those of a loop over the rows, made in rounds over a
-    leading window of the undecided rows. A round subtracts the window's costs
-    from what remains, left to right as the loop does (`np.subtract.accumulate`),
-    funds the prefix in which each cost fits what remained before it (compared
-    cost by cost, so NaN and inf - inf decide as in the loop), and skips the
-    first row that does not fit. What remains cannot grow until a negative
-    cost is funded, so every later row of the window before its first negative
-    cost that does not fit now never will, and is skipped too. The first window
-    holds every row; a round that decides less than half its window leaves the
-    next one `_WINDOW` rows, any other round doubles it. So a round costs at
-    most a constant times the rows it or the round before decided, and the work
-    is linear in len(rows): about `_WINDOW` elements per row at worst, when
-    costs that fit and costs that only just fail alternate, where rounds over
-    every undecided row would be quadratic.
     """
-    # Rows from `head` on are undecided, in order; a round writes the rows of
-    # its window it left undecided back at the window's end, never before `head`.
-    undecided = np.array(rows, dtype=np.intp)
-    head, width = 0, len(undecided)
-    funded: list[np.ndarray] = []
+    funded: list[int] = []
     remaining = budget
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, as in the loop
-        while head < len(undecided):
-            window = undecided[head : head + width]
-            cost = costs[window]
-            before = np.subtract.accumulate(np.concatenate(([remaining], cost)))
-            fits = cost <= before[:-1]
-            first = int(fits.argmin())
-            if fits[first]:  # every row of the window fits
-                funded.append(window)
-                head, remaining, width = head + len(window), before[-1], width * 2
-                continue
-            funded.append(window[:first])
-            remaining, rest = before[first], cost[first:]
-            keep = rest <= remaining
-            negative = rest < 0
-            grows = int(negative.argmax())
-            if negative[grows]:  # what remains grows if this negative cost is funded
-                keep[grows:] = True
-            keep[0] = False  # the row that did not fit
-            kept = window[first:][keep]
-            decided = len(window) - len(kept)
-            head += decided
-            undecided[head : head + len(kept)] = kept
-            width = width * 2 if 2 * decided >= len(window) else _WINDOW
-    funded_rows = np.concatenate(funded) if funded else np.empty(0, np.intp)
-    return funded_rows, ordered_sum(costs[funded_rows])
+    spent = 0.0
+    for row in rows:
+        if costs[row] <= remaining:
+            remaining -= costs[row]
+            spent += costs[row]
+            funded.append(row)
+    return funded, spent
 
 
 def run_deferred(
@@ -335,8 +293,8 @@ def run_deferred(
         raise ValueError("initial_budget must be >= 0")
     fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
     year = np.full(len(ranking), -1, dtype=np.int64)
-    available = np.flatnonzero(schedule[ranking.site] != 0)
-    funded, spent = fund(ranking.cost, available, initial_budget)
+    available = np.flatnonzero(schedule[ranking.site] != 0).tolist()
+    funded, spent = fund(ranking.cost.tolist(), available, initial_budget)
     fate[funded], year[funded] = CONSERVED, 0
     instalment_per_year = ordered_sum((ranking.instalment_per_ha * ranking.area)[funded])
     spending = [spent]
@@ -360,21 +318,22 @@ def run_upfront(
     """
     if annual_budget < 0:
         raise ValueError("annual_budget must be >= 0")
-    costs = ranking.cost
+    costs = ranking.cost.tolist()
     harvest = schedule[ranking.site]
     cut = np.where(harvest >= 0, harvest, cfg.horizon)  # the year a waiting offer is lost
-    funded_year = np.full(len(ranking), -1, dtype=np.int64)
-    pending = np.arange(len(ranking))
+    fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
+    year = np.full(len(ranking), -1, dtype=np.int64)
+    waiting = np.ones(len(ranking), dtype=bool)
     spending: list[float] = []
     for now in range(cfg.horizon):
-        pending = pending[(funded_year[pending] < 0) & (cut[pending] > now)]
-        funded, spent = fund(costs, pending, annual_budget)
-        funded_year[funded] = now
+        waiting &= cut > now
+        funded, spent = fund(costs, np.flatnonzero(waiting).tolist(), annual_budget)
+        waiting[funded] = False
+        fate[funded], year[funded] = CONSERVED, now
         spending.append(spent)
     # An offer still waiting in its cut year is lost then; one funded is conserved before it.
-    lost = (funded_year < 0) & (cut < cfg.horizon)
-    fate = np.where(funded_year >= 0, CONSERVED, np.where(lost, LOST, UNFUNDED)).astype(np.int8)
-    year = np.where(lost, harvest, funded_year)
+    lost = (fate == UNFUNDED) & (cut < cfg.horizon)
+    fate[lost], year[lost] = LOST, harvest[lost]
     summary = account(annual_budget, ranking, fate, year, spending, cfg)
     return RunOutcome(Mechanism.UPFRONT, ranking, fate, year, spending, summary)
 

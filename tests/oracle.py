@@ -701,19 +701,6 @@ def fold(values) -> float:
     return total
 
 
-def fund(costs: Sequence[float], rows: Sequence[int], budget: float) -> tuple[list[int], float]:
-    """Skip-and-continue funding of `rows` in order: the rows `budget` pays for, and their cost."""
-    funded: list[int] = []
-    remaining = budget
-    spent = 0.0
-    for row in rows:
-        if costs[row] <= remaining:
-            remaining -= costs[row]
-            spent += costs[row]
-            funded.append(row)
-    return funded, spent
-
-
 def run_deferred(
     cfg: SchemeConfig, initial_budget: float, ranking: list[Offer], schedule: dict[str, int]
 ) -> Outcome:

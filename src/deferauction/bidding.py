@@ -13,16 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .finance import compound_factor, discounted_instalment_sum
-from .model import AmenityParams, SchemeConfig
-
-
-def omega(cfg: SchemeConfig) -> float:
-    """Marginal payoff of raising the downpayment: 1 - (1+r)^t / x.
-
-    Positive and below one for every valid config; shrinks toward zero as the
-    interest earning on the loan grows.
-    """
-    return 1.0 - compound_factor(cfg.interest_rate_r, cfg.lending_period_t) / cfg.instalment_count_x
+from .model import AmenityParams, SchemeConfig, omega
 
 
 def optimal_downpayment(
@@ -30,8 +21,8 @@ def optimal_downpayment(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimal downpayment bids, their annual instalments, and who participates.
 
-    c* = hi/2 + [v0 - v1 (1+r)^t / x - (a1 - a0)] / (2 omega), clamped at zero,
-    is the optimal bid under a uniform belief on [lo, hi] about the highest
+    c* = hi/2 + [v0 - v1 (1+r)^t / x - (a1 - a0)] / (2 omega), clamped below at
+    lo, is the optimal bid under a uniform belief on [lo, hi] about the highest
     acceptable downpayment (Latacz-Lohmann & Van der Hamsvoort 1997, "Auctioning
     conservation contracts: a theoretical analysis and an application",
     American Journal of Agricultural Economics 79(2)). The instalment is
@@ -43,7 +34,7 @@ def optimal_downpayment(
     factor = compound_factor(cfg.interest_rate_r, cfg.lending_period_t)
     x = cfg.instalment_count_x
     c_star = cfg.bid_cap_hi / 2.0 + (v0 - v1 * factor / x - amenity_gain) / (2.0 * omega(cfg))
-    c = np.where(c_star > 0.0, c_star, 0.0)
+    c = np.where(c_star > cfg.bid_cap_lo, c_star, cfg.bid_cap_lo)
     lends = c <= v1
     m = np.where(lends, factor * (v1 - c) / x, 0.0)
     received = c + discounted_instalment_sum(m, cfg.lending_period_t, cfg.landowner_discount_rate)

@@ -150,16 +150,16 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     _object(raw, "scenario", keys)
     dataset = raw.get("dataset", {"synthetic": {"n_sites": 400}})
     dataset = _object(dataset, "dataset", ("path", "synthetic"))
+    if len(dataset) != 1:
+        raise ConfigError("dataset must specify either 'path' or 'synthetic'")
     dataset_path: str | None = None
     synthetic: SyntheticProfile | None = None
     if "path" in dataset:
         dataset_path = str(Path(_typed(str, dataset["path"], "dataset.path")).expanduser())
-    elif "synthetic" in dataset:
+    else:
         profile = {} if dataset["synthetic"] is None else dataset["synthetic"]
         synthetic = _from_json(SyntheticProfile, profile, "dataset.synthetic")
         synthetic.validate()
-    else:
-        raise ConfigError("dataset must specify either 'path' or 'synthetic'")
 
     scheme = _from_json(SchemeConfig, raw.get("scheme", {}), "scheme")
     seed = raw.get("seed", scheme.seed) if seed_override is None else seed_override
@@ -196,17 +196,17 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     if Mechanism.DEFERRED in mechanisms and initial_budget <= 0:
         raise ConfigError("budget.initial must be > 0 for a deferred run")
     upfront_budget = budget.get("upfront", NPV_MATCHED)
-    if Mechanism.UPFRONT in mechanisms:
-        if upfront_budget == NPV_MATCHED:
-            if Mechanism.DEFERRED not in mechanisms:
-                raise ConfigError(
-                    "an npv-matched up-front budget requires a deferred run in the same scenario"
-                )
-        else:
-            upfront_budget = float(_typed(float, upfront_budget, "budget.upfront"))
-            if upfront_budget <= 0:
-                raise ConfigError("budget.upfront must be > 0 or 'npv-matched'")
-    else:
+    if upfront_budget is None and Mechanism.UPFRONT not in mechanisms:
+        upfront_budget = NPV_MATCHED  # how the manifest of a run without one records it
+    if upfront_budget != NPV_MATCHED:
+        upfront_budget = float(_typed(float, upfront_budget, "budget.upfront"))
+        if upfront_budget <= 0:
+            raise ConfigError("budget.upfront must be > 0 or 'npv-matched'")
+    elif Mechanism.DEFERRED not in mechanisms:
+        raise ConfigError(
+            "an npv-matched up-front budget requires a deferred run in the same scenario"
+        )
+    if Mechanism.UPFRONT not in mechanisms:
         upfront_budget = None
 
     fmt = raw.get("format", "both")

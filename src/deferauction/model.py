@@ -3,8 +3,8 @@
 Everything here is an immutable value object, the site table, the scheme
 validators, the UTF-8 line reader that every input file goes through, and
 the CSV row reader on top of it.
-Validation never raises on bad field values: validators return violation
-records so that callers can report every problem at once.
+Validation never raises on bad field values: `validate_scheme` returns every
+broken rule as a message, so that callers can report every problem at once.
 """
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .finance import compound_factor
 
 
 class SiteType(Enum):
@@ -139,21 +141,6 @@ class SchemeConfig:
         return self.discount_rate
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed invariant: which field, and the rule it broke."""
-
-    field: str
-    rule: str
-
-    def __str__(self) -> str:
-        return f"{self.field}: {self.rule}"
-
-
-def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 # Upper bound of every field counted in years: each sizes an array or a loop.
 MAX_YEARS = 1_000
 
@@ -169,76 +156,70 @@ def _phi_acceptance(am: AmenityParams) -> float:
     return 0.5 * math.erfc((am.phi_min - am.phi_mean) / (am.phi_sd * math.sqrt(2.0)))
 
 
-def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
-    """Check SchemeConfig invariants, including the bid trade-off factor omega."""
-    out: list[Violation] = []
-    if not _finite(cfg.interest_rate_r) or cfg.interest_rate_r < 0:
-        out.append(Violation("interest_rate_r", "must be finite and >= 0"))
-    if cfg.lending_period_t < 1:
-        out.append(Violation("lending_period_t", "must be >= 1"))
-    if cfg.instalment_count_x < 1:
-        out.append(Violation("instalment_count_x", "must be >= 1"))
-    if not _finite(cfg.bid_cap_lo) or cfg.bid_cap_lo < 0:
-        out.append(Violation("bid_cap_lo", "must be finite and >= 0"))
-    if not _finite(cfg.bid_cap_hi) or cfg.bid_cap_hi <= cfg.bid_cap_lo:
-        out.append(Violation("bid_cap_hi", "must be finite and > bid_cap_lo"))
-    if not _finite(cfg.upfront_cap_hi) or cfg.upfront_cap_hi <= 0:
-        out.append(Violation("upfront_cap_hi", "must be finite and > 0"))
-    if not _finite(cfg.discount_rate) or cfg.discount_rate < 0:
-        out.append(Violation("discount_rate", "must be finite and >= 0"))
-    if cfg.participation_discount_rate is not None and (
-        not _finite(cfg.participation_discount_rate) or cfg.participation_discount_rate < 0
-    ):
-        out.append(Violation("participation_discount_rate", "must be finite and >= 0"))
-    if cfg.horizon < 1:
-        out.append(Violation("horizon_years", "must be >= 1"))
-    if cfg.harvest_window < 1:
-        out.append(Violation("harvest_window", "must be >= 1"))
-    for name in ("horizon_years", "harvest_window"):
-        if (getattr(cfg, name) or 0) > MAX_YEARS:
-            out.append(Violation(name, f"must be <= {MAX_YEARS}"))
-    if cfg.seed < 0:
-        out.append(Violation("seed", "must be >= 0"))
-    r, t, x = cfg.interest_rate_r, cfg.lending_period_t, cfg.instalment_count_x
-    if r >= 0 and t >= 1 and x >= 1:
-        try:
-            omega = 1.0 - (1.0 + r) ** t / x
-        except OverflowError:  # (1+r)^t or x is beyond the float range
-            omega = math.nan
-        if not 0.0 < omega < 1.0:
-            out.append(
-                Violation(
-                    "interest_rate_r/lending_period_t/instalment_count_x",
-                    f"omega = 1 - (1+r)^t/x must lie in (0, 1), got {omega:.6f}",
-                )
-            )
-        else:  # a t or x so large that omega overflows has broken the rule above
-            out.extend(
-                Violation(name, f"must be <= {MAX_YEARS}")
-                for name, value in (("lending_period_t", t), ("instalment_count_x", x))
-                if value > MAX_YEARS
-            )
-    am = cfg.amenity
-    if not _finite(am.d0) or am.d0 <= 0:
-        out.append(Violation("amenity.d0", "must be finite and > 0"))
-    if not _finite(am.d1) or not 0.0 < am.d1 < 1.0:
-        out.append(Violation("amenity.d1", "must lie in (0, 1)"))
-    if not _finite(am.k_max) or am.k_max <= 0:
-        out.append(Violation("amenity.k_max", "must be finite and > 0"))
-    if not _finite(am.phi_sd) or am.phi_sd < 0:
-        out.append(Violation("amenity.phi_sd", "must be finite and >= 0"))
-    if not _finite(am.phi_min) or am.phi_min <= 0:
-        out.append(Violation("amenity.phi_min", "must be finite and > 0"))
-    elif _finite(am.phi_sd) and am.phi_sd >= 0:
-        if not _finite(am.phi_mean) or _phi_acceptance(am) < PHI_ACCEPTANCE_FLOOR:
-            out.append(
-                Violation(
-                    "amenity.phi_mean",
-                    f"must be finite and leave P(phi >= phi_min) >= {PHI_ACCEPTANCE_FLOOR:g} "
-                    "under N(phi_mean, phi_sd)",
-                )
-            )
-    return out
+def omega(cfg: SchemeConfig) -> float:
+    """Marginal payoff of raising the downpayment: 1 - (1+r)^t / x.
+
+    Positive and below one for every valid config; shrinks toward zero as the
+    interest earning on the loan grows. NaN when (1+r)^t or x overflows.
+    """
+    try:
+        factor = compound_factor(cfg.interest_rate_r, cfg.lending_period_t)
+        return 1.0 - factor / cfg.instalment_count_x
+    except OverflowError:
+        return math.nan
+
+
+def validate_scheme(cfg: SchemeConfig) -> list[str]:
+    """Every SchemeConfig rule that `cfg` breaks, as "field: rule", in a fixed order.
+
+    A bound written ``0 <= v < inf`` also rejects NaN and infinities.
+    """
+    r, t, x, inf = cfg.interest_rate_r, cfg.lending_period_t, cfg.instalment_count_x, math.inf
+    lo, hi, rate, am = cfg.bid_cap_lo, cfg.bid_cap_hi, cfg.participation_discount_rate, cfg.amenity
+    at_least_0, above_0 = "must be finite and >= 0", "must be finite and > 0"
+    at_most = f"must be <= {MAX_YEARS}"
+    # omega is defined once r, t and x are in range; a t or x so large that
+    # omega overflows is reported by the omega rule alone.
+    defined = r >= 0 and t >= 1 and x >= 1
+    w = omega(cfg) if defined else math.nan
+    in_unit = 0.0 < w < 1.0
+    rules = [
+        ("interest_rate_r", 0 <= r < inf, at_least_0),
+        ("lending_period_t", t >= 1, "must be >= 1"),
+        ("instalment_count_x", x >= 1, "must be >= 1"),
+        ("bid_cap_lo", 0 <= lo < inf, at_least_0),
+        # not `hi > lo`: a NaN bid_cap_lo is reported by its own rule alone
+        ("bid_cap_hi", -inf < hi < inf and not hi <= lo, "must be finite and > bid_cap_lo"),
+        ("upfront_cap_hi", 0 < cfg.upfront_cap_hi < inf, above_0),
+        ("discount_rate", 0 <= cfg.discount_rate < inf, at_least_0),
+        ("participation_discount_rate", rate is None or 0 <= rate < inf, at_least_0),
+        ("benefit_per_ha", 0 <= cfg.benefit_per_ha < inf, at_least_0),
+        ("horizon_years", cfg.horizon >= 1, "must be >= 1"),
+        ("harvest_window", cfg.harvest_window >= 1, "must be >= 1"),
+        ("horizon_years", (cfg.horizon_years or 0) <= MAX_YEARS, at_most),
+        ("harvest_window", cfg.harvest_window <= MAX_YEARS, at_most),
+        ("seed", cfg.seed >= 0, "must be >= 0"),
+        (
+            "interest_rate_r/lending_period_t/instalment_count_x",
+            in_unit or not defined,
+            f"omega = 1 - (1+r)^t/x must lie in (0, 1), got {w:.6f}",
+        ),
+        ("lending_period_t", not in_unit or t <= MAX_YEARS, at_most),
+        ("instalment_count_x", not in_unit or x <= MAX_YEARS, at_most),
+        ("amenity.d0", 0 < am.d0 < inf, above_0),
+        ("amenity.d1", 0 < am.d1 < 1, "must lie in (0, 1)"),
+        ("amenity.k_max", 0 < am.k_max < inf, above_0),
+        ("amenity.phi_sd", 0 <= am.phi_sd < inf, at_least_0),
+        ("amenity.phi_min", 0 < am.phi_min < inf, above_0),
+        (
+            "amenity.phi_mean",
+            not (0 < am.phi_min < inf and 0 <= am.phi_sd < inf)
+            or (-inf < am.phi_mean < inf and not _phi_acceptance(am) < PHI_ACCEPTANCE_FLOOR),
+            f"must be finite and leave P(phi >= phi_min) >= {PHI_ACCEPTANCE_FLOOR:g} "
+            "under N(phi_mean, phi_sd)",
+        ),
+    ]
+    return [f"{name}: {rule}" for name, ok, rule in rules if not ok]
 
 
 class ConfigError(ValueError):
@@ -290,5 +271,5 @@ def require_valid_scheme(cfg: SchemeConfig) -> SchemeConfig:
     """Raise ConfigError naming the violated invariant, or return cfg unchanged."""
     violations = validate_scheme(cfg)
     if violations:
-        raise ConfigError("; ".join(str(v) for v in violations))
+        raise ConfigError("; ".join(violations))
     return cfg

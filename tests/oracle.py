@@ -11,7 +11,9 @@ accounted through site-id maps, and the row-wise report writer: one dict per
 ledger and timeseries row, one formatted cell at a time, and ``json.dump`` of
 the summary. Sites are ``SiteRecord`` objects here, one per stand, as the
 per-row loader and the per-site generator built them; ``site_table`` and
-``site_records`` convert between them and the package's ``SiteTable``.
+``site_records`` convert between them and the package's ``SiteTable``. The
+scheme and site validators check one rule per ``if`` and return ``Violation``
+records; the package's rule table must give the same messages.
 """
 from __future__ import annotations
 
@@ -43,6 +45,8 @@ from deferauction.finance import (
 from deferauction.model import (
     DEFAULT_AREA_HA,
     DEFAULT_LAND_PAYMENT,
+    MAX_YEARS,
+    PHI_ACCEPTANCE_FLOOR,
     SITE_TYPES,
     AmenityParams,
     Mechanism,
@@ -50,7 +54,7 @@ from deferauction.model import (
     SiteTable,
     SiteType,
     Species,
-    Violation,
+    _phi_acceptance,
     utf8_lines,
 )
 from deferauction.dataio import (
@@ -187,8 +191,94 @@ def site_records(table: SiteTable) -> list[SiteRecord]:
     ]
 
 
+@dataclass(frozen=True)
+class Violation:
+    """One failed invariant: which field, and the rule it broke."""
+
+    field: str
+    rule: str
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.rule}"
+
+
 def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
+    """Check SchemeConfig invariants one `if` at a time, including the bid trade-off omega.
+
+    It has no rule for benefit_per_ha, which the package's rule table added.
+    """
+    out: list[Violation] = []
+    if not _finite(cfg.interest_rate_r) or cfg.interest_rate_r < 0:
+        out.append(Violation("interest_rate_r", "must be finite and >= 0"))
+    if cfg.lending_period_t < 1:
+        out.append(Violation("lending_period_t", "must be >= 1"))
+    if cfg.instalment_count_x < 1:
+        out.append(Violation("instalment_count_x", "must be >= 1"))
+    if not _finite(cfg.bid_cap_lo) or cfg.bid_cap_lo < 0:
+        out.append(Violation("bid_cap_lo", "must be finite and >= 0"))
+    if not _finite(cfg.bid_cap_hi) or cfg.bid_cap_hi <= cfg.bid_cap_lo:
+        out.append(Violation("bid_cap_hi", "must be finite and > bid_cap_lo"))
+    if not _finite(cfg.upfront_cap_hi) or cfg.upfront_cap_hi <= 0:
+        out.append(Violation("upfront_cap_hi", "must be finite and > 0"))
+    if not _finite(cfg.discount_rate) or cfg.discount_rate < 0:
+        out.append(Violation("discount_rate", "must be finite and >= 0"))
+    if cfg.participation_discount_rate is not None and (
+        not _finite(cfg.participation_discount_rate) or cfg.participation_discount_rate < 0
+    ):
+        out.append(Violation("participation_discount_rate", "must be finite and >= 0"))
+    if cfg.horizon < 1:
+        out.append(Violation("horizon_years", "must be >= 1"))
+    if cfg.harvest_window < 1:
+        out.append(Violation("harvest_window", "must be >= 1"))
+    for name in ("horizon_years", "harvest_window"):
+        if (getattr(cfg, name) or 0) > MAX_YEARS:
+            out.append(Violation(name, f"must be <= {MAX_YEARS}"))
+    if cfg.seed < 0:
+        out.append(Violation("seed", "must be >= 0"))
+    r, t, x = cfg.interest_rate_r, cfg.lending_period_t, cfg.instalment_count_x
+    if r >= 0 and t >= 1 and x >= 1:
+        try:
+            omega_value = 1.0 - (1.0 + r) ** t / x
+        except OverflowError:  # (1+r)^t or x is beyond the float range
+            omega_value = math.nan
+        if not 0.0 < omega_value < 1.0:
+            out.append(
+                Violation(
+                    "interest_rate_r/lending_period_t/instalment_count_x",
+                    f"omega = 1 - (1+r)^t/x must lie in (0, 1), got {omega_value:.6f}",
+                )
+            )
+        else:  # a t or x so large that omega overflows has broken the rule above
+            out.extend(
+                Violation(name, f"must be <= {MAX_YEARS}")
+                for name, value in (("lending_period_t", t), ("instalment_count_x", x))
+                if value > MAX_YEARS
+            )
+    am = cfg.amenity
+    if not _finite(am.d0) or am.d0 <= 0:
+        out.append(Violation("amenity.d0", "must be finite and > 0"))
+    if not _finite(am.d1) or not 0.0 < am.d1 < 1.0:
+        out.append(Violation("amenity.d1", "must lie in (0, 1)"))
+    if not _finite(am.k_max) or am.k_max <= 0:
+        out.append(Violation("amenity.k_max", "must be finite and > 0"))
+    if not _finite(am.phi_sd) or am.phi_sd < 0:
+        out.append(Violation("amenity.phi_sd", "must be finite and >= 0"))
+    if not _finite(am.phi_min) or am.phi_min <= 0:
+        out.append(Violation("amenity.phi_min", "must be finite and > 0"))
+    elif _finite(am.phi_sd) and am.phi_sd >= 0:
+        if not _finite(am.phi_mean) or _phi_acceptance(am) < PHI_ACCEPTANCE_FLOOR:
+            out.append(
+                Violation(
+                    "amenity.phi_mean",
+                    f"must be finite and leave P(phi >= phi_min) >= {PHI_ACCEPTANCE_FLOOR:g} "
+                    "under N(phi_mean, phi_sd)",
+                )
+            )
+    return out
 
 
 def validate_site(site: SiteRecord) -> list[Violation]:
@@ -512,14 +602,14 @@ def bid_objective(
 def optimal_downpayment_value(
     site: SiteRecord, owner: LandownerProfile, cfg: SchemeConfig
 ) -> float:
-    """c* = hi/2 + [v0 - v1 (1+r)^t / x - (a1 - a0)] / (2 omega), clamped at zero."""
+    """c* = hi/2 + [v0 - v1 (1+r)^t / x - (a1 - a0)] / (2 omega), clamped below at lo."""
     v1 = conservation_payment(site)
     v0 = site.opportunity_cost_v0
     belief = belief_from_config(cfg)
     factor = compound_factor(cfg.interest_rate_r, cfg.lending_period_t)
     cost_term = v0 - v1 * factor / cfg.instalment_count_x - owner.amenity_gain
     c_star = belief.hi / 2.0 + cost_term / (2.0 * omega(cfg))
-    return max(0.0, c_star)
+    return max(belief.lo, c_star)
 
 
 def participates(

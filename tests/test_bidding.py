@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_site
+from deferauction import bidding
 from deferauction.bidding import omega
 from deferauction.model import AmenityParams, SchemeConfig
 from oracle import (
@@ -107,6 +108,18 @@ class TestOptimalDownpayment:
         bid = optimal_downpayment(example_site(v0=500.0), rich_amenity, base_config)
         assert bid.downpayment_c == 0.0
         assert bid.instalment_m > 0
+
+    def test_solution_below_the_belief_floor_clamps_to_lo(self):
+        # c* = 1 034.23 < lo: every bid up to lo is accepted, so the surplus rises to lo
+        cfg = SchemeConfig(bid_cap_lo=1_500.0, bid_cap_hi=2_000.0)
+        site = example_site(v0=3_000.0)
+        numeric = optimal_downpayment_numeric(site, HARTMANIAN_2000, cfg, 0.01)
+        assert numeric == pytest.approx(1_500.0, abs=0.05)
+        assert optimal_downpayment(site, HARTMANIAN_2000, cfg).downpayment_c == 1_500.0
+        c, _, _ = bidding.optimal_downpayment(
+            np.array([7_000.0]), np.array([3_000.0]), np.array([2_000.0]), cfg
+        )
+        assert c.tolist() == [1_500.0]
 
     def test_bid_above_payment_never_participates(self, base_config):
         bid = optimal_downpayment(example_site(v0=25_000.0), FAUSTMANNIAN, base_config)

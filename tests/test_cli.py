@@ -106,6 +106,13 @@ class TestRun:
             ({"dataset": {"synthetic": {"n_sites": 10.5}}}, "dataset.synthetic.n_sites"),
             ({"dataset": {"synthetic": 5}}, "dataset.synthetic"),
             ({"mechanisms": 5}, "mechanisms"),
+            ({"scheme": {"benefit_per_ha": -5980}}, "benefit_per_ha: must be finite and >= 0"),
+            ({"mechanisms": "deferred", "budget": {"upfront": "junk"}}, "budget.upfront"),
+            ({"mechanisms": "deferred", "budget": {"upfront": -1}}, "budget.upfront"),
+            (
+                {"dataset": {"path": "sites.csv", "synthetic": None}},
+                "dataset must specify either 'path' or 'synthetic'",
+            ),
         ],
         ids=[
             "budget-string",
@@ -116,6 +123,10 @@ class TestRun:
             "float-site-count",
             "synthetic-number",
             "mechanisms-number",
+            "negative-benefit",
+            "upfront-budget-string-without-upfront-run",
+            "upfront-budget-negative-without-upfront-run",
+            "path-and-synthetic",
         ],
     )
     def test_configuration_errors_exit_2_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -366,6 +377,18 @@ class TestRun:
             assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
         for name in ("summary.csv", "sites_deferred.csv", "manifest.json"):
             assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "marked" / name).read_bytes()
+
+    def test_manifest_of_a_run_without_upfront_records_no_budget_and_reruns(self, tmp_path):
+        scenario = write_scenario(
+            tmp_path, mechanisms="deferred", budget={"initial": 1_200_000.0, "upfront": 6e5}
+        )
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", str(scenario), "--out-dir", str(first)]) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["scenario"]["budget"]["upfront"] is None
+        assert main(["run", str(first / "manifest.json"), "--out-dir", str(second)]) == EXIT_OK
+        for name in sorted(os.listdir(first)):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_manifest_rerun_is_bit_identical(self, tmp_path):
         scenario = write_scenario(tmp_path)

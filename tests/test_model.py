@@ -1,7 +1,12 @@
 import dataclasses
+import math
+import typing
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import make_site
 from deferauction.model import (
     MAX_YEARS,
@@ -10,11 +15,50 @@ from deferauction.model import (
     SchemeConfig,
     SiteType,
     Species,
-    Violation,
+    omega,
     require_valid_scheme,
     validate_scheme,
 )
 from oracle import conservation_payment, validate_site
+
+# Values that break some rule, or sit at an edge of one.
+SPECIAL = [0, -1, math.nan, math.inf, -math.inf, 1e308, MAX_YEARS + 1, 10**12]
+
+
+def _is_int(hint) -> bool:
+    return int in (hint, *typing.get_args(hint))
+
+
+def _configs(cls):
+    """Configs of `cls` whose fields each hold their default or a SPECIAL value.
+
+    An int field draws only the integers: the scenario reader lets no other
+    value into it. benefit_per_ha stays finite and >= 0, the one rule that the
+    oracle's validator lacks.
+    """
+    hints = typing.get_type_hints(cls)
+    drawn = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if hint is AmenityParams:
+            drawn[f.name] = _configs(AmenityParams)
+            continue
+        pool = [v for v in SPECIAL if isinstance(v, int)] if _is_int(hint) else SPECIAL
+        if f.name == "benefit_per_ha":
+            pool = [v for v in SPECIAL if 0 <= v < math.inf]
+        if type(None) in typing.get_args(hint):
+            pool = pool + [None]
+        drawn[f.name] = st.sampled_from([f.default, *pool])
+    return st.builds(cls, **drawn)
+
+
+def _scheme_fields() -> list[tuple[str, bool]]:
+    """(dotted name, is an int field) of every field of SchemeConfig and AmenityParams."""
+    hints = typing.get_type_hints(SchemeConfig)
+    amenity = typing.get_type_hints(AmenityParams)
+    return [(name, _is_int(hint)) for name, hint in hints.items() if hint is not AmenityParams] + [
+        (f"amenity.{name}", _is_int(hint)) for name, hint in amenity.items()
+    ]
 
 
 class TestValidateSite:
@@ -74,13 +118,13 @@ class TestValidateScheme:
     def test_phi_draw_must_be_acceptable(self, amenity, accepted):
         violations = validate_scheme(SchemeConfig(amenity=amenity))
         assert (violations == []) is accepted
-        assert all(v.field == "amenity.phi_mean" for v in violations)
+        assert all(v.startswith("amenity.phi_mean: ") for v in violations)
 
     def test_omega_violation_rejected(self):
         # 1.2^10 = 6.19 > x = 5, so omega < 0
         cfg = SchemeConfig(interest_rate_r=0.20, lending_period_t=10, instalment_count_x=5)
         violations = validate_scheme(cfg)
-        assert any("omega" in v.rule for v in violations)
+        assert any(": omega = " in v for v in violations)
         with pytest.raises(ConfigError):
             require_valid_scheme(cfg)
 
@@ -100,11 +144,37 @@ class TestValidateScheme:
         assert validate_scheme(at_bound) == []
         for huge in (MAX_YEARS + 1, 10**12):
             cfg = dataclasses.replace(base, **{field: huge})
-            assert validate_scheme(cfg) == [Violation(field, f"must be <= {MAX_YEARS}")]
+            assert validate_scheme(cfg) == [f"{field}: must be <= {MAX_YEARS}"]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_configs(SchemeConfig))
+    @example(SchemeConfig(bid_cap_lo=math.nan))
+    @example(SchemeConfig(bid_cap_lo=math.nan, bid_cap_hi=math.nan))
+    # P(phi >= phi_min) computes as NaN here, which the reference accepts
+    @example(SchemeConfig(amenity=AmenityParams(phi_mean=-1e308, phi_sd=1.5e308, phi_min=1e308)))
+    def test_messages_equal_the_reference_validator(self, cfg):
+        assert validate_scheme(cfg) == [str(v) for v in oracle.validate_scheme(cfg)]
+
+    @pytest.mark.parametrize("name, is_int", _scheme_fields())
+    def test_every_field_has_a_rule(self, name, is_int):
+        bad = -1 if is_int else math.nan
+        if name.startswith("amenity."):
+            amenity = dataclasses.replace(AmenityParams(), **{name.split(".")[1]: bad})
+            cfg = SchemeConfig(amenity=amenity)
+        else:
+            cfg = dataclasses.replace(SchemeConfig(), **{name: bad})
+        named = {
+            field for message in validate_scheme(cfg) for field in message.split(": ")[0].split("/")
+        }
+        assert name in named
+
+    def test_omega_beyond_the_float_range_is_nan(self):
+        assert math.isnan(omega(SchemeConfig(lending_period_t=10**12)))
+        assert math.isnan(omega(SchemeConfig(instalment_count_x=10**400)))
 
     def test_belief_cap_order(self):
         cfg = SchemeConfig(bid_cap_lo=500.0, bid_cap_hi=400.0)
-        assert any(v.field == "bid_cap_hi" for v in validate_scheme(cfg))
+        assert validate_scheme(cfg) == ["bid_cap_hi: must be finite and > bid_cap_lo"]
 
     def test_horizon_defaults_to_lending_period_plus_one(self):
         assert SchemeConfig().horizon == 11

@@ -40,8 +40,10 @@ BASE = {
         "interest_rate_r": 0.03,
         "lending_period_t": 10,
         "instalment_count_x": 12,
+        "bid_cap_lo": 0.0,
         "bid_cap_hi": 2000,
         "participation_discount_rate": None,
+        "benefit_per_ha": 5980,
         "horizon_years": 12,
         "harvest_window": 15,
         "amenity": {"d0": 0.04, "phi_sd": 0.2},

@@ -42,6 +42,7 @@ from .model import (
     SiteTable,
     require_valid_scheme,
     utf8_lines,
+    validate_scheme,
 )
 from .simulation import (
     RunOutcome,
@@ -65,24 +66,40 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 NPV_MATCHED = "npv-matched"
-DEFAULT_INITIAL_BUDGET = 5_000_000.0
-
 RANKINGS = ("benefit_cost", "old_growth")
+FORMATS = ("csv", "json", "both")
+# Run order: deferred first, since an npv-matched up-front budget derives from its stream.
+MECHANISMS = tuple(mechanism.value for mechanism in Mechanism)
+
+
+@dataclass(frozen=True)
+class Budget:
+    """A scenario's budgets: the deferred run's at year 0, the up-front run's per year."""
+
+    initial: float = 5_000_000.0
+    upfront: float | str | None = NPV_MATCHED
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved run request."""
+    """A scenario file: its fields are the file's keys, annotated as the file may give them.
 
-    dataset_path: str | None
-    synthetic: SyntheticProfile | None
-    scheme: SchemeConfig
-    mechanisms: tuple[Mechanism, ...]
-    ranking: str
-    initial_budget: float
-    upfront_budget: float | str | None
-    elite_table_path: str | None
-    fmt: str
+    `resolve_scenario` reads one, applies the defaults and checks the rules.
+    Resolved, `dataset` holds one key, "path" (a str) or "synthetic" (a
+    SyntheticProfile); `mechanisms` is a tuple in MECHANISMS order; the
+    up-front budget is None without an up-front run; `seed` is the scheme's.
+    `dataclasses.asdict` of it is a manifest's "scenario", which resolves to
+    an equal Scenario.
+    """
+
+    dataset: dict = dataclasses.field(default_factory=lambda: {"synthetic": None})
+    scheme: SchemeConfig = SchemeConfig()
+    mechanisms: tuple[str, ...] | str = "both"
+    ranking: str = RANKINGS[0]
+    budget: Budget = Budget()
+    elite_table: str | None = None
+    seed: int = None  # the scheme's
+    format: str = "both"
 
 
 @dataclass(frozen=True)
@@ -99,7 +116,7 @@ class SweepPlan:
     seeds: tuple[int, ...] = ()
 
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "a JSON object"}
 
 
 def _object(raw, name: str, known) -> dict:
@@ -112,11 +129,16 @@ def _object(raw, name: str, known) -> dict:
     return raw
 
 
-def _from_json(cls, raw, name: str):
-    """The dataclass `cls` from the JSON object `raw`, each field read as annotated."""
+def _from_json(cls, raw, name: str, prefix: str | None = None):
+    """The dataclass `cls` from the JSON object `raw`, each field read as annotated.
+
+    Messages name the object `name` and a field `prefix` + its key; `prefix`
+    is `name` and a dot unless given.
+    """
     hints = typing.get_type_hints(cls)
     raw = _object(raw, name, hints)
-    return cls(**{key: _typed(hints[key], value, f"{name}.{key}") for key, value in raw.items()})
+    prefix = f"{name}." if prefix is None else prefix
+    return cls(**{key: _typed(hints[key], value, prefix + key) for key, value in raw.items()})
 
 
 def _typed(hint, value, name: str):
@@ -126,8 +148,10 @@ def _typed(hint, value, name: str):
     float and stays an int, so a manifest echoes its input.
     """
     args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):  # X | None
-        return None if value is None else _typed(args[0], value, name)
+    if isinstance(hint, types.UnionType):  # X | None or X | str: a None or str passes as it is
+        if value is None and type(None) in args or isinstance(value, str) and str in args:
+            return value
+        return _typed(args[0], value, name)
     if dataclasses.is_dataclass(hint):
         return _from_json(hint, value, name)
     if typing.get_origin(hint) is tuple:
@@ -146,122 +170,75 @@ def _typed(hint, value, name: str):
 
 def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     """Validate and fully resolve a scenario dict (defaults applied, seed pinned)."""
-    keys = ("dataset", "scheme", "mechanisms", "ranking", "budget", "elite_table", "seed", "format")
-    _object(raw, "scenario", keys)
-    dataset = raw.get("dataset", {"synthetic": {"n_sites": 400}})
-    dataset = _object(dataset, "dataset", ("path", "synthetic"))
-    if len(dataset) != 1:
-        raise ConfigError("dataset must specify either 'path' or 'synthetic'")
-    dataset_path: str | None = None
-    synthetic: SyntheticProfile | None = None
+    scenario = _from_json(Scenario, raw, "scenario", prefix="")
+    dataset = dict(_object(scenario.dataset, "dataset", ("path", "synthetic")))
     if "path" in dataset:
-        dataset_path = str(Path(_typed(str, dataset["path"], "dataset.path")).expanduser())
-    else:
+        dataset["path"] = str(Path(_typed(str, dataset["path"], "dataset.path")).expanduser())
+    if "synthetic" in dataset:
         profile = {} if dataset["synthetic"] is None else dataset["synthetic"]
-        synthetic = _from_json(SyntheticProfile, profile, "dataset.synthetic")
-        synthetic.validate()
-
-    scheme = _from_json(SchemeConfig, raw.get("scheme", {}), "scheme")
-    seed = raw.get("seed", scheme.seed) if seed_override is None else seed_override
-    scheme = require_valid_scheme(dataclasses.replace(scheme, seed=_typed(int, seed, "seed")))
-
-    mech_raw = raw.get("mechanisms", "both")
-    if mech_raw == "both":
-        mechanisms: tuple[Mechanism, ...] = (Mechanism.DEFERRED, Mechanism.UPFRONT)
-    else:
-        if isinstance(mech_raw, str):
-            mech_raw = [mech_raw]
-        if not isinstance(mech_raw, list):
-            raise ConfigError(
-                f"mechanisms must be 'both', a mechanism name or a list of them, got {mech_raw!r}"
-            )
-        try:
-            parsed = {Mechanism(m) for m in mech_raw}
-        except ValueError as err:
-            raise ConfigError(f"bad mechanism: {err}") from None
-        if not parsed:
-            raise ConfigError("mechanisms must not be empty")
-        # deferred first: an npv-matched up-front budget derives from its stream
-        mechanisms = tuple(
-            sorted(parsed, key=lambda m: 0 if m is Mechanism.DEFERRED else 1)
-        )
-
-    ranking = raw.get("ranking", "benefit_cost")
-    if ranking not in RANKINGS:
-        raise ConfigError(f"ranking must be one of {RANKINGS}")
-
-    budget = _object(raw.get("budget", {}), "budget", ("initial", "upfront"))
-    initial = budget.get("initial", DEFAULT_INITIAL_BUDGET)
-    initial_budget = float(_typed(float, initial, "budget.initial"))
-    if Mechanism.DEFERRED in mechanisms and initial_budget <= 0:
-        raise ConfigError("budget.initial must be > 0 for a deferred run")
-    upfront_budget = budget.get("upfront", NPV_MATCHED)
-    if upfront_budget is None and Mechanism.UPFRONT not in mechanisms:
-        upfront_budget = NPV_MATCHED  # how the manifest of a run without one records it
-    if upfront_budget != NPV_MATCHED:
-        upfront_budget = float(_typed(float, upfront_budget, "budget.upfront"))
-        if upfront_budget <= 0:
-            raise ConfigError("budget.upfront must be > 0 or 'npv-matched'")
-    elif Mechanism.DEFERRED not in mechanisms:
-        raise ConfigError(
-            "an npv-matched up-front budget requires a deferred run in the same scenario"
-        )
-    if Mechanism.UPFRONT not in mechanisms:
-        upfront_budget = None
-
-    fmt = raw.get("format", "both")
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError("format must be csv, json, or both")
-
-    return Scenario(
-        dataset_path=dataset_path,
-        synthetic=synthetic,
+        dataset["synthetic"] = _from_json(SyntheticProfile, profile, "dataset.synthetic")
+        dataset["synthetic"].validate()
+    seed = scenario.seed if seed_override is None else seed_override
+    scheme = dataclasses.replace(scenario.scheme, seed=scenario.scheme.seed if seed is None else seed)
+    names = scenario.mechanisms
+    names = MECHANISMS if names == "both" else (names,) if isinstance(names, str) else names
+    has_deferred, has_upfront = (name in names for name in MECHANISMS)
+    initial, upfront = scenario.budget.initial, scenario.budget.upfront
+    if upfront is None and not has_upfront:
+        upfront = NPV_MATCHED  # read back from the null that such a run's manifest records
+    amount = not isinstance(upfront, str | None)
+    rules = [
+        ("dataset", len(dataset) == 1, "must specify either 'path' or 'synthetic'"),
+        (
+            "mechanisms",
+            set(names) <= set(MECHANISMS),
+            "must be 'both', a mechanism name or a list of them",
+        ),
+        ("mechanisms", bool(names), "must not be empty"),
+        ("ranking", scenario.ranking in RANKINGS, f"must be one of {RANKINGS}"),
+        ("budget.initial", initial > 0, "must be > 0"),
+        (
+            "budget.upfront",
+            upfront > 0 if amount else upfront == NPV_MATCHED,
+            f"must be > 0 or {NPV_MATCHED!r}",
+        ),
+        (
+            "budget.upfront",
+            upfront != NPV_MATCHED or has_deferred or not has_upfront,
+            f"{NPV_MATCHED!r} requires a deferred run in the same scenario",
+        ),
+        ("format", scenario.format in FORMATS, "must be csv, json, or both"),
+    ]
+    broken = [f"{name} {rule}" for name, ok, rule in rules if not ok] + validate_scheme(scheme)
+    if broken:
+        raise ConfigError("; ".join(broken))
+    upfront = (float(upfront) if amount else upfront) if has_upfront else None
+    return dataclasses.replace(
+        scenario,
+        dataset=dataset,
         scheme=scheme,
-        mechanisms=mechanisms,
-        ranking=ranking,
-        initial_budget=initial_budget,
-        upfront_budget=upfront_budget,
-        elite_table_path=_typed(str | None, raw.get("elite_table"), "elite_table"),
-        fmt=fmt,
+        mechanisms=tuple(name for name in MECHANISMS if name in names),
+        budget=Budget(float(initial), upfront),
+        seed=scheme.seed,
     )
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize a resolved scenario; feeding this back reproduces the run."""
-    if scenario.dataset_path is not None:
-        dataset = {"path": scenario.dataset_path}
-    else:
-        dataset = {"synthetic": dataclasses.asdict(scenario.synthetic)}
-    return {
-        "dataset": dataset,
-        "scheme": dataclasses.asdict(scenario.scheme),
-        "mechanisms": [m.value for m in scenario.mechanisms],
-        "ranking": scenario.ranking,
-        "budget": {
-            "initial": scenario.initial_budget,
-            "upfront": scenario.upfront_budget,
-        },
-        "elite_table": scenario.elite_table_path,
-        "seed": scenario.scheme.seed,
-        "format": scenario.fmt,
-    }
-
-
 def _load_dataset(scenario: Scenario) -> SiteTable:
-    if scenario.dataset_path is not None:
-        sites, issues = load_sites(scenario.dataset_path)
-        for issue in issues:
-            print(f"warning: {scenario.dataset_path}: {issue}", file=sys.stderr)
-        if not sites:
-            raise LoadError(f"{scenario.dataset_path}: no valid rows")
-        return sites
-    return generate_synthetic(scenario.synthetic, scenario.scheme.seed)
+    path = scenario.dataset.get("path")
+    if path is None:
+        return generate_synthetic(scenario.dataset["synthetic"], scenario.scheme.seed)
+    sites, issues = load_sites(path)
+    for issue in issues:
+        print(f"warning: {path}: {issue}", file=sys.stderr)
+    if not sites:
+        raise LoadError(f"{path}: no valid rows")
+    return sites
 
 
 def _elite_table(scenario: Scenario) -> EliteTable:
-    if scenario.elite_table_path is None:
+    if scenario.elite_table is None:
         return DEFAULT_ELITE_TABLE
-    return load_elite_table(scenario.elite_table_path)
+    return load_elite_table(scenario.elite_table)
 
 
 SeedInputs = tuple[SiteColumns, np.ndarray]
@@ -295,7 +272,7 @@ def execute_scenario(
     outcomes: list[RunOutcome] = []
     supplies: dict[Mechanism, SupplySummary] = {}
 
-    for mechanism in scenario.mechanisms:
+    for mechanism in map(Mechanism, scenario.mechanisms):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             offers = build_offers(columns, cfg, mechanism)
             supplies[mechanism] = summarize_supply(offers)
@@ -303,9 +280,9 @@ def execute_scenario(
                 offers = select_old_growth(offers)
             ranked = rank_benefit_cost(offers)
             if mechanism is Mechanism.DEFERRED:
-                outcome = deferred_outcome = run_deferred(cfg, scenario.initial_budget, ranked, schedule)
+                outcome = deferred_outcome = run_deferred(cfg, scenario.budget.initial, ranked, schedule)
             else:
-                budget = scenario.upfront_budget
+                budget = scenario.budget.upfront
                 if budget == NPV_MATCHED:  # resolve_scenario puts the deferred run first
                     budget = match_upfront_budget(
                         deferred_outcome.spending[0],
@@ -323,7 +300,7 @@ def execute_scenario(
 
 
 def _write_manifest(out_dir: Path, kind: str, scenario: Scenario, extra: dict | None = None) -> Path:
-    manifest = {"version": __version__, "kind": kind, "scenario": scenario_to_dict(scenario)}
+    manifest = {"version": __version__, "kind": kind, "scenario": dataclasses.asdict(scenario)}
     if extra:
         manifest.update(extra)
     path = out_dir / "manifest.json"
@@ -356,9 +333,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format:
-        scenario = dataclasses.replace(scenario, fmt=args.format)
+        scenario = dataclasses.replace(scenario, format=args.format)
     outcomes, supplies = execute_scenario(scenario)
-    write_report(outcomes, supplies, scenario.scheme, out_dir, scenario.fmt)
+    write_report(outcomes, supplies, scenario.scheme, out_dir, scenario.format)
     manifest = _write_manifest(out_dir, "run", scenario)
     print(format_console_summary(outcomes, supplies))
     print(f"manifest: {manifest}")
@@ -397,7 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     points = list(product(*dataclasses.astuple(plan)))
     rows: list[dict[str, object]] = []
-    schemes: dict[int, SchemeConfig] = {}  # point index -> its valid scheme
+    scenarios: dict[int, Scenario] = {}  # point index -> its scenario, if its scheme is valid
     for index, (rate, period, scale, seed) in enumerate(points):
         rows.append(dict(zip(SWEEP_POINT_COLUMNS, (index, rate, period, scale, seed))))
         point_scheme = dataclasses.replace(
@@ -408,7 +385,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             seed=seed,
         )
         try:
-            schemes[index] = require_valid_scheme(point_scheme)
+            point_scheme = require_valid_scheme(point_scheme)
+            scenarios[index] = dataclasses.replace(scenario, scheme=point_scheme, seed=seed)
         except ConfigError as err:
             rows[index]["status"] = f"error: {err}"
 
@@ -416,16 +394,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # seed; points run grouped by seed, so one seed's inputs are alive at a time.
     csv_sites: SiteTable | None = None
     csv_error: LoadError | OSError | None = None
-    if scenario.dataset_path is not None and schemes:
+    if "path" in scenario.dataset and scenarios:
         try:
             csv_sites = _load_dataset(scenario)
         except (LoadError, OSError) as err:
             csv_error = err
     for seed in dict.fromkeys(plan.seeds):
-        group = [index for index, scheme in schemes.items() if scheme.seed == seed]
+        group = [index for index, point in scenarios.items() if point.seed == seed]
         if not group:
             continue
-        seed_scenario = dataclasses.replace(scenario, scheme=schemes[group[0]])
+        seed_scenario = scenarios[group[0]]
         dataset = inputs = None  # the previous seed's, freed before this seed's are built
         try:
             if csv_error is not None:
@@ -437,15 +415,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rows[index]["status"] = f"error: {err}"
             continue
         for index in group:
-            _run_sweep_point(
-                dataclasses.replace(scenario, scheme=schemes[index]),
-                inputs,
-                out_dir / f"point_{index:04d}" if args.point_dirs else None,
-                rows[index],
-            )
+            point_dir = out_dir / f"point_{index:04d}" if args.point_dirs else None
+            _run_sweep_point(scenarios[index], inputs, point_dir, rows[index])
 
     sweep_path = out_dir / "sweep.csv"
-    write_sweep(sweep_path, scenario.mechanisms, rows)
+    write_sweep(sweep_path, [Mechanism(name) for name in scenario.mechanisms], rows)
     _write_manifest(out_dir, "sweep", scenario, extra={"axes": dataclasses.asdict(plan)})
     print(f"sweep: {len(points)} points -> {sweep_path}")
     return EXIT_OK
@@ -458,7 +432,7 @@ def _run_sweep_point(
     try:
         outcomes, supplies = execute_scenario(scenario, inputs)
         if point_dir is not None:
-            write_report(outcomes, supplies, scenario.scheme, point_dir, scenario.fmt)
+            write_report(outcomes, supplies, scenario.scheme, point_dir, scenario.format)
             _write_manifest(point_dir, "run", scenario)
     except (ConfigError, LoadError, OSError) as err:
         row["status"] = f"error: {err}"
@@ -585,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="scenario JSON file, or a manifest.json from a prior run")
     run_p.add_argument("--out-dir", default="runs/latest")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_p.add_argument("--format", choices=("csv", "json", "both"), default=None)
+    run_p.add_argument("--format", choices=FORMATS, default=None)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario over parameter grids")

@@ -194,7 +194,8 @@ def validate_scheme(cfg: SchemeConfig) -> list[str]:
         ("discount_rate", 0 <= cfg.discount_rate < inf, at_least_0),
         ("participation_discount_rate", rate is None or 0 <= rate < inf, at_least_0),
         ("benefit_per_ha", 0 <= cfg.benefit_per_ha < inf, at_least_0),
-        ("horizon_years", cfg.horizon >= 1, "must be >= 1"),
+        # the default horizon, t + 1, is >= 2 whenever t passes its own rule
+        ("horizon_years", cfg.horizon_years is None or cfg.horizon_years >= 1, "must be >= 1"),
         ("harvest_window", cfg.harvest_window >= 1, "must be >= 1"),
         ("horizon_years", (cfg.horizon_years or 0) <= MAX_YEARS, at_most),
         ("harvest_window", cfg.harvest_window <= MAX_YEARS, at_most),

@@ -250,7 +250,7 @@ def rank_benefit_cost(offers: OfferTable) -> OfferTable:
     """
     cost = offers.cost
     benefit = offers.elite * offers.area
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(cost > 0, benefit / cost, np.where(benefit > 0, np.inf, 0.0))
     return offers.take(np.lexsort((offers.columns.id_rank[offers.site], cost, -ratio)))
 

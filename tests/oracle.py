@@ -230,7 +230,7 @@ def validate_scheme(cfg: SchemeConfig) -> list[Violation]:
         not _finite(cfg.participation_discount_rate) or cfg.participation_discount_rate < 0
     ):
         out.append(Violation("participation_discount_rate", "must be finite and >= 0"))
-    if cfg.horizon < 1:
+    if cfg.horizon_years is not None and cfg.horizon_years < 1:
         out.append(Violation("horizon_years", "must be >= 1"))
     if cfg.harvest_window < 1:
         out.append(Violation("harvest_window", "must be >= 1"))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,37 @@ OMEGA = (
 
 
 OVERFLOW = "deferred run: area_ha is inf; an input is too large"
+BAD_TABLE = "weight2.csv"  # written by the test that names it: a habitat weight of 2
+# Each top-level scenario key, set to a value of the wrong type and to values out of range,
+# with the name its error must carry: the key, or the field at fault inside it.
+TOP_LEVEL_KEYS = [
+    ("dataset", "type", {"dataset": 5}, "dataset"),
+    ("dataset", "range", {"dataset": {}}, "dataset"),
+    ("dataset", "range", {"dataset": {"synthetic": {"n_sites": -1}}}, "n_sites"),
+    ("scheme", "type", {"scheme": [1]}, "scheme"),
+    ("scheme", "range", {"scheme": {"discount_rate": -1}}, "discount_rate"),
+    ("mechanisms", "type", {"mechanisms": 5}, "mechanisms"),
+    ("mechanisms", "range", {"mechanisms": []}, "mechanisms"),
+    ("mechanisms", "range", {"mechanisms": ["sideways"]}, "mechanisms"),
+    ("ranking", "type", {"ranking": 5}, "ranking"),
+    ("ranking", "range", {"ranking": "cheapest"}, "ranking"),
+    ("budget", "type", {"budget": [1]}, "budget"),
+    ("budget", "range", {"budget": {"initial": -5}}, "budget.initial"),
+    (
+        "budget",
+        "range",
+        {"mechanisms": "upfront", "budget": {"initial": -5, "upfront": 1e5}},
+        "budget.initial",
+    ),
+    ("budget", "range", {"budget": {"upfront": 0}}, "budget.upfront"),
+    ("budget", "range", {"mechanisms": "upfront", "budget": {"upfront": "npv-matched"}}, "budget.upfront"),
+    ("elite_table", "type", {"elite_table": 5}, "elite_table"),
+    ("elite_table", "range", {"elite_table": BAD_TABLE}, "weight"),
+    ("seed", "type", {"seed": "seven"}, "seed"),
+    ("seed", "range", {"seed": -1}, "seed"),
+    ("format", "type", {"format": 5}, "format"),
+    ("format", "range", {"format": "xml"}, "format"),
+]
 
 
 def huge_area_csv(tmp_path):
@@ -137,6 +169,28 @@ class TestRun:
         scenario = write_scenario(tmp_path, **overrides)
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [case[2:] for case in TOP_LEVEL_KEYS],
+        ids=[f"{key}-{kind}-{i}" for i, (key, kind, *_) in enumerate(TOP_LEVEL_KEYS)],
+    )
+    def test_each_top_level_key_out_of_type_or_range_exits_2_naming_it(
+        self, tmp_path, capsys, overrides, name
+    ):
+        if overrides.get("elite_table") == BAD_TABLE:
+            table = tmp_path / BAD_TABLE
+            table.write_text("component,site_types,weight,reference\ndeadwood,all,2,20\n")
+            overrides = {"elite_table": str(table)}
+        scenario = write_scenario(tmp_path, **overrides)
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+    def test_the_key_table_covers_every_scenario_field_both_ways(self):
+        covered = {(key, kind) for key, kind, *_ in TOP_LEVEL_KEYS}
+        fields = [field.name for field in dataclasses.fields(cli.Scenario)]
+        assert covered == {(key, kind) for key in fields for kind in ("type", "range")}
 
     @pytest.mark.parametrize(
         "overrides, message",

@@ -129,6 +129,20 @@ class TestValidateScheme:
             require_valid_scheme(cfg)
 
     @pytest.mark.parametrize(
+        "changes, violations",
+        [
+            ({"lending_period_t": -1}, ["lending_period_t: must be >= 1"]),
+            ({"lending_period_t": 0}, ["lending_period_t: must be >= 1"]),
+            ({"horizon_years": 0}, ["horizon_years: must be >= 1"]),
+            ({"lending_period_t": -1, "horizon_years": 0}, [
+                "lending_period_t: must be >= 1", "horizon_years: must be >= 1"
+            ]),
+        ],
+    )
+    def test_horizon_rule_names_only_a_horizon_that_is_set(self, changes, violations):
+        assert validate_scheme(SchemeConfig(**changes)) == violations
+
+    @pytest.mark.parametrize(
         "field, zero_rate",
         [
             ("lending_period_t", True),

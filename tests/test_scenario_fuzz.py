@@ -1,4 +1,5 @@
-"""Fuzz of the scenario reader: `run` on mutated scenario JSON exits 0, 2 or 3, never 4.
+"""Fuzz of the scenario reader: `run` on mutated scenario JSON exits 0, 2 or 3, never 4,
+and a mutated scenario that resolves resolves again, from its manifest, to an equal one.
 
 Each example applies up to three mutations to a small valid scenario: a
 value of another type (NaN, infinities and huge numbers among them), a list
@@ -137,8 +138,21 @@ def test_mutated_scenario_exits_0_2_or_3(doc):
         except ConfigError:
             scenario = None
         # a dropped site count or profile falls back to the 400-site default
-        assume(scenario is None or scenario.synthetic is None or scenario.synthetic.n_sites <= 50)
+        profile = scenario and scenario.dataset.get("synthetic")
+        assume(profile is None or profile.n_sites <= 50)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["run", str(path), "--out-dir", str(Path(tmp) / "out")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO), err.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated())
+def test_manifest_scenario_resolves_to_an_equal_scenario(doc):
+    try:
+        scenario = cli.resolve_scenario(doc)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = cli._write_manifest(Path(tmp), "run", scenario)
+        assert cli._read_scenario_file(str(manifest), None) == scenario

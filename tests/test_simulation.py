@@ -179,6 +179,14 @@ class TestRanking:
         ])
         assert ids(rank_benefit_cost(offers)) == ["aaa", "cheap", "pricey"]
 
+    def test_tiny_outlay_ranks_first_without_a_warning(self):
+        # benefit / 5e-323 overflows to inf; pytest turns numpy's warning into an error
+        offers = offer_table([
+            make_offer("normal", cost_per_ha=10.0, elite=0.4),
+            make_offer("tiny", cost_per_ha=5e-324, elite=0.4),
+        ])
+        assert ids(rank_benefit_cost(offers)) == ["tiny", "normal"]
+
     def test_zero_benefit_ranks_last_zero_cost_first(self):
         offers = offer_table([
             make_offer("zero-elite", cost_per_ha=10.0, elite=0.0),

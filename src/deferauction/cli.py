@@ -168,16 +168,27 @@ def _typed(hint, value, name: str):
     return value
 
 
+def _path(value: object, name: str) -> str:
+    """The path string `value` as Path writes it, with a leading `~` or `~user` expanded."""
+    text = _typed(str, value, name)
+    try:
+        return str(Path(text).expanduser())
+    except RuntimeError:  # an unknown user, or no home directory
+        raise ConfigError(f"{name} {text!r}: cannot determine the home directory") from None
+    except ValueError as err:  # a NUL in the user name, reported as open() reports one
+        raise LoadError(f"{text!r}: {err}") from None
+
+
 def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     """Validate and fully resolve a scenario dict (defaults applied, seed pinned)."""
     scenario = _from_json(Scenario, raw, "scenario", prefix="")
     dataset = dict(_object(scenario.dataset, "dataset", ("path", "synthetic")))
     if "path" in dataset:
-        dataset["path"] = str(Path(_typed(str, dataset["path"], "dataset.path")).expanduser())
+        dataset["path"] = _path(dataset["path"], "dataset.path")
     if "synthetic" in dataset:
         profile = {} if dataset["synthetic"] is None else dataset["synthetic"]
         dataset["synthetic"] = _from_json(SyntheticProfile, profile, "dataset.synthetic")
-        dataset["synthetic"].validate()
+    elite_table = scenario.elite_table and _path(scenario.elite_table, "elite_table")
     seed = scenario.seed if seed_override is None else seed_override
     scheme = dataclasses.replace(scenario.scheme, seed=scenario.scheme.seed if seed is None else seed)
     names = scenario.mechanisms
@@ -209,7 +220,8 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
         ),
         ("format", scenario.format in FORMATS, "must be csv, json, or both"),
     ]
-    broken = [f"{name} {rule}" for name, ok, rule in rules if not ok] + validate_scheme(scheme)
+    broken = dataset["synthetic"].validate() if "synthetic" in dataset else []
+    broken += [f"{name} {rule}" for name, ok, rule in rules if not ok] + validate_scheme(scheme)
     if broken:
         raise ConfigError("; ".join(broken))
     upfront = (float(upfront) if amount else upfront) if has_upfront else None
@@ -219,6 +231,7 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
         scheme=scheme,
         mechanisms=tuple(name for name in MECHANISMS if name in names),
         budget=Budget(float(initial), upfront),
+        elite_table=elite_table,
         seed=scheme.seed,
     )
 
@@ -236,15 +249,24 @@ def _load_dataset(scenario: Scenario) -> SiteTable:
 
 
 def _elite_table(scenario: Scenario) -> EliteTable:
-    if scenario.elite_table is None:
-        return DEFAULT_ELITE_TABLE
-    return load_elite_table(scenario.elite_table)
+    path = scenario.elite_table
+    return DEFAULT_ELITE_TABLE if path is None else load_elite_table(path)
 
 
 SeedInputs = tuple[SiteColumns, np.ndarray]
+# What a rejected input raises; a sweep point reports it in its status cell.
+INPUT_ERRORS = (ConfigError, LoadError, OSError)
 
 
-def seed_inputs(scenario: Scenario, dataset: SiteTable) -> SeedInputs:
+def _or_error(read, scenario: Scenario):
+    """What `read(scenario)` returns, or the input error it raises."""
+    try:
+        return read(scenario)
+    except INPUT_ERRORS as err:
+        return err
+
+
+def seed_inputs(scenario: Scenario, dataset: SiteTable, table: EliteTable) -> SeedInputs:
     """The site columns and the harvest draw of `dataset` under the scenario's seed.
 
     They depend on the seed, the amenity settings, the harvest window and the
@@ -252,21 +274,15 @@ def seed_inputs(scenario: Scenario, dataset: SiteTable) -> SeedInputs:
     seed share them.
     """
     cfg = scenario.scheme
-    columns = site_columns(dataset, cfg, rng_stream(cfg.seed, PHI_STREAM), _elite_table(scenario))
+    columns = site_columns(dataset, cfg, rng_stream(cfg.seed, PHI_STREAM), table)
     return columns, draw_harvest_schedule(columns, cfg, rng_stream(cfg.seed, HARVEST_STREAM))
 
 
 def execute_scenario(
-    scenario: Scenario, inputs: SeedInputs | None = None
+    scenario: Scenario, inputs: SeedInputs
 ) -> tuple[list[RunOutcome], dict[Mechanism, SupplySummary]]:
-    """Run every requested mechanism of a resolved scenario.
-
-    `inputs` are the scenario's `seed_inputs`; they are computed from its
-    dataset when not given.
-    """
+    """Run every requested mechanism of a resolved scenario on its `seed_inputs`."""
     cfg = scenario.scheme
-    if inputs is None:
-        inputs = seed_inputs(scenario, _load_dataset(scenario))
     columns, schedule = inputs
 
     outcomes: list[RunOutcome] = []
@@ -331,10 +347,10 @@ def _read_scenario_file(path: str, seed_override: int | None) -> Scenario:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _read_scenario_file(args.scenario, args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.format:
         scenario = dataclasses.replace(scenario, format=args.format)
-    outcomes, supplies = execute_scenario(scenario)
+    inputs = seed_inputs(scenario, _load_dataset(scenario), _elite_table(scenario))
+    outcomes, supplies = execute_scenario(scenario, inputs)
     write_report(outcomes, supplies, scenario.scheme, out_dir, scenario.format)
     manifest = _write_manifest(out_dir, "run", scenario)
     print(format_console_summary(outcomes, supplies))
@@ -390,30 +406,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ConfigError as err:
             rows[index]["status"] = f"error: {err}"
 
-    # A site CSV is read (or fails) once per sweep, a synthetic dataset once per
-    # seed; points run grouped by seed, so one seed's inputs are alive at a time.
-    csv_sites: SiteTable | None = None
-    csv_error: LoadError | OSError | None = None
-    if "path" in scenario.dataset and scenarios:
-        try:
-            csv_sites = _load_dataset(scenario)
-        except (LoadError, OSError) as err:
-            csv_error = err
+    # A site CSV and a habitat table are read (or fail) once per sweep, a synthetic
+    # dataset once per seed; points run grouped by seed, so one seed's inputs are
+    # alive at a time. As in a run, a point names the dataset's fault before the table's.
+    has_csv = "path" in scenario.dataset and bool(scenarios)
+    csv_sites = _or_error(_load_dataset, scenario) if has_csv else None
+    table = _or_error(_elite_table, scenario)
     for seed in dict.fromkeys(plan.seeds):
         group = [index for index, point in scenarios.items() if point.seed == seed]
         if not group:
             continue
         seed_scenario = scenarios[group[0]]
         dataset = inputs = None  # the previous seed's, freed before this seed's are built
-        try:
-            if csv_error is not None:
-                raise csv_error
-            dataset = csv_sites if csv_sites is not None else _load_dataset(seed_scenario)
-            inputs = seed_inputs(seed_scenario, dataset)
-        except (ConfigError, LoadError, OSError) as err:
+        dataset = csv_sites if has_csv else _or_error(_load_dataset, seed_scenario)
+        failed = [loaded for loaded in (dataset, table) if isinstance(loaded, Exception)]
+        if failed:
             for index in group:
-                rows[index]["status"] = f"error: {err}"
+                rows[index]["status"] = f"error: {failed[0]}"
             continue
+        inputs = seed_inputs(seed_scenario, dataset, table)
         for index in group:
             point_dir = out_dir / f"point_{index:04d}" if args.point_dirs else None
             _run_sweep_point(scenarios[index], inputs, point_dir, rows[index])
@@ -434,7 +445,7 @@ def _run_sweep_point(
         if point_dir is not None:
             write_report(outcomes, supplies, scenario.scheme, point_dir, scenario.format)
             _write_manifest(point_dir, "run", scenario)
-    except (ConfigError, LoadError, OSError) as err:
+    except INPUT_ERRORS as err:
         row["status"] = f"error: {err}"
         return
     row["status"] = "ok"

@@ -135,32 +135,32 @@ class SyntheticProfile:
     area_ha: float = DEFAULT_AREA_HA
     land_payment: float = DEFAULT_LAND_PAYMENT
 
-    def validate(self) -> None:
-        """Raise ConfigError naming the first broken rule that the generator's draws need."""
-        for name in ("site_type_mix", "volume_v_max", "volume_growth", "v0_bare_land", "broadleaf_beta"):
-            if len(getattr(self, name)) != len(SITE_TYPES):
-                raise ConfigError(
-                    f"bad synthetic profile: {name} must have one entry per site type"
-                )
-        ages = [self.age_min, *self.age_band_edges, self.age_max]
+    def validate(self) -> list[str]:
+        """Every rule that the generator's draws need and the profile breaks, in a fixed order."""
+        per_type = ("site_type_mix", "volume_v_max", "volume_growth", "v0_bare_land", "broadleaf_beta")
         rules = [
-            ("n_sites", self.n_sites >= 0, ">= 0"),
-            ("n_sites", self.n_sites <= MAX_SITES, f"<= {MAX_SITES}"),
-            ("age_min", self.age_min >= 0, ">= 0"),
-            ("age_max", self.age_min < self.age_max, "> age_min"),
-            ("age_band_edges", ages == sorted(ages), "ordered within [age_min, age_max]"),
-            ("broadleaf_beta", min(map(min, self.broadleaf_beta)) > 0, "pairs of parameters > 0"),
-            ("v0_horizon", self.v0_horizon >= 0, ">= 0"),
-            ("v0_horizon", self.v0_horizon <= MAX_YEARS, f"<= {MAX_YEARS}"),
+            (name, len(getattr(self, name)) == len(SITE_TYPES), "must have one entry per site type")
+            for name in per_type
+        ]
+        ages = [self.age_min, *self.age_band_edges, self.age_max]
+        least_beta = min(map(min, self.broadleaf_beta), default=1)
+        rules += [
+            ("n_sites", self.n_sites >= 0, "must be >= 0"),
+            ("n_sites", self.n_sites <= MAX_SITES, f"must be <= {MAX_SITES}"),
+            ("age_min", self.age_min >= 0, "must be >= 0"),
+            ("age_max", self.age_min < self.age_max, "must be > age_min"),
+            ("age_band_edges", ages == sorted(ages), "must be ordered within [age_min, age_max]"),
+            ("broadleaf_beta", least_beta > 0, "must be pairs of parameters > 0"),
+            ("v0_horizon", self.v0_horizon >= 0, "must be >= 0"),
+            ("v0_horizon", self.v0_horizon <= MAX_YEARS, f"must be <= {MAX_YEARS}"),
         ]
         for name in ("site_type_mix", "age_band_weights"):
             p = getattr(self, name)
-            rules.append((name, min(p) >= 0 and abs(sum(p) - 1.0) <= 1e-9, ">= 0 and sum to 1"))
-        for name in ("volume_noise_sd", "price_noise_sd", "v0_noise_sd", "deadwood_noise_sd"):
-            rules.append((name, getattr(self, name) >= 0, ">= 0"))
-        for name, ok, rule in rules:
-            if not ok:
-                raise ConfigError(f"bad synthetic profile: {name} must be {rule}")
+            ok = min(p, default=0) >= 0 and abs(sum(p) - 1.0) <= 1e-9
+            rules.append((name, ok, "must be >= 0 and sum to 1"))
+        noise = ("volume_noise_sd", "price_noise_sd", "v0_noise_sd", "deadwood_noise_sd")
+        rules += [(name, getattr(self, name) >= 0, "must be >= 0") for name in noise]
+        return [f"bad synthetic profile: {name} {rule}" for name, ok, rule in rules if not ok]
 
 
 def _best_harvest_value(
@@ -214,9 +214,10 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> SiteTable:
     All draws come from one named stream of the master seed and are aligned to
     the site index, so the same (profile, seed) always yields the same data.
     A profile that fails validate(), or whose draws give a stand load_sites
-    would reject, raises ConfigError naming the field or column.
+    would reject, raises ConfigError naming the fields or the column.
     """
-    profile.validate()
+    if broken := profile.validate():
+        raise ConfigError("; ".join(broken))
     n = profile.n_sites
     rng = rng_stream(seed, SYNTHETIC_STREAM)
 

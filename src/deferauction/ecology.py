@@ -31,8 +31,8 @@ OLD_GROWTH_THRESHOLDS = np.array(
 )
 
 
-class EliteDataError(ValueError):
-    """A component applies to the site's type but the site carries no data for it."""
+# Site attributes that can serve as component observations.
+COMPONENT_SOURCES = ("deadwood", "stand_age", "broadleaf_share")
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,33 @@ class EliteComponent:
     reference: float
     applicable_site_types: frozenset[SiteType]
 
-    def applies_to(self, site_type: SiteType) -> bool:
-        return site_type in self.applicable_site_types
-
 
 @dataclass(frozen=True)
 class EliteTable:
+    """The habitat index's components; one ConfigError names every rule a table breaks.
+
+    Each component names a site attribute in COMPONENT_SOURCES and has a
+    weight in (0, 1] and a reference > 0; every site type has a component.
+    """
+
     components: tuple[EliteComponent, ...]
 
+    def __post_init__(self) -> None:
+        attribute = f"not a site attribute (one of {', '.join(COMPONENT_SOURCES)})"
+        rules = []
+        for c in self.components:
+            rules += [
+                (f"component {c.name}", c.name in COMPONENT_SOURCES, attribute),
+                (f"component {c.name}", 0.0 < c.weight <= 1.0, "weight must be in (0, 1]"),
+                (f"component {c.name}", c.reference > 0, "reference must be > 0"),
+            ]
+        for t in SiteType:
+            rules.append((f"site type {t.value}", self.for_site_type(t), "has no applicable component"))
+        if broken := [f"{field}: {rule}" for field, ok, rule in rules if not ok]:
+            raise ConfigError("; ".join(broken))
+
     def for_site_type(self, site_type: SiteType) -> list[EliteComponent]:
-        return [c for c in self.components if c.applies_to(site_type)]
+        return [c for c in self.components if site_type in c.applicable_site_types]
 
 
 _ALL_TYPES = frozenset(SiteType)
@@ -72,9 +89,6 @@ DEFAULT_ELITE_TABLE = EliteTable(
         ),
     )
 )
-
-# Site attributes that can serve as component observations.
-COMPONENT_SOURCES = ("deadwood", "stand_age", "broadleaf_share")
 
 
 def amenity_value(h, phi, cfg: SchemeConfig):
@@ -116,18 +130,11 @@ def elite_index(sites: SiteTable, table: EliteTable = DEFAULT_ELITE_TABLE) -> np
     components applicable to a site's type, in table order. The ratio clamp
     keeps every factor, and hence the index, within [0, 1].
     """
-    for code in np.flatnonzero(np.bincount(sites.type_code, minlength=len(SITE_TYPES))).tolist():
-        if not table.for_site_type(SITE_TYPES[code]):
-            raise EliteDataError(f"no components apply to site type {SITE_TYPES[code].value}")
     index = np.ones(len(sites))
     for comp in table.components:
-        applies = np.array([comp.applies_to(t) for t in SITE_TYPES])[sites.type_code]
+        applies = np.array([t in comp.applicable_site_types for t in SITE_TYPES])[sites.type_code]
         if not applies.any():
             continue
-        if comp.name not in COMPONENT_SOURCES:
-            raise EliteDataError(
-                f"missing component data: site records carry no observation for '{comp.name}'"
-            )
         current = getattr(sites, comp.name)
         factor = 1.0 - comp.weight * (1.0 - np.minimum(current / comp.reference, 1.0))
         index = np.where(applies, index * factor, index)
@@ -139,53 +146,33 @@ def load_elite_table(path: str | Path) -> EliteTable:
 
     `site_types` is either `all` or a semicolon-separated list of site type
     names (e.g. `herb_rich;mesic_heath`). A table that cannot serve as the
-    habitat index raises ConfigError naming the component or column at fault;
-    text that is not UTF-8, or a row the csv module cannot read, raises
-    LoadError naming the byte or the line.
+    habitat index raises ConfigError naming the file and the component or
+    column at fault; text that is not UTF-8, or a row the csv module cannot
+    read, raises LoadError naming the byte or the line.
     """
+    path = Path(path)
     components: list[EliteComponent] = []
-    rows = csv_rows(Path(path))
+    rows = csv_rows(path)
     header = next(rows, None)
     required = ("component", "site_types", "weight", "reference")
-    if header is None or not set(required).issubset(header):
-        raise ConfigError(f"elite table must have columns {sorted(required)}")
-    for cells in filter(None, rows):  # blank lines are not rows
-        row = dict(zip(header, cells))
-        name = row.get("component", "").strip()
-        short = [column for column in required if column not in row]
-        if short:
-            raise ConfigError(f"component {name}: row has no {', '.join(short)} cell")
-        if name not in COMPONENT_SOURCES:
-            raise ConfigError(
-                f"component {name}: not a site attribute "
-                f"(one of {', '.join(COMPONENT_SOURCES)})"
-            )
-        raw_types = row["site_types"].strip()
-        try:
-            if raw_types.lower() == "all":
-                types = _ALL_TYPES
-            else:
-                types = frozenset(
+    try:
+        if header is None or not set(required).issubset(header):
+            raise ConfigError(f"elite table must have columns {sorted(required)}")
+        for cells in filter(None, rows):  # blank lines are not rows
+            row = dict(zip(header, cells))
+            name = row.get("component", "").strip()
+            short = [column for column in required if column not in row]
+            if short:
+                raise ConfigError(f"component {name}: row has no {', '.join(short)} cell")
+            raw_types = row["site_types"].strip()
+            try:
+                types = _ALL_TYPES if raw_types.lower() == "all" else frozenset(
                     SiteType(t.strip()) for t in raw_types.split(";") if t.strip()
                 )
-            weight = float(row["weight"])
-            reference = float(row["reference"])
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"component {name}: {err}") from None
-        if not 0.0 < weight <= 1.0:
-            raise ConfigError(f"component {name}: weight must be in (0, 1]")
-        if not reference > 0:
-            raise ConfigError(f"component {name}: reference must be > 0")
-        components.append(
-            EliteComponent(
-                name=name,
-                weight=weight,
-                reference=reference,
-                applicable_site_types=types,
-            )
-        )
-    table = EliteTable(components=tuple(components))
-    for site_type in SiteType:
-        if not table.for_site_type(site_type):
-            raise ConfigError(f"site type {site_type.value} has no applicable component")
-    return table
+                weight, reference = float(row["weight"]), float(row["reference"])
+            except ValueError as err:
+                raise ConfigError(f"component {name}: {err}") from None
+            components.append(EliteComponent(name, weight, reference, types))
+        return EliteTable(components=tuple(components))
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None

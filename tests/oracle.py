@@ -34,7 +34,6 @@ from deferauction.ecology import (
     AMENITY_LOOKAHEAD_YEARS,
     COMPONENT_SOURCES,
     DEFAULT_ELITE_TABLE,
-    EliteDataError,
     EliteTable,
 )
 from deferauction.finance import (
@@ -49,6 +48,7 @@ from deferauction.model import (
     PHI_ACCEPTANCE_FLOOR,
     SITE_TYPES,
     AmenityParams,
+    ConfigError,
     Mechanism,
     SchemeConfig,
     SiteTable,
@@ -415,7 +415,8 @@ def load_sites(path: Path) -> tuple[list[SiteRecord], list[RowIssue]]:
 
 def generate_records(profile: SyntheticProfile, seed: int) -> list[SiteRecord]:
     """The per-site generator: the same draws as generate_synthetic, one record per site."""
-    profile.validate()
+    if broken := profile.validate():
+        raise ConfigError("; ".join(broken))
     n = profile.n_sites
     if n == 0:
         return []
@@ -547,11 +548,11 @@ def elite_index(site: SiteRecord, table: EliteTable = DEFAULT_ELITE_TABLE) -> fl
     """Product of 1 - weight * (1 - min(current/reference, 1)) over the applicable components."""
     components = table.for_site_type(site.site_type)
     if not components:
-        raise EliteDataError(f"no components apply to site type {site.site_type.value}")
+        raise ConfigError(f"no components apply to site type {site.site_type.value}")
     index = 1.0
     for comp in components:
         if comp.name not in COMPONENT_SOURCES:
-            raise EliteDataError(
+            raise ConfigError(
                 f"missing component data: site records carry no observation for '{comp.name}'"
             )
         ratio = min(getattr(site, comp.name) / comp.reference, 1.0)

@@ -32,6 +32,7 @@ OMEGA = (
 
 OVERFLOW = "deferred run: area_ha is inf; an input is too large"
 BAD_TABLE = "weight2.csv"  # written by the test that names it: a habitat weight of 2
+NO_SUCH_HOME = "~no-such-user-of-deferauction/"  # a home directory that cannot be found
 # Each top-level scenario key, set to a value of the wrong type and to values out of range,
 # with the name its error must carry: the key, or the field at fault inside it.
 TOP_LEVEL_KEYS = [
@@ -61,6 +62,8 @@ TOP_LEVEL_KEYS = [
     ("seed", "range", {"seed": -1}, "seed"),
     ("format", "type", {"format": 5}, "format"),
     ("format", "range", {"format": "xml"}, "format"),
+    ("dataset", "range", {"dataset": {"path": NO_SUCH_HOME + "sites.csv"}}, "dataset.path"),
+    ("elite_table", "range", {"elite_table": NO_SUCH_HOME + "elite.csv"}, "elite_table"),
 ]
 
 
@@ -115,6 +118,7 @@ class TestRun:
     def test_missing_dataset_exits_3(self, tmp_path):
         scenario = write_scenario(tmp_path, dataset={"path": str(tmp_path / "absent.csv")})
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
+        assert not (tmp_path / "o").exists()  # nothing is created before the inputs load
 
     def test_non_utf8_dataset_exits_3(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"
@@ -299,12 +303,19 @@ class TestRun:
         assert capsys.readouterr().err == f"error: bad synthetic profile: {message}\n"
 
     @pytest.mark.parametrize(
-        "overrides", [{"dataset": {"path": "a\0b.csv"}}, {"elite_table": "a\0b.csv"}]
+        "overrides",
+        [
+            {"dataset": {"path": "a\0b.csv"}},
+            {"elite_table": "a\0b.csv"},
+            {"dataset": {"path": "~a\0b.csv"}},  # in the user name of a home directory
+            {"elite_table": "~a\0b.csv"},
+        ],
     )
     def test_path_holding_a_nul_exits_3(self, tmp_path, capsys, overrides):
+        path = overrides.get("elite_table") or overrides["dataset"]["path"]
         scenario = write_scenario(tmp_path, **overrides)
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
-        assert capsys.readouterr().err == "error: 'a\\x00b.csv': embedded null byte\n"
+        assert capsys.readouterr().err == f"error: {path!r}: embedded null byte\n"
 
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
     def test_overflowed_totals_exit_2_naming_the_mechanism_and_field(
@@ -394,7 +405,51 @@ class TestRun:
         scenario = write_scenario(tmp_path, elite_table=str(table))
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
         message = "component deadwood: row has no site_types, weight, reference cell"
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {table}: {message}\n"
+
+    def test_rejected_elite_table_names_its_file_and_every_rule_and_leaves_no_out_dir(
+        self, tmp_path, capsys
+    ):
+        table = tmp_path / "elite.csv"
+        table.write_text(ELITE_TABLE.replace("1.0,20", "2,0"), encoding="utf-8")
+        scenario = write_scenario(tmp_path, elite_table=str(table))
+        out_dir = tmp_path / "o"
+        assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        rules = "weight must be in (0, 1]; component deadwood: reference must be > 0"
+        assert capsys.readouterr().err == f"error: {table}: component deadwood: {rules}\n"
+        assert not out_dir.exists()
+
+    def test_every_profile_scenario_and_scheme_fault_is_named_in_one_message(
+        self, tmp_path, capsys
+    ):
+        scenario = tmp_path / "scenario.json"
+        faults = {
+            "dataset": {"synthetic": {"n_sites": -5, "age_min": -1}},
+            "scheme": {"interest_rate_r": -1},
+            "ranking": "x",
+        }
+        scenario.write_text(json.dumps(faults), encoding="utf-8")
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: bad synthetic profile: n_sites must be >= 0; "
+            "bad synthetic profile: age_min must be >= 0; "
+            f"ranking must be one of {cli.RANKINGS}; "
+            "interest_rate_r: must be finite and >= 0\n"
+        )
+
+    def test_paths_from_the_home_directory_are_expanded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        data, table = tmp_path / "sites.csv", tmp_path / "elite.csv"
+        assert main(["gen-data", "--n", "40", "--seed", "3", "--out", str(data)]) == EXIT_OK
+        table.write_text(ELITE_TABLE, encoding="utf-8")
+        outputs = []
+        for name, home in (("home", "~/"), ("plain", f"{tmp_path}/")):
+            paths = {"dataset": {"path": home + data.name}, "elite_table": home + table.name}
+            scenario = write_scenario(tmp_path, name=f"{name}.json", **paths)
+            out_dir = tmp_path / name
+            assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+            outputs.append({n: (out_dir / n).read_bytes() for n in os.listdir(out_dir)})
+        assert outputs[0] == outputs[1]  # the manifests too: they record the expanded paths
 
     def test_elite_table_cell_over_the_csv_field_limit_exits_3(self, tmp_path, capsys):
         table = tmp_path / "elite.csv"
@@ -619,6 +674,39 @@ class TestSweep:
         with open(sweep_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["status"] for row in rows] == [f"error: {data}: {NOT_UTF8}"] * 2
+
+    def test_elite_table_is_read_once(self, tmp_path, monkeypatch):
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load(path)
+
+        load = cli.load_elite_table
+        monkeypatch.setattr(cli, "load_elite_table", counted)
+        table = tmp_path / "elite.csv"
+        table.write_text(ELITE_TABLE, encoding="utf-8")
+        scenario = write_scenario(
+            tmp_path, dataset={"synthetic": {"n_sites": 40}}, elite_table=str(table)
+        )
+        argv = ["sweep", str(scenario), "--out-dir", str(tmp_path / "sweep"), "--seeds", "1,2,3"]
+        assert main(argv + ["--payment-periods", "10"]) == EXIT_OK
+        with open(tmp_path / "sweep" / "sweep.csv", newline="", encoding="utf-8") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == ["ok"] * 9
+        assert reads == [str(table)]
+
+    def test_rejected_elite_table_fails_every_point_naming_its_file(self, tmp_path):
+        table = tmp_path / "elite.csv"
+        table.write_text(ELITE_TABLE.replace("1.0,20", "2,20"), encoding="utf-8")
+        scenario = write_scenario(
+            tmp_path, dataset={"synthetic": {"n_sites": 40}}, elite_table=str(table)
+        )
+        argv = ["sweep", str(scenario), "--out-dir", str(tmp_path / "sweep"), "--seeds", "1,2"]
+        assert main(argv + ["--interest-rates", "0.03", "--payment-periods", "10"]) == EXIT_OK
+        with open(tmp_path / "sweep" / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        message = f"error: {table}: component deadwood: weight must be in (0, 1]"
+        assert [row["status"] for row in rows] == [message] * 2
 
     def test_ledger_text_of_a_site_is_built_once_per_seed(self, tmp_path, monkeypatch):
         built = []

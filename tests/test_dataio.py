@@ -210,11 +210,10 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("field, bound", [("n_sites", MAX_SITES), ("v0_horizon", MAX_YEARS)])
     def test_size_fields_are_bounded(self, field, bound):
-        SyntheticProfile(**{field: bound}).validate()
+        assert SyntheticProfile(**{field: bound}).validate() == []
         for huge in (bound + 1, 10**21):
-            with pytest.raises(ConfigError) as err:
-                SyntheticProfile(**{field: huge}).validate()
-            assert str(err.value) == f"bad synthetic profile: {field} must be <= {bound}"
+            broken = SyntheticProfile(**{field: huge}).validate()
+            assert broken == [f"bad synthetic profile: {field} must be <= {bound}"]
 
     def test_round_trip_through_csv(self, tmp_path):
         sites = generate_synthetic(SyntheticProfile(n_sites=80), 2)
@@ -247,8 +246,20 @@ class TestGenerateSynthetic:
         assert spearman(volume, v1) > 0.5
 
     def test_invalid_profile_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticProfile(site_type_mix=(1.0, 0.0, 0.0, 0.0, 0.0, 0.5)).validate()
+        broken = SyntheticProfile(site_type_mix=(1.0, 0.0, 0.0, 0.0, 0.0, 0.5)).validate()
+        assert broken == ["bad synthetic profile: site_type_mix must be >= 0 and sum to 1"]
+        with pytest.raises(ConfigError, match="site_type_mix"):
+            generate_synthetic(SyntheticProfile(site_type_mix=(1.0, 0.0, 0.0, 0.0, 0.0, 0.5)), 1)
+
+    def test_every_broken_profile_rule_is_listed(self):
+        profile = SyntheticProfile(n_sites=-5, age_min=-1, site_type_mix=(), volume_noise_sd=-1)
+        assert profile.validate() == [
+            "bad synthetic profile: site_type_mix must have one entry per site type",
+            "bad synthetic profile: n_sites must be >= 0",
+            "bad synthetic profile: age_min must be >= 0",
+            "bad synthetic profile: site_type_mix must be >= 0 and sum to 1",
+            "bad synthetic profile: volume_noise_sd must be >= 0",
+        ]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # draws that overflow or divide by 0
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -7,7 +7,6 @@ from conftest import is_old_growth, make_site
 from deferauction.ecology import (
     DEFAULT_ELITE_TABLE,
     EliteComponent,
-    EliteDataError,
     EliteTable,
     amenity_value,
     elite_index,
@@ -71,6 +70,12 @@ class TestAmenityPair:
         assert a1 == pytest.approx(amenity_oracle(150), abs=10.0)  # 16_454.03
 
 
+WEIGHT = "component deadwood: weight must be in (0, 1]"
+NOT_AN_ATTRIBUTE = (
+    "component burnt_area: not a site attribute (one of deadwood, stand_age, broadleaf_share)"
+)
+
+
 def index_of(site, table=DEFAULT_ELITE_TABLE):
     return float(elite_index(site_table([site]), table)[0])
 
@@ -126,14 +131,26 @@ class TestEliteIndex:
         assert index_of(richer_deadwood) > index_of(site)
         assert index_of(older) > index_of(site)
 
-    def test_missing_component_data_names_component(self):
-        table = EliteTable(
-            components=(
-                EliteComponent("burnt_area", weight=0.5, reference=1.0, applicable_site_types=frozenset(SiteType)),
-            )
-        )
-        with pytest.raises(EliteDataError, match="burnt_area"):
-            index_of(make_site(), table)
+    @pytest.mark.parametrize(
+        "component, message",
+        [
+            (EliteComponent("deadwood", 2.0, 20.0, frozenset(SiteType)), [WEIGHT]),
+            (
+                EliteComponent("deadwood", 0.5, 0.0, frozenset(SiteType)),
+                ["component deadwood: reference must be > 0"],
+            ),
+            (EliteComponent("burnt_area", 0.5, 1.0, frozenset(SiteType)), [NOT_AN_ATTRIBUTE]),
+            (  # every broken rule, components first, then site types
+                EliteComponent("deadwood", 2.0, 20.0, frozenset({SiteType.HERB_RICH})),
+                [WEIGHT] + [f"site type {t.value}: has no applicable component" for t in SiteType][1:],
+            ),
+        ],
+        ids=["weight-2", "reference-0", "burnt-area", "every-rule"],
+    )
+    def test_invalid_table_raises_when_built(self, component, message):
+        with pytest.raises(ConfigError) as err:
+            EliteTable(components=(component,))
+        assert str(err.value).split("; ") == message
 
     def test_broadleaf_component_only_on_fertile_types(self):
         fertile = make_site(site_type=SiteType.HERB_RICH, broadleaf_share=0.0,

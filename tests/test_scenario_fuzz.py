@@ -66,7 +66,9 @@ SMALL_NUMBERS = [-1, 0, 1, 2, 7, 50, 2.5, math.nan]
 NUMBERS = SMALL_NUMBERS + [
     -0.5, 0.5, 1e-300, 1e308, -1e308, 10**600, -(10**600), math.inf, -math.inf,
 ]
-SMALL = SMALL_NUMBERS + [None, True, "x", [], {}]
+# The last value is a path in the home directory of a user who does not exist:
+# "unknown_key" can give it to dataset.path, and "replace" to elite_table.
+SMALL = SMALL_NUMBERS + [None, True, "x", [], {}, "~nosuchuser/x.csv"]
 VALUES = SMALL + NUMBERS[len(SMALL_NUMBERS):] + [
     False, "", "a\x00b", "both", "deferred", "upfront", "npv-matched", "csv",
     [1], [[1, 2]], ["deferred"], {"a": 1},

@@ -67,7 +67,6 @@ EXIT_INTERNAL = 4
 
 NPV_MATCHED = "npv-matched"
 RANKINGS = ("benefit_cost", "old_growth")
-FORMATS = ("csv", "json", "both")
 # Run order: deferred first, since an npv-matched up-front budget derives from its stream.
 MECHANISMS = tuple(mechanism.value for mechanism in Mechanism)
 
@@ -171,6 +170,8 @@ def _typed(hint, value, name: str):
 def _path(value: object, name: str) -> str:
     """The path string `value` as Path writes it, with a leading `~` or `~user` expanded."""
     text = _typed(str, value, name)
+    if not text:
+        raise ConfigError(f"{name} must not be empty")
     try:
         return str(Path(text).expanduser())
     except RuntimeError:  # an unknown user, or no home directory
@@ -179,7 +180,7 @@ def _path(value: object, name: str) -> str:
         raise LoadError(f"{text!r}: {err}") from None
 
 
-def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
+def resolve_scenario(raw: dict) -> Scenario:
     """Validate and fully resolve a scenario dict (defaults applied, seed pinned)."""
     scenario = _from_json(Scenario, raw, "scenario", prefix="")
     dataset = dict(_object(scenario.dataset, "dataset", ("path", "synthetic")))
@@ -188,9 +189,9 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
     if "synthetic" in dataset:
         profile = {} if dataset["synthetic"] is None else dataset["synthetic"]
         dataset["synthetic"] = _from_json(SyntheticProfile, profile, "dataset.synthetic")
-    elite_table = scenario.elite_table and _path(scenario.elite_table, "elite_table")
-    seed = scenario.seed if seed_override is None else seed_override
-    scheme = dataclasses.replace(scenario.scheme, seed=scenario.scheme.seed if seed is None else seed)
+    elite_table = None if scenario.elite_table is None else _path(scenario.elite_table, "elite_table")
+    seed = scenario.scheme.seed if scenario.seed is None else scenario.seed
+    scheme = dataclasses.replace(scenario.scheme, seed=seed)
     names = scenario.mechanisms
     names = MECHANISMS if names == "both" else (names,) if isinstance(names, str) else names
     has_deferred, has_upfront = (name in names for name in MECHANISMS)
@@ -218,7 +219,7 @@ def resolve_scenario(raw: dict, seed_override: int | None = None) -> Scenario:
             upfront != NPV_MATCHED or has_deferred or not has_upfront,
             f"{NPV_MATCHED!r} requires a deferred run in the same scenario",
         ),
-        ("format", scenario.format in FORMATS, "must be csv, json, or both"),
+        ("format", scenario.format in ("csv", "json", "both"), "must be csv, json, or both"),
     ]
     broken = dataset["synthetic"].validate() if "synthetic" in dataset else []
     broken += [f"{name} {rule}" for name, ok, rule in rules if not ok] + validate_scheme(scheme)
@@ -340,15 +341,29 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
-def _read_scenario_file(path: str, seed_override: int | None) -> Scenario:
-    return resolve_scenario(_read_manifest(path)["scenario"], seed_override)
+def _number(text: str, hint) -> object:
+    """`text` as a `hint`, a tuple from comma-separated parts, or as it is, for _typed to judge."""
+    if typing.get_origin(hint) is tuple:
+        return [_number(part, typing.get_args(hint)[0]) for part in text.split(",") if part.strip()]
+    try:
+        return hint(text)
+    except ValueError:
+        return text
+
+
+def _flags(args: argparse.Namespace, hints: dict) -> dict:
+    """Each flag `--a-b` given in `args` whose key `a_b` is in `hints`, read as annotated."""
+    flags = {}
+    for name, hint in hints.items():
+        if (text := getattr(args, name, None)) is not None:
+            flags[name] = _typed(hint, _number(text, hint), "--" + name.replace("_", "-"))
+    return flags
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _read_scenario_file(args.scenario, args.seed)
+    flags = _flags(args, typing.get_type_hints(Scenario))
+    scenario = resolve_scenario({**_read_manifest(args.scenario)["scenario"], **flags})
     out_dir = Path(args.out_dir)
-    if args.format:
-        scenario = dataclasses.replace(scenario, format=args.format)
     inputs = seed_inputs(scenario, _load_dataset(scenario), _elite_table(scenario))
     outcomes, supplies = execute_scenario(scenario, inputs)
     write_report(outcomes, supplies, scenario.scheme, out_dir, scenario.format)
@@ -358,23 +373,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _number(text: str, kind: type) -> object:
-    """`text` as a `kind`, or as it is if it is not one, for _typed to judge."""
-    try:
-        return kind(text)
-    except ValueError:
-        return text
-
-
 def _sweep_plan(axes: object, args: argparse.Namespace, seed: int) -> SweepPlan:
     """The plan in a manifest's `axes`, each axis flag given in `args` in place of its field."""
-    plan = _from_json(SweepPlan, axes, "axes")
-    for name, hint in typing.get_type_hints(SweepPlan).items():
-        if (text := getattr(args, name)) is not None:
-            kind = typing.get_args(hint)[0]
-            values = [_number(part, kind) for part in text.split(",") if part.strip()]
-            axis = _typed(hint, values, "--" + name.replace("_", "-"))
-            plan = dataclasses.replace(plan, **{name: axis})
+    flags = _flags(args, typing.get_type_hints(SweepPlan))
+    plan = dataclasses.replace(_from_json(SweepPlan, axes, "axes"), **flags)
     plan = dataclasses.replace(plan, seeds=plan.seeds or (seed,))
     if not all(dataclasses.astuple(plan)):
         raise ConfigError("sweep axes must be non-empty")
@@ -383,7 +385,8 @@ def _sweep_plan(axes: object, args: argparse.Namespace, seed: int) -> SweepPlan:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     manifest = _read_manifest(args.scenario)
-    scenario = resolve_scenario(manifest["scenario"], args.seed)
+    flags = _flags(args, typing.get_type_hints(Scenario))
+    scenario = resolve_scenario({**manifest["scenario"], **flags})
     plan = _sweep_plan(manifest.get("axes", {}), args, scenario.scheme.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -455,17 +458,13 @@ def _run_sweep_point(
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    if args.n is not None and args.n < 0:
-        raise ConfigError(f"--n must be >= 0, got {args.n}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if args.profile:
-        profile = _from_json(SyntheticProfile, _read_json(args.profile), args.profile)
-        if args.n is not None:
-            profile = dataclasses.replace(profile, n_sites=args.n)
-    else:
-        profile = SyntheticProfile(n_sites=args.n if args.n is not None else 400)
-    sites = generate_synthetic(profile, args.seed)
+    flags = _flags(args, {"n": int, "seed": int})
+    if flags["seed"] < 0:
+        raise ConfigError(f"--seed must be >= 0, got {flags['seed']}")
+    raw = _read_json(args.profile) if args.profile else {}
+    profile = _from_json(SyntheticProfile, raw, args.profile)
+    profile = dataclasses.replace(profile, n_sites=flags.get("n", profile.n_sites))
+    sites = generate_synthetic(profile, flags["seed"])
     write_sites(sites, args.out)
     print(f"wrote {len(sites)} sites to {args.out}")
     return EXIT_OK
@@ -508,35 +507,42 @@ def _run_summaries(path: str) -> dict[str, dict]:
 
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
+    average_names = ("avg_downpayment", "avg_instalment", "avg_upfront")
+    names = ("area", *average_names, "upfront_annual_budget", "harvest_loss_rate")
+    flags = _flags(args, dict.fromkeys(names, float))
+    area, budget, loss_rate = map(flags.get, ("area", "upfront_annual_budget", "harvest_loss_rate"))
+    averages = [flags.get(name) for name in average_names]
+    given = [f"--{name.replace('_', '-')}" for name in average_names if name in flags]
+    rules = [
+        ("--area", area is not None and area > 0, "must be a positive number of hectares"),
+        ("--upfront-annual-budget", budget is None or budget >= 0, "must be >= 0"),
+        ("--harvest-loss-rate", 0 <= loss_rate <= 1, "must lie in [0, 1]"),
+        (", ".join(given), not (args.from_run and given), "would be ignored with --from-run"),
+    ]
+    broken = [f"{name} {rule}" for name, ok, rule in rules if not ok]
+    if broken:
+        raise ConfigError("; ".join(broken))
+    cfg = SchemeConfig()
     if args.from_run:
         summaries = _run_summaries(args.from_run)
         deferred, upfront = summaries.get("deferred"), summaries.get("upfront")
         if deferred is None:
             raise ConfigError(f"{args.from_run}: no deferred run to take averages from")
-        avg_down = deferred["avg_downpayment"]
-        avg_inst = deferred["avg_instalment"]
-        avg_upfront = upfront["avg_downpayment"] if upfront else None
+        averages = [deferred["avg_downpayment"], deferred["avg_instalment"]]
+        averages.append(upfront["avg_downpayment"] if upfront else None)
         # r, x and the horizon must be the run's own, not the defaults
-        cfg = _read_scenario_file(str(Path(args.from_run).with_name("manifest.json")), None).scheme
-    else:
-        avg_down = args.avg_downpayment
-        avg_inst = args.avg_instalment
-        avg_upfront = args.avg_upfront
-        cfg = require_valid_scheme(SchemeConfig())
-    if args.area is None or args.area <= 0:
-        raise ConfigError("--area must be a positive number of hectares")
-    if args.upfront_annual_budget is not None:
-        avg_upfront = args.upfront_annual_budget / (args.area / cfg.horizon)
-    if avg_down is None or avg_inst is None or avg_upfront is None:
+        manifest = _read_manifest(str(Path(args.from_run).with_name("manifest.json")))
+        cfg = resolve_scenario(manifest["scenario"]).scheme
+    if budget is not None:
+        averages[2] = budget / (area / cfg.horizon)
+    if None in averages:
         raise ConfigError(
             "need --avg-downpayment, --avg-instalment, and --avg-upfront "
             "(or --upfront-annual-budget / --from-run)"
         )
-    if min(avg_down, avg_inst, avg_upfront) < 0:
-        raise ConfigError("per-hectare averages must be >= 0")
-
-    report = extrapolate_national(avg_down, avg_inst, avg_upfront, args.area, cfg)
-    loss_ha = args.harvest_loss_rate * args.area
+    report = extrapolate_national(*averages, area, cfg)
+    if not all(map(math.isfinite, dataclasses.astuple(report))):
+        raise ConfigError("a projected total is not finite; an input is too large")
     print(f"Conserving {report.area_ha:,.0f} ha")
     print("Deferred mechanism:")
     print(f"  downpayments at year 0:  {report.deferred_downpayments_total/1e6:,.1f} M EUR")
@@ -552,8 +558,8 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     print(f"  total, NPV:              {report.upfront_npv/1e6:,.1f} M EUR")
     print(f"  total, absolute:         {report.upfront_absolute/1e6:,.1f} M EUR")
     print(
-        f"Harvest-risk note: at a {args.harvest_loss_rate:.1%} loss rate, about "
-        f"{loss_ha:,.0f} ha would be cut before an up-front program reaches them."
+        f"Harvest-risk note: at a {loss_rate:.1%} loss rate, about "
+        f"{loss_rate * area:,.0f} ha would be cut before an up-front program reaches them."
     )
     return EXIT_OK
 
@@ -569,14 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario (or re-run a manifest)")
     run_p.add_argument("scenario", help="scenario JSON file, or a manifest.json from a prior run")
     run_p.add_argument("--out-dir", default="runs/latest")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_p.add_argument("--format", choices=FORMATS, default=None)
+    run_p.add_argument("--seed", help="sets the scenario's seed")
+    run_p.add_argument("--format", help="sets the scenario's format")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario over parameter grids")
     sweep_p.add_argument("scenario")
     sweep_p.add_argument("--out-dir", default="runs/sweep")
-    sweep_p.add_argument("--seed", type=int, default=None)
+    sweep_p.add_argument("--seed", help="sets the scenario's seed")
     for axis in dataclasses.fields(SweepPlan):
         flag = "--" + axis.name.replace("_", "-")
         sweep_p.add_argument(flag, help="comma-separated; replaces the manifest's or default axis")
@@ -584,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     gen_p = sub.add_parser("gen-data", help="generate a synthetic site CSV")
-    gen_p.add_argument("--n", type=int, default=None)
-    gen_p.add_argument("--seed", type=int, default=1)
+    gen_p.add_argument("--n", help="sets the profile's n_sites")
+    gen_p.add_argument("--seed", default="1")
     gen_p.add_argument("--out", required=True)
     gen_p.add_argument("--profile", default=None, help="JSON file with generator profile overrides")
     gen_p.set_defaults(func=cmd_gen_data)
@@ -595,25 +601,19 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.set_defaults(func=cmd_validate)
 
     ext_p = sub.add_parser("extrapolate", help="program-scale cost projection")
-    ext_p.add_argument("--area", type=float, default=None, help="total area, ha")
-    ext_p.add_argument("--avg-downpayment", type=float, default=None)
-    ext_p.add_argument("--avg-instalment", type=float, default=None)
-    ext_p.add_argument("--avg-upfront", type=float, default=None)
-    ext_p.add_argument(
-        "--upfront-annual-budget",
-        type=float,
-        default=None,
-        help="annual up-front spend; implies the per-hectare payment",
-    )
-    ext_p.add_argument("--harvest-loss-rate", type=float, default=0.093)
+    ext_p.add_argument("--area", help="total area, ha")
+    ext_p.add_argument("--avg-downpayment")
+    ext_p.add_argument("--avg-instalment")
+    ext_p.add_argument("--avg-upfront")
+    ext_p.add_argument("--upfront-annual-budget", help="annual up-front spend; implies --avg-upfront")
+    ext_p.add_argument("--harvest-loss-rate", default="0.093")
     ext_p.add_argument("--from-run", default=None, help="take averages from a run's summary.json")
     ext_p.set_defaults(func=cmd_extrapolate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

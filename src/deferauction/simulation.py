@@ -22,7 +22,7 @@ from .ecology import (
     elite_index,
 )
 from .finance import annuity_factor, npv, ordered_sum
-from .model import Mechanism, SchemeConfig, SiteTable
+from .model import ConfigError, Mechanism, SchemeConfig, SiteTable
 
 # Harvest year of a stand the harvest draw never cuts.
 NEVER_CUT = -1
@@ -430,8 +430,8 @@ def extrapolate_national(
     """
     if area_ha < 0:
         raise ValueError("area_ha must be >= 0")
-    if min(avg_downpayment, avg_instalment, avg_upfront) < 0:
-        raise ValueError("per-hectare averages must be >= 0")
+    if not all(average >= 0 for average in (avg_downpayment, avg_instalment, avg_upfront)):
+        raise ConfigError("per-hectare averages must be >= 0")
     delta = cfg.discount_rate
     downpayments = area_ha * avg_downpayment
     instalments = area_ha * avg_instalment

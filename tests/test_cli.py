@@ -202,6 +202,8 @@ class TestRun:
             ({"dataset": {"path": 5}}, "dataset.path must be a string, got 5"),
             ({"elite_table": 5}, "elite_table must be a string, got 5"),
             ({"elite_table": ["a"]}, "elite_table must be a string, got ['a']"),
+            ({"dataset": {"path": ""}}, "dataset.path must not be empty"),
+            ({"elite_table": ""}, "elite_table must not be empty"),
             (
                 {"dataset": {"synthetic": {"broadleaf_beta": [1, 2, 3, 4, 5, 6]}}},
                 "dataset.synthetic.broadleaf_beta[0] must be a list of 2, got 1",
@@ -811,6 +813,41 @@ class TestSweep:
         assert main(argv + ["--interest-rates", "0.03", "--payment-periods", "10"]) == EXIT_INTERNAL
 
 
+# A bad value for value flags of run, sweep and gen-data, with its message: a value of
+# another type names the flag, and one out of range gets the rule of the key the flag sets.
+BAD_FLAGS = [
+    (RUN + ["--seed", "1.5"], "--seed must be an integer, got '1.5'"),
+    (RUN + ["--format", "xml"], "format must be csv, json, or both"),
+    (
+        ["sweep", "{scenario}", "--out-dir", "{out}", "--seed", "nan"],
+        "--seed must be an integer, got 'nan'",
+    ),
+    (["gen-data", "--n", "x", "--out", "{out}"], "--n must be an integer, got 'x'"),
+    (["gen-data", "--seed", "1e3", "--out", "{out}"], "--seed must be an integer, got '1e3'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    BAD_FLAGS,
+    ids=["run-seed", "run-format", "sweep-seed", "n", "gen-seed"],
+)
+def test_bad_flag_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, argv, message):
+    scenario = write_scenario(tmp_path)
+    argv = [arg.format(scenario=scenario, out=tmp_path / "out") for arg in argv]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_format_flag_replaces_a_malformed_format_key(tmp_path):
+    scenario = write_scenario(tmp_path, format=5)
+    argv = ["run", str(scenario), "--out-dir", str(tmp_path / "out"), "--format", "csv"]
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["scenario"]["format"] == "csv"
+
+
 class TestGenData:
     def test_deterministic_files(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -839,13 +876,13 @@ class TestGenData:
         assert capsys.readouterr().err == f"error: {message.format(path=profile)}\n"
 
     @pytest.mark.parametrize("profile", [False, True])
-    def test_negative_site_count_exits_2_naming_the_flag(self, tmp_path, capsys, profile):
+    def test_negative_site_count_exits_2_with_the_profile_rule(self, tmp_path, capsys, profile):
         argv = ["gen-data", "--n", "-5", "--out", str(tmp_path / "s.csv")]
         if profile:
             (tmp_path / "profile.json").write_text("{}", encoding="utf-8")
             argv += ["--profile", str(tmp_path / "profile.json")]
         assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: --n must be >= 0, got -5\n"
+        assert capsys.readouterr().err == "error: bad synthetic profile: n_sites must be >= 0\n"
         assert not (tmp_path / "s.csv").exists()
 
     def test_profile_out_of_range_exits_2_and_writes_nothing(self, tmp_path, capsys):
@@ -946,6 +983,39 @@ class TestExtrapolate:
     def test_nonpositive_area_exits_2(self):
         assert main(["extrapolate", "--area", "0", "--avg-downpayment", "1",
                      "--avg-instalment", "1", "--avg-upfront", "1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--area", "nan"], "--area must be a finite number, got nan"),
+            (["--avg-instalment=-inf"], "--avg-instalment must be a finite number, got -inf"),
+            (["--avg-downpayment", "1e309"], "--avg-downpayment must be a finite number, got inf"),
+            (["--harvest-loss-rate", "x"], "--harvest-loss-rate must be a finite number, got 'x'"),
+            (["--harvest-loss-rate", "-3"], "--harvest-loss-rate must lie in [0, 1]"),
+            (["--harvest-loss-rate", "1.5"], "--harvest-loss-rate must lie in [0, 1]"),
+            (["--upfront-annual-budget", "-5"], "--upfront-annual-budget must be >= 0"),
+            (["--avg-downpayment", "-1"], "per-hectare averages must be >= 0"),
+            (
+                ["--from-run", "summary.json", "--avg-upfront", "99999"],
+                "--avg-downpayment, --avg-instalment, --avg-upfront "
+                "would be ignored with --from-run",
+            ),
+            (
+                ["--area", "1e300", "--avg-downpayment", "1e300"],
+                "a projected total is not finite; an input is too large",
+            ),
+        ],
+        ids=[
+            "nan-area", "inf-average", "huge-average", "text-rate", "negative-rate", "rate-above-1",
+            "negative-budget", "negative-average", "averages-with-run", "overflow",
+        ],
+    )
+    def test_flag_out_of_type_or_range_exits_2_naming_it(self, capsys, flags, message):
+        argv = ["extrapolate", "--area", "54000", "--avg-downpayment", "4050",
+                "--avg-instalment", "681", "--upfront-annual-budget", "48000000"]
+        assert main(argv + flags) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_from_run_reads_averages(self, tmp_path):
         scenario = write_scenario(tmp_path)

@@ -3,7 +3,7 @@ import re
 import shlex
 from pathlib import Path
 
-from deferauction.cli import build_parser
+from deferauction.cli import EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +37,11 @@ def test_command_line_examples_parse():
     parser = build_parser()
     names = [parser.parse_args(argv).command for argv in commands()]
     assert names == ["run", "sweep", "sweep", "gen-data", "validate", "extrapolate"]
+
+
+def test_data_and_extrapolate_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argvs = [argv for argv in commands() if argv[0] in ("gen-data", "validate", "extrapolate")]
+    assert [argv[0] for argv in argvs] == ["gen-data", "validate", "extrapolate"]
+    assert [main(argv) for argv in argvs] == [EXIT_OK] * 3
+    assert "Conserving 54,000 ha" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Fuzz of the scenario reader: `run` on mutated scenario JSON exits 0, 2 or 3, never 4,
 and a mutated scenario that resolves resolves again, from its manifest, to an equal one.
+The value flags of `run`, `sweep`, `gen-data` and `extrapolate` get the same check.
 
 Each example applies up to three mutations to a small valid scenario: a
 value of another type (NaN, infinities and huge numbers among them), a list
@@ -136,7 +137,7 @@ def test_mutated_scenario_exits_0_2_or_3(doc):
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         try:
-            scenario = cli._read_scenario_file(str(path), None)
+            scenario = cli.resolve_scenario(cli._read_manifest(str(path))["scenario"])
         except ConfigError:
             scenario = None
         # a dropped site count or profile falls back to the 400-site default
@@ -157,4 +158,46 @@ def test_manifest_scenario_resolves_to_an_equal_scenario(doc):
         return
     with tempfile.TemporaryDirectory() as tmp:
         manifest = cli._write_manifest(Path(tmp), "run", scenario)
-        assert cli._read_scenario_file(str(manifest), None) == scenario
+        assert cli.resolve_scenario(cli._read_manifest(str(manifest))["scenario"]) == scenario
+
+
+# Each value flag of each command; each gets a value from FLAG_VALUES or is left out.
+FLAGS = {
+    "run": ["--seed", "--format"],
+    "sweep": ["--seed", "--interest-rates", "--payment-periods", "--bid-cap-scales", "--seeds"],
+    "gen-data": ["--n", "--seed"],
+    "extrapolate": [
+        "--area", "--avg-downpayment", "--avg-instalment", "--avg-upfront",
+        "--upfront-annual-budget", "--harvest-loss-rate",
+    ],
+}
+FLAG_VALUES = ["nan", "inf", "-inf", "1e309", "-1", "0", "1.5", "", "x", " 7 ", "5_000"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FLAGS)), st.data())
+def test_flag_values_exit_0_2_or_3(command, data):
+    values = {flag: data.draw(st.sampled_from(FLAG_VALUES + [None]), flag) for flag in FLAGS[command]}
+    # gen-data writes as many sites as --n asks for
+    sites = cli._number(values.get("--n") or "0", int)
+    assume(not isinstance(sites, int) or sites <= 50)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(BASE), encoding="utf-8")
+        argv = {
+            "run": ["run", str(scenario), "--out-dir", str(Path(tmp) / "out")],
+            "sweep": ["sweep", str(scenario), "--out-dir", str(Path(tmp) / "out")],
+            "gen-data": ["gen-data", "--out", str(Path(tmp) / "sites.csv")],
+            "extrapolate": ["extrapolate"],
+        }[command]
+        # --flag=value, so that argparse does not take "-1" or "-inf" for a flag
+        argv += [f"{flag}={value}" for flag, value in values.items() if value is not None]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:  # an argparse usage error
+                code = exit_.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err.getvalue())
+    if command == "extrapolate":
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), argv

@@ -24,6 +24,7 @@ from . import __version__
 from .dataio import (
     SWEEP_POINT_COLUMNS,
     LoadError,
+    Run,
     SyntheticProfile,
     format_console_summary,
     generate_synthetic,
@@ -45,9 +46,7 @@ from .model import (
     validate_scheme,
 )
 from .simulation import (
-    RunOutcome,
     SiteColumns,
-    SupplySummary,
     build_offers,
     draw_harvest_schedule,
     extrapolate_national,
@@ -279,20 +278,15 @@ def seed_inputs(scenario: Scenario, dataset: SiteTable, table: EliteTable) -> Se
     return columns, draw_harvest_schedule(columns, cfg, rng_stream(cfg.seed, HARVEST_STREAM))
 
 
-def execute_scenario(
-    scenario: Scenario, inputs: SeedInputs
-) -> tuple[list[RunOutcome], dict[Mechanism, SupplySummary]]:
-    """Run every requested mechanism of a resolved scenario on its `seed_inputs`."""
+def execute_scenario(scenario: Scenario, inputs: SeedInputs) -> list[Run]:
+    """One Run per requested mechanism of a resolved scenario, in order, on its `seed_inputs`."""
     cfg = scenario.scheme
     columns, schedule = inputs
-
-    outcomes: list[RunOutcome] = []
-    supplies: dict[Mechanism, SupplySummary] = {}
-
+    runs: list[Run] = []
     for mechanism in map(Mechanism, scenario.mechanisms):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             offers = build_offers(columns, cfg, mechanism)
-            supplies[mechanism] = summarize_supply(offers)
+            supply = summarize_supply(offers)
             if scenario.ranking == "old_growth":
                 offers = select_old_growth(offers)
             ranked = rank_benefit_cost(offers)
@@ -309,11 +303,11 @@ def execute_scenario(
                         cfg.horizon,
                     )
                 outcome = run_upfront(cfg, float(budget), ranked, schedule)
-        outcomes.append(outcome)
-        for name, value in report_cells(outcome, supplies[mechanism]).items():
+        runs.append((outcome, supply))
+        for name, value in report_cells(outcome, supply).items():
             if not math.isfinite(value):  # a sum overflowed
                 raise ConfigError(f"{mechanism.value} run: {name} is {value}; an input is too large")
-    return outcomes, supplies
+    return runs
 
 
 def _write_manifest(out_dir: Path, kind: str, scenario: Scenario, extra: dict | None = None) -> Path:
@@ -365,10 +359,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = resolve_scenario({**_read_manifest(args.scenario)["scenario"], **flags})
     out_dir = Path(args.out_dir)
     inputs = seed_inputs(scenario, _load_dataset(scenario), _elite_table(scenario))
-    outcomes, supplies = execute_scenario(scenario, inputs)
-    write_report(outcomes, supplies, scenario.scheme, out_dir, scenario.format)
+    runs = execute_scenario(scenario, inputs)
+    write_report(runs, scenario.scheme, out_dir, scenario.format)
     manifest = _write_manifest(out_dir, "run", scenario)
-    print(format_console_summary(outcomes, supplies))
+    print(format_console_summary(runs))
     print(f"manifest: {manifest}")
     return EXIT_OK
 
@@ -385,8 +379,7 @@ def _sweep_plan(axes: object, args: argparse.Namespace, seed: int) -> SweepPlan:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     manifest = _read_manifest(args.scenario)
-    flags = _flags(args, typing.get_type_hints(Scenario))
-    scenario = resolve_scenario({**manifest["scenario"], **flags})
+    scenario = resolve_scenario(manifest["scenario"])
     plan = _sweep_plan(manifest.get("axes", {}), args, scenario.scheme.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -444,23 +437,22 @@ def _run_sweep_point(
 ) -> None:
     """Run one sweep point, into `point_dir` if given; its status and result cells go into `row`."""
     try:
-        outcomes, supplies = execute_scenario(scenario, inputs)
+        runs = execute_scenario(scenario, inputs)
         if point_dir is not None:
-            write_report(outcomes, supplies, scenario.scheme, point_dir, scenario.format)
+            write_report(runs, scenario.scheme, point_dir, scenario.format)
             _write_manifest(point_dir, "run", scenario)
     except INPUT_ERRORS as err:
         row["status"] = f"error: {err}"
         return
     row["status"] = "ok"
-    for outcome in outcomes:
-        cells = report_cells(outcome, supplies[outcome.mechanism])
+    for outcome, supply in runs:
+        cells = report_cells(outcome, supply)
         row.update((f"{outcome.mechanism.value}_{k}", v) for k, v in cells.items())
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     flags = _flags(args, {"n": int, "seed": int})
-    if flags["seed"] < 0:
-        raise ConfigError(f"--seed must be >= 0, got {flags['seed']}")
+    require_valid_scheme(SchemeConfig(seed=flags["seed"]))  # the scheme's seed rule
     raw = _read_json(args.profile) if args.profile else {}
     profile = _from_json(SyntheticProfile, raw, args.profile)
     profile = dataclasses.replace(profile, n_sites=flags.get("n", profile.n_sites))
@@ -518,6 +510,11 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
         ("--upfront-annual-budget", budget is None or budget >= 0, "must be >= 0"),
         ("--harvest-loss-rate", 0 <= loss_rate <= 1, "must lie in [0, 1]"),
         (", ".join(given), not (args.from_run and given), "would be ignored with --from-run"),
+        (
+            "--avg-upfront, --upfront-annual-budget",
+            None in (averages[2], budget),
+            "must not both be given: each sets the up-front average",
+        ),
     ]
     broken = [f"{name} {rule}" for name, ok, rule in rules if not ok]
     if broken:
@@ -564,8 +561,16 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that float() reads (`-1e3`, `-inf`) as a value, as argparse reads `-1`."""
+
+    def _parse_optional(self, arg_string: str):
+        is_value = isinstance(_number(arg_string, float), float)
+        return None if is_value else super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deferauction",
         description="Deferred-payment conservation auction simulator",
     )
@@ -582,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a scenario over parameter grids")
     sweep_p.add_argument("scenario")
     sweep_p.add_argument("--out-dir", default="runs/sweep")
-    sweep_p.add_argument("--seed", help="sets the scenario's seed")
     for axis in dataclasses.fields(SweepPlan):
         flag = "--" + axis.name.replace("_", "-")
         sweep_p.add_argument(flag, help="comma-separated; replaces the manifest's or default axis")

@@ -453,13 +453,14 @@ LEDGER_COLUMNS = (
 )
 SWEEP_AXIS_COLUMNS = ("interest_rate", "payment_periods", "bid_cap_scale", "seed")
 SWEEP_POINT_COLUMNS = ("point", *SWEEP_AXIS_COLUMNS, "status")
+Run = tuple[RunOutcome, SupplySummary]  # a mechanism's outcome, and the supply of its offers
 
 
-def report_cells(outcome: RunOutcome, supply: SupplySummary | None) -> dict[str, object]:
-    """One mechanism's REPORT_COLUMNS values; supply cells are empty without a supply."""
+def report_cells(outcome: RunOutcome, supply: SupplySummary) -> dict[str, object]:
+    """One mechanism's REPORT_COLUMNS values."""
     cells: dict[str, object] = {name: getattr(outcome.summary, name) for name in SUMMARY_COLUMNS}
     for name in SUPPLY_COLUMNS:
-        cells[f"offered_{name}"] = getattr(supply, name) if supply else ""
+        cells[f"offered_{name}"] = getattr(supply, name)
     return cells
 
 
@@ -541,11 +542,7 @@ def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[list[Sequence
 
 
 def write_report(
-    outcomes: list[RunOutcome],
-    supplies: dict[Mechanism, SupplySummary],
-    cfg: SchemeConfig,
-    out_dir: str | Path,
-    fmt: str = "both",
+    runs: list[Run], cfg: SchemeConfig, out_dir: str | Path, fmt: str = "both"
 ) -> list[Path]:
     """Write the summary table, per-year series, and per-site ledger.
 
@@ -559,10 +556,7 @@ def write_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    reports = [
-        (outcome, supplies.get(outcome.mechanism), _timeseries(outcome, cfg))
-        for outcome in outcomes
-    ]
+    reports = [(outcome, supply, _timeseries(outcome, cfg)) for outcome, supply in runs]
 
     if fmt in ("csv", "both"):
         path = out_dir / "summary.csv"
@@ -588,7 +582,7 @@ def write_report(
             {
                 "mechanism": outcome.mechanism.value,
                 "summary": dataclasses.asdict(outcome.summary),
-                "supply": dataclasses.asdict(supply) if supply else None,
+                "supply": dataclasses.asdict(supply),
                 "timeseries": timeseries,
             }
             for outcome, supply, timeseries in reports
@@ -620,19 +614,15 @@ def _round10(value: float) -> int | float:
     return int(round(value / 10.0)) * 10 if math.isfinite(value) else value
 
 
-def format_console_summary(
-    outcomes: list[RunOutcome], supplies: dict[Mechanism, SupplySummary]
-) -> str:
+def format_console_summary(runs: list[Run]) -> str:
     """Human-readable outcome table, money rounded to the nearest 10 euros."""
     lines = []
-    for outcome in outcomes:
+    for outcome, supply in runs:
         s = outcome.summary
-        supply = supplies.get(outcome.mechanism)
         head = "Deferred payments" if outcome.mechanism is Mechanism.DEFERRED else "Up-front payments"
         budget_label = "Initial budget" if outcome.mechanism is Mechanism.DEFERRED else "Annual budget"
         lines.append(head)
-        if supply is not None:
-            lines.append(f"  Offered area, ha               {supply.area_ha:,.0f}")
+        lines.append(f"  Offered area, ha               {supply.area_ha:,.0f}")
         lines.append(f"  {budget_label}, EUR            {_round10(s.budget):,}")
         lines.append(f"  Cost of instalments, EUR/year  {_round10(s.instalment_cost_per_year):,}")
         lines.append(f"  Area, ha                       {s.area_ha:,.0f}")

@@ -251,7 +251,7 @@ class TestRun:
             ({"seed": -1}, RUN, "seed: must be >= 0"),
             ({"scheme": {"seed": -3}}, RUN, "seed: must be >= 0"),
             ({}, RUN + ["--seed", "-2"], "seed: must be >= 0"),
-            ({}, ["gen-data", "--seed", "-1", "--out", "{out}"], "--seed must be >= 0, got -1"),
+            ({}, ["gen-data", "--seed", "-1", "--out", "{out}"], "seed: must be >= 0"),
             ({"scheme": {"lending_period_t": 100000}}, RUN, OMEGA + "got nan"),
             ({"scheme": {"instalment_count_x": 10**600}}, RUN, OMEGA + "got nan"),
         ],
@@ -819,8 +819,8 @@ BAD_FLAGS = [
     (RUN + ["--seed", "1.5"], "--seed must be an integer, got '1.5'"),
     (RUN + ["--format", "xml"], "format must be csv, json, or both"),
     (
-        ["sweep", "{scenario}", "--out-dir", "{out}", "--seed", "nan"],
-        "--seed must be an integer, got 'nan'",
+        ["sweep", "{scenario}", "--out-dir", "{out}", "--seeds", "nan"],
+        "--seeds[0] must be an integer, got 'nan'",
     ),
     (["gen-data", "--n", "x", "--out", "{out}"], "--n must be an integer, got 'x'"),
     (["gen-data", "--seed", "1e3", "--out", "{out}"], "--seed must be an integer, got '1e3'"),
@@ -995,10 +995,18 @@ class TestExtrapolate:
             (["--harvest-loss-rate", "1.5"], "--harvest-loss-rate must lie in [0, 1]"),
             (["--upfront-annual-budget", "-5"], "--upfront-annual-budget must be >= 0"),
             (["--avg-downpayment", "-1"], "per-hectare averages must be >= 0"),
+            (["--avg-downpayment", "-1e3"], "per-hectare averages must be >= 0"),
+            (["--area", "-inf"], "--area must be a finite number, got -inf"),
+            (
+                ["--avg-upfront", "5"],
+                "--avg-upfront, --upfront-annual-budget must not both be given: "
+                "each sets the up-front average",
+            ),
             (
                 ["--from-run", "summary.json", "--avg-upfront", "99999"],
                 "--avg-downpayment, --avg-instalment, --avg-upfront "
-                "would be ignored with --from-run",
+                "would be ignored with --from-run; --avg-upfront, --upfront-annual-budget "
+                "must not both be given: each sets the up-front average",
             ),
             (
                 ["--area", "1e300", "--avg-downpayment", "1e300"],
@@ -1007,7 +1015,8 @@ class TestExtrapolate:
         ],
         ids=[
             "nan-area", "inf-average", "huge-average", "text-rate", "negative-rate", "rate-above-1",
-            "negative-budget", "negative-average", "averages-with-run", "overflow",
+            "negative-budget", "negative-average", "dash-exponent-average", "minus-inf-area",
+            "two-upfront-sources", "averages-with-run", "overflow",
         ],
     )
     def test_flag_out_of_type_or_range_exits_2_naming_it(self, capsys, flags, message):

@@ -391,16 +391,13 @@ class TestTableLoaderAgainstOracle:
         assert oracle.site_records(table) == oracle.generate_records(profile, seed)
 
 
-def _paired_outcomes(n_sites=120, seed=6, initial=1.5e6, dataset=None):
+def _paired_runs(n_sites=120, seed=6, initial=1.5e6, dataset=None):
     if dataset is None:
         dataset = generate_synthetic(SyntheticProfile(n_sites=n_sites), seed)
     cfg = SchemeConfig(seed=seed)
-    supplies = {}
     columns = site_columns(dataset, cfg, rng_stream(seed, PHI_STREAM))
     offers_d = build_offers(columns, cfg, Mechanism.DEFERRED)
     offers_u = build_offers(columns, cfg, Mechanism.UPFRONT)
-    supplies[Mechanism.DEFERRED] = summarize_supply(offers_d)
-    supplies[Mechanism.UPFRONT] = summarize_supply(offers_u)
     schedule = draw_harvest_schedule(columns, cfg, rng_stream(seed, HARVEST_STREAM))
     deferred = run_deferred(cfg, initial, rank_benefit_cost(offers_d), schedule)
     budget = match_upfront_budget(
@@ -411,13 +408,13 @@ def _paired_outcomes(n_sites=120, seed=6, initial=1.5e6, dataset=None):
         cfg.horizon,
     )
     upfront = run_upfront(cfg, budget, rank_benefit_cost(offers_u), schedule)
-    return cfg, [deferred, upfront], supplies
+    return cfg, [(deferred, summarize_supply(offers_d)), (upfront, summarize_supply(offers_u))]
 
 
 class TestWriteReport:
     def test_summary_has_one_row_per_mechanism(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes()
-        write_report(outcomes, supplies, cfg, tmp_path, fmt="csv")
+        cfg, runs = _paired_runs()
+        write_report(runs, cfg, tmp_path, fmt="csv")
         lines = (tmp_path / "summary.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 3
         header = lines[0].split(",")
@@ -425,16 +422,16 @@ class TestWriteReport:
         assert {row.split(",")[0] for row in lines[1:]} == {"deferred", "upfront"}
 
     def test_no_losses_means_zero_lost_benefits_column(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes()
-        write_report(outcomes[:1], supplies, cfg, tmp_path, fmt="csv")
+        cfg, runs = _paired_runs()
+        write_report(runs[:1], cfg, tmp_path, fmt="csv")
         lines = (tmp_path / "summary.csv").read_text(encoding="utf-8").strip().splitlines()
         header = lines[0].split(",")
         row = lines[1].split(",")
         assert row[header.index("lost_benefits")] == "0.00"
 
     def test_json_cumulative_series_self_consistent(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes()
-        write_report(outcomes, supplies, cfg, tmp_path, fmt="json")
+        cfg, runs = _paired_runs()
+        write_report(runs, cfg, tmp_path, fmt="json")
         payload = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
         assert payload["schema_version"] == 3
         for run in payload["runs"]:
@@ -448,31 +445,35 @@ class TestWriteReport:
                 assert row["cumulative_area_ha"] == cumulative_area
 
     def test_site_ledger_statuses(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes()
-        write_report(outcomes, supplies, cfg, tmp_path, fmt="csv")
+        cfg, runs = _paired_runs()
+        write_report(runs, cfg, tmp_path, fmt="csv")
         ledger = (tmp_path / "sites_upfront.csv").read_text(encoding="utf-8").splitlines()
         statuses = {line.split(",")[1] for line in ledger[1:]}
         assert statuses <= {"conserved", "lost", "unfunded"}
         assert "conserved" in statuses
 
     def test_bad_format_rejected(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes()
+        cfg, runs = _paired_runs()
         with pytest.raises(ValueError):
-            write_report(outcomes, supplies, cfg, tmp_path, fmt="xml")
+            write_report(runs, cfg, tmp_path, fmt="xml")
 
 
-def _report_bytes(writer, out_dir, outcomes, supplies, cfg, fmt):
-    written = writer(outcomes, supplies, cfg, out_dir, fmt)
+def _oracle_report(runs, cfg, out_dir, fmt):
+    """oracle.write_report, which takes the outcomes and their supplies by mechanism."""
+    supplies = {outcome.mechanism: supply for outcome, supply in runs}
+    return oracle.write_report([outcome for outcome, _ in runs], supplies, cfg, out_dir, fmt)
+
+
+def _report_bytes(writer, out_dir, runs, cfg, fmt):
+    written = writer(runs, cfg, out_dir, fmt)
     return [(path.name, path.read_bytes()) for path in written]
 
 
-def assert_same_report(tmp_path, outcomes, supplies, cfg):
+def assert_same_report(tmp_path, runs, cfg):
     """write_report writes, in every format, the bytes of the row-wise reference writer."""
     for fmt in ("csv", "json", "both"):
-        ours = _report_bytes(write_report, tmp_path / f"ours-{fmt}", outcomes, supplies, cfg, fmt)
-        reference = _report_bytes(
-            oracle.write_report, tmp_path / f"reference-{fmt}", outcomes, supplies, cfg, fmt
-        )
+        ours = _report_bytes(write_report, tmp_path / f"ours-{fmt}", runs, cfg, fmt)
+        reference = _report_bytes(_oracle_report, tmp_path / f"reference-{fmt}", runs, cfg, fmt)
         assert [name for name, _ in ours] == [name for name, _ in reference]
         for (name, data), (_, expected) in zip(ours, reference):
             assert data == expected, f"{fmt}: {name} differs"
@@ -489,19 +490,19 @@ ESCAPED_IDS = (
 )
 
 
-def _escaped_outcomes():
+def _escaped_runs():
     sites = generate_synthetic(SyntheticProfile(n_sites=120), 6)
     ids = [f"{ESCAPED_IDS[i % len(ESCAPED_IDS)]}{i:03d}" for i in range(len(sites))]
-    return _paired_outcomes(dataset=dataclasses.replace(sites, ids=ids))
+    return _paired_runs(dataset=dataclasses.replace(sites, ids=ids))
 
 
 class TestReportBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
     def test_every_format_writes_the_ledger_csv(self, tmp_path, fmt):
-        cfg, outcomes, supplies = _paired_outcomes(initial=5e5)
-        write_report(outcomes, supplies, cfg, tmp_path / "ours", fmt)
-        oracle.write_report(outcomes, supplies, cfg, tmp_path / "reference", fmt)
-        for outcome in outcomes:
+        cfg, runs = _paired_runs(initial=5e5)
+        write_report(runs, cfg, tmp_path / "ours", fmt)
+        _oracle_report(runs, cfg, tmp_path / "reference", fmt)
+        for outcome, _ in runs:
             name = f"sites_{outcome.mechanism.value}.csv"
             ledger = (tmp_path / "ours" / name).read_bytes()
             assert ledger == (tmp_path / "reference" / name).read_bytes()
@@ -515,23 +516,23 @@ class TestReportBytes:
             assert all("sites" not in run for run in payload["runs"])
 
     def test_paired_run_with_every_fate(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes(initial=5e5)
-        statuses = {row["status"] for row in oracle.site_ledger(outcomes[1])}
+        cfg, runs = _paired_runs(initial=5e5)
+        statuses = {row["status"] for row in oracle.site_ledger(runs[1][0])}
         assert statuses == {"conserved", "lost", "unfunded"}
-        assert_same_report(tmp_path, outcomes, supplies, cfg)
+        assert_same_report(tmp_path, runs, cfg)
 
     def test_ids_that_need_quoting_or_escaping(self, tmp_path):
-        cfg, outcomes, supplies = _escaped_outcomes()
-        for outcome in outcomes:
+        cfg, runs = _escaped_runs()
+        for outcome, _ in runs:
             ids = [row["site_id"] for row in oracle.site_ledger(outcome)]
             assert {site_id[:-3] for site_id in ids} == set(ESCAPED_IDS)
-        assert_same_report(tmp_path, outcomes, supplies, cfg)
+        assert_same_report(tmp_path, runs, cfg)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ledgers_read_back_with_the_dataset_ids(self, tmp_path, fmt):
-        cfg, outcomes, supplies = _escaped_outcomes()
-        write_report(outcomes, supplies, cfg, tmp_path, fmt)
-        for outcome in outcomes:
+        cfg, runs = _escaped_runs()
+        write_report(runs, cfg, tmp_path, fmt)
+        for outcome, _ in runs:
             sites = outcome.offers.columns.sites
             path = tmp_path / f"sites_{outcome.mechanism.value}.csv"
             with open(path, newline="", encoding="utf-8") as fh:
@@ -541,23 +542,25 @@ class TestReportBytes:
     def test_mechanism_without_offers_writes_an_empty_ledger(self, tmp_path):
         # Each mechanism in turn; an empty run's timeseries cells are still floats.
         for index, run in enumerate((run_deferred, run_upfront)):
-            cfg, outcomes, supplies = _paired_outcomes()
-            empty = outcomes[index].offers.take(np.zeros(0, dtype=np.intp))
-            outcomes[index] = run(cfg, 1e6, empty, np.zeros(0, dtype=np.int64))
-            mech = outcomes[index].mechanism.value
-            assert_same_report(tmp_path / mech, outcomes, supplies, cfg)
+            cfg, runs = _paired_runs()
+            outcome, supply = runs[index]
+            empty = outcome.offers.take(np.zeros(0, dtype=np.intp))
+            runs[index] = (run(cfg, 1e6, empty, np.zeros(0, dtype=np.int64)), supply)
+            mech = outcome.mechanism.value
+            assert_same_report(tmp_path / mech, runs, cfg)
             for fmt in ("csv", "json"):
                 ledger = tmp_path / mech / f"ours-{fmt}" / f"sites_{mech}.csv"
                 assert ledger.read_text() == ",".join(LEDGER_COLUMNS) + "\n"
 
     def test_ledger_longer_than_one_chunk(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes(n_sites=3 * _CHUNK_ROWS)
-        assert all(len(outcome.offers) > 2 * _CHUNK_ROWS for outcome in outcomes)
-        assert_same_report(tmp_path, outcomes, supplies, cfg)
+        cfg, runs = _paired_runs(n_sites=3 * _CHUNK_ROWS)
+        assert all(len(outcome.offers) > 2 * _CHUNK_ROWS for outcome, _ in runs)
+        assert_same_report(tmp_path, runs, cfg)
 
     def test_non_finite_ledger_numbers(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes()
-        offers = outcomes[1].offers
+        cfg, runs = _paired_runs()
+        _, (upfront, upfront_supply) = runs
+        offers = upfront.offers
         odd = [math.nan, math.inf, -math.inf, -0.0]
         elite = offers.columns.elite.copy()
         stand_age = offers.columns.sites.stand_age.copy()
@@ -569,8 +572,8 @@ class TestReportBytes:
         offers = dataclasses.replace(
             offers, columns=columns, elite=elite[offers.site], instalment_per_ha=instalment
         )
-        outcome = dataclasses.replace(outcomes[1], offers=offers)
-        assert_same_report(tmp_path, [outcomes[0], outcome], supplies, cfg)
+        outcome = dataclasses.replace(upfront, offers=offers)
+        assert_same_report(tmp_path, [runs[0], (outcome, upfront_supply)], cfg)
         with open(tmp_path / "ours-json" / "sites_upfront.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         for column in ("elite", "stand_age", "instalment_per_ha"):
@@ -578,18 +581,18 @@ class TestReportBytes:
             assert {"nan", "inf", "-inf", "-0.00"} <= cells
 
     def test_sweep_table(self, tmp_path):
-        cfg, outcomes, supplies = _paired_outcomes()
+        cfg, runs = _paired_runs()
         rows = []
         for index, rate in enumerate((0.02, 0.025, 1 / 3)):
             row = {"point": index, "interest_rate": rate, "payment_periods": 10}
             row |= {"bid_cap_scale": 1.0, "seed": 6, "status": "ok"}
-            for outcome in outcomes:
-                cells = report_cells(outcome, supplies[outcome.mechanism])
+            for outcome, supply in runs:
+                cells = report_cells(outcome, supply)
                 row |= {f"{outcome.mechanism.value}_{k}": v for k, v in cells.items()}
             rows.append(row)
         rows[1] = {k: rows[1][k] for k in ("point", "interest_rate", "payment_periods")}
         rows[1] |= {"bid_cap_scale": 1.125, "seed": 6, "status": "error: a, \"quoted\" reason"}
-        mechanisms = [outcome.mechanism for outcome in outcomes]
+        mechanisms = [outcome.mechanism for outcome, _ in runs]
         write_sweep(tmp_path / "ours.csv", mechanisms, rows)
         oracle.write_sweep(tmp_path / "reference.csv", mechanisms, rows)
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -39,6 +39,17 @@ def test_command_line_examples_parse():
     assert names == ["run", "sweep", "sweep", "gen-data", "validate", "extrapolate"]
 
 
+def test_run_and_sweep_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text('{"dataset": {"synthetic": {"n_sites": 30}}}', "utf-8")
+    argvs = [argv for argv in commands() if argv[0] in ("run", "sweep")]
+    assert [argv[0] for argv in argvs] == ["run", "sweep", "sweep"]
+    assert [main(argv) for argv in argvs] == [EXIT_OK] * 3
+    assert capsys.readouterr().out.endswith("sweep: 36 points -> runs/sweep-2/sweep.csv\n")
+    assert (tmp_path / "runs" / "base" / "summary.json").exists()
+    assert (tmp_path / "runs" / "sweep-2" / "point_0035" / "manifest.json").exists()
+
+
 def test_data_and_extrapolate_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argvs = [argv for argv in commands() if argv[0] in ("gen-data", "validate", "extrapolate")]

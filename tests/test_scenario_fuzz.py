@@ -164,7 +164,7 @@ def test_manifest_scenario_resolves_to_an_equal_scenario(doc):
 # Each value flag of each command; each gets a value from FLAG_VALUES or is left out.
 FLAGS = {
     "run": ["--seed", "--format"],
-    "sweep": ["--seed", "--interest-rates", "--payment-periods", "--bid-cap-scales", "--seeds"],
+    "sweep": ["--interest-rates", "--payment-periods", "--bid-cap-scales", "--seeds"],
     "gen-data": ["--n", "--seed"],
     "extrapolate": [
         "--area", "--avg-downpayment", "--avg-instalment", "--avg-upfront",
@@ -190,8 +190,10 @@ def test_flag_values_exit_0_2_or_3(command, data):
             "gen-data": ["gen-data", "--out", str(Path(tmp) / "sites.csv")],
             "extrapolate": ["extrapolate"],
         }[command]
-        # --flag=value, so that argparse does not take "-1" or "-inf" for a flag
-        argv += [f"{flag}={value}" for flag, value in values.items() if value is not None]
+        # --flag=value or --flag value: either way "-1" or "-inf" is the flag's value
+        for flag, value in values.items():
+            if value is not None:
+                argv += data.draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]), flag)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -97,8 +97,8 @@ def test_load_sites_kept_ratio(tmp_path):
 
 def test_write_report_bytes(runs, tmp_path):
     cfg, _, offers, outcomes = runs
-    supplies = {mechanism: summarize_supply(table) for mechanism, table in offers.items()}
-    written = write_report(list(outcomes.values()), supplies, cfg, tmp_path, "both")
+    runs = [(outcomes[mechanism], summarize_supply(offers[mechanism])) for mechanism in outcomes]
+    written = write_report(runs, cfg, tmp_path, "both")
     counters = spans.Counters()
     spans.HOOKS["dataio.write_report"](counters, (), {}, written)
     size = sum(path.stat().st_size for path in tmp_path.iterdir())

@@ -345,19 +345,20 @@ def _number(text: str, hint) -> object:
         return text
 
 
-def _flags(args: argparse.Namespace, hints: dict) -> dict:
-    """Each flag `--a-b` given in `args` whose key `a_b` is in `hints`, read as annotated."""
+def _flags(args: argparse.Namespace) -> dict:
+    """Each argument of `args.command` given in `args`, read as its type; `--a-b` has the key `a_b`."""
     flags = {}
-    for name, hint in hints.items():
-        if (text := getattr(args, name, None)) is not None:
-            flags[name] = _typed(hint, _number(text, hint), "--" + name.replace("_", "-"))
+    for name, (hint, _) in COMMANDS[args.command][2].items():
+        key = name.lstrip("-").replace("-", "_")
+        if (text := getattr(args, key)) is not None:
+            flags[key] = _path(text, name) if hint is Path else _typed(hint, _number(text, hint), name)
     return flags
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    flags = _flags(args, typing.get_type_hints(Scenario))
-    scenario = resolve_scenario({**_read_manifest(args.scenario)["scenario"], **flags})
-    out_dir = Path(args.out_dir)
+    flags = _flags(args)
+    path, out_dir = flags.pop("scenario"), Path(flags.pop("out_dir"))
+    scenario = resolve_scenario({**_read_manifest(path)["scenario"], **flags})  # --seed, --format
     inputs = seed_inputs(scenario, _load_dataset(scenario), _elite_table(scenario))
     runs = execute_scenario(scenario, inputs)
     write_report(runs, scenario.scheme, out_dir, scenario.format)
@@ -367,21 +368,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_plan(axes: object, args: argparse.Namespace, seed: int) -> SweepPlan:
-    """The plan in a manifest's `axes`, each axis flag given in `args` in place of its field."""
-    flags = _flags(args, typing.get_type_hints(SweepPlan))
-    plan = dataclasses.replace(_from_json(SweepPlan, axes, "axes"), **flags)
-    plan = dataclasses.replace(plan, seeds=plan.seeds or (seed,))
+def cmd_sweep(args: argparse.Namespace) -> int:
+    flags = _flags(args)
+    path, out_dir = flags.pop("scenario"), Path(flags.pop("out_dir"))
+    manifest = _read_manifest(path)
+    scenario = resolve_scenario(manifest["scenario"])
+    # the manifest's axes, each axis flag given in place of its field
+    plan = dataclasses.replace(_from_json(SweepPlan, manifest.get("axes", {}), "axes"), **flags)
+    plan = dataclasses.replace(plan, seeds=plan.seeds or (scenario.scheme.seed,))
     if not all(dataclasses.astuple(plan)):
         raise ConfigError("sweep axes must be non-empty")
-    return plan
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    manifest = _read_manifest(args.scenario)
-    scenario = resolve_scenario(manifest["scenario"])
-    plan = _sweep_plan(manifest.get("axes", {}), args, scenario.scheme.seed)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     points = list(product(*dataclasses.astuple(plan)))
@@ -451,19 +447,19 @@ def _run_sweep_point(
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    flags = _flags(args, {"n": int, "seed": int})
+    flags = _flags(args)
     require_valid_scheme(SchemeConfig(seed=flags["seed"]))  # the scheme's seed rule
-    raw = _read_json(args.profile) if args.profile else {}
-    profile = _from_json(SyntheticProfile, raw, args.profile)
+    raw = _read_json(flags["profile"]) if "profile" in flags else {}
+    profile = _from_json(SyntheticProfile, raw, flags.get("profile"))
     profile = dataclasses.replace(profile, n_sites=flags.get("n", profile.n_sites))
     sites = generate_synthetic(profile, flags["seed"])
-    write_sites(sites, args.out)
-    print(f"wrote {len(sites)} sites to {args.out}")
+    write_sites(sites, flags["out"])
+    print(f"wrote {len(sites)} sites to {flags['out']}")
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    sites, issues = load_sites(args.data)
+    sites, issues = load_sites(_flags(args)["data"])
     for issue in issues:
         print(issue)
     print(f"{len(sites)} valid rows, {len(issues)} issues")
@@ -499,9 +495,8 @@ def _run_summaries(path: str) -> dict[str, dict]:
 
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
+    flags = _flags(args)
     average_names = ("avg_downpayment", "avg_instalment", "avg_upfront")
-    names = ("area", *average_names, "upfront_annual_budget", "harvest_loss_rate")
-    flags = _flags(args, dict.fromkeys(names, float))
     area, budget, loss_rate = map(flags.get, ("area", "upfront_annual_budget", "harvest_loss_rate"))
     averages = [flags.get(name) for name in average_names]
     given = [f"--{name.replace('_', '-')}" for name in average_names if name in flags]
@@ -509,7 +504,7 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
         ("--area", area is not None and area > 0, "must be a positive number of hectares"),
         ("--upfront-annual-budget", budget is None or budget >= 0, "must be >= 0"),
         ("--harvest-loss-rate", 0 <= loss_rate <= 1, "must lie in [0, 1]"),
-        (", ".join(given), not (args.from_run and given), "would be ignored with --from-run"),
+        (", ".join(given), not ("from_run" in flags and given), "would be ignored with --from-run"),
         (
             "--avg-upfront, --upfront-annual-budget",
             None in (averages[2], budget),
@@ -520,15 +515,15 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     if broken:
         raise ConfigError("; ".join(broken))
     cfg = SchemeConfig()
-    if args.from_run:
-        summaries = _run_summaries(args.from_run)
+    if "from_run" in flags:
+        summaries = _run_summaries(flags["from_run"])
         deferred, upfront = summaries.get("deferred"), summaries.get("upfront")
         if deferred is None:
-            raise ConfigError(f"{args.from_run}: no deferred run to take averages from")
+            raise ConfigError(f"{flags['from_run']}: no deferred run to take averages from")
         averages = [deferred["avg_downpayment"], deferred["avg_instalment"]]
         averages.append(upfront["avg_downpayment"] if upfront else None)
         # r, x and the horizon must be the run's own, not the defaults
-        manifest = _read_manifest(str(Path(args.from_run).with_name("manifest.json")))
+        manifest = _read_manifest(str(Path(flags["from_run"]).with_name("manifest.json")))
         cfg = resolve_scenario(manifest["scenario"]).scheme
     if budget is not None:
         averages[2] = budget / (area / cfg.horizon)
@@ -561,63 +556,65 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reads a token that float() reads (`-1e3`, `-inf`) as a value, as argparse reads `-1`."""
-
-    def _parse_optional(self, arg_string: str):
-        is_value = isinstance(_number(arg_string, float), float)
-        return None if is_value else super()._parse_optional(arg_string)
+_SCENARIO = typing.get_type_hints(Scenario)
+_AXIS = {"help": "comma-separated; replaces the manifest's or default axis"}
+# Each command's function, help and arguments. An argument is named as argparse takes it,
+# with the type `_flags` reads its value as (a path by `_path`) and add_argument's keywords.
+COMMANDS = {
+    "run": (cmd_run, "run a scenario (or re-run a manifest)", {
+        "scenario": (Path, {"help": "scenario JSON file, or a manifest.json from a prior run"}),
+        "--out-dir": (Path, {"default": "runs/latest"}),
+        "--seed": (_SCENARIO["seed"], {"help": "sets the scenario's seed"}),
+        "--format": (_SCENARIO["format"], {"help": "sets the scenario's format"}),
+    }),
+    "sweep": (cmd_sweep, "run a scenario over parameter grids", {
+        "scenario": (Path, {}),
+        "--out-dir": (Path, {"default": "runs/sweep"}),
+        **{"--" + axis.replace("_", "-"): (hint, _AXIS)
+           for axis, hint in typing.get_type_hints(SweepPlan).items()},
+    }),
+    "gen-data": (cmd_gen_data, "generate a synthetic site CSV", {
+        "--n": (int, {"help": "sets the profile's n_sites"}),
+        "--seed": (int, {"default": "1"}),
+        "--out": (Path, {"required": True}),
+        "--profile": (Path, {"help": "JSON file with generator profile overrides"}),
+    }),
+    "validate": (cmd_validate, "validate a site CSV and print the issue report", {"data": (Path, {})}),
+    "extrapolate": (cmd_extrapolate, "program-scale cost projection", {
+        "--area": (float, {"help": "total area, ha"}),
+        **dict.fromkeys(("--avg-downpayment", "--avg-instalment", "--avg-upfront"), (float, {})),
+        "--upfront-annual-budget": (float, {"help": "annual up-front spend; implies --avg-upfront"}),
+        "--harvest-loss-rate": (float, {"default": "0.093"}),
+        "--from-run": (Path, {"help": "take averages from a run's summary.json"}),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="deferauction",
-        description="Deferred-payment conservation auction simulator",
-    )
+    """The parser of COMMANDS; no parser reads a flag from its prefix."""
+    description = "Deferred-payment conservation auction simulator"
+    parser = argparse.ArgumentParser(prog="deferauction", description=description, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a scenario (or re-run a manifest)")
-    run_p.add_argument("scenario", help="scenario JSON file, or a manifest.json from a prior run")
-    run_p.add_argument("--out-dir", default="runs/latest")
-    run_p.add_argument("--seed", help="sets the scenario's seed")
-    run_p.add_argument("--format", help="sets the scenario's format")
-    run_p.set_defaults(func=cmd_run)
-
-    sweep_p = sub.add_parser("sweep", help="run a scenario over parameter grids")
-    sweep_p.add_argument("scenario")
-    sweep_p.add_argument("--out-dir", default="runs/sweep")
-    for axis in dataclasses.fields(SweepPlan):
-        flag = "--" + axis.name.replace("_", "-")
-        sweep_p.add_argument(flag, help="comma-separated; replaces the manifest's or default axis")
-    sweep_p.add_argument("--point-dirs", action="store_true", help="also write point_NNNN/ runs")
-    sweep_p.set_defaults(func=cmd_sweep)
-
-    gen_p = sub.add_parser("gen-data", help="generate a synthetic site CSV")
-    gen_p.add_argument("--n", help="sets the profile's n_sites")
-    gen_p.add_argument("--seed", default="1")
-    gen_p.add_argument("--out", required=True)
-    gen_p.add_argument("--profile", default=None, help="JSON file with generator profile overrides")
-    gen_p.set_defaults(func=cmd_gen_data)
-
-    val_p = sub.add_parser("validate", help="validate a site CSV and print the issue report")
-    val_p.add_argument("data")
-    val_p.set_defaults(func=cmd_validate)
-
-    ext_p = sub.add_parser("extrapolate", help="program-scale cost projection")
-    ext_p.add_argument("--area", help="total area, ha")
-    ext_p.add_argument("--avg-downpayment")
-    ext_p.add_argument("--avg-instalment")
-    ext_p.add_argument("--avg-upfront")
-    ext_p.add_argument("--upfront-annual-budget", help="annual up-front spend; implies --avg-upfront")
-    ext_p.add_argument("--harvest-loss-rate", default="0.093")
-    ext_p.add_argument("--from-run", default=None, help="take averages from a run's summary.json")
-    ext_p.set_defaults(func=cmd_extrapolate)
+    for command, (func, help_text, arguments) in COMMANDS.items():
+        sub_p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        sub_p.set_defaults(func=func)
+        for name, (_, options) in arguments.items():
+            sub_p.add_argument(name, **options)
+        if command == "sweep":  # a switch, not a value flag
+            sub_p.add_argument("--point-dirs", action="store_true", help="also write point_NNNN/ runs")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A value flag takes the next token as its value, "-1e3" too: argparse gets `--flag=value`.
+    arguments = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token.startswith("--") and token in arguments else None
+        joined.append(token if value is None else f"{token}={value}")
+    args = build_parser().parse_args(joined)
     try:
         return args.func(args)
     except ConfigError as err:

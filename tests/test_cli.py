@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -441,6 +442,7 @@ class TestRun:
 
     def test_paths_from_the_home_directory_are_expanded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)  # where an unexpanded "~" would be made
         data, table = tmp_path / "sites.csv", tmp_path / "elite.csv"
         assert main(["gen-data", "--n", "40", "--seed", "3", "--out", str(data)]) == EXIT_OK
         table.write_text(ELITE_TABLE, encoding="utf-8")
@@ -449,7 +451,7 @@ class TestRun:
             paths = {"dataset": {"path": home + data.name}, "elite_table": home + table.name}
             scenario = write_scenario(tmp_path, name=f"{name}.json", **paths)
             out_dir = tmp_path / name
-            assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+            assert main(["run", home + scenario.name, "--out-dir", home + name]) == EXIT_OK
             outputs.append({n: (out_dir / n).read_bytes() for n in os.listdir(out_dir)})
         assert outputs[0] == outputs[1]  # the manifests too: they record the expanded paths
 
@@ -784,6 +786,34 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "value, code, message",
+        [
+            ("--interest-rates=-0.01,0.02", EXIT_OK, "interest_rate_r: must be finite and >= 0"),
+            ("--seeds=-1,2", EXIT_OK, "seed: must be >= 0"),
+            ("--seeds=-1e3", EXIT_CONFIG, "--seeds[0] must be an integer, got '-1e3'"),
+            ("--bid-cap-scales=-inf", EXIT_CONFIG, "--bid-cap-scales[0] must be a finite number"),
+        ],
+        ids=["negative-rate", "negative-seed", "dash-exponent-seed", "minus-inf-scale"],
+    )
+    def test_value_starting_with_a_dash_reaches_the_axis_rule_in_either_form(
+        self, tmp_path, capsys, value, code, message
+    ):
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 30}})
+        out_dir = tmp_path / "sweep"
+
+        def sweep(form):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            argv = ["sweep", str(scenario), "--out-dir", str(out_dir), "--payment-periods", "10"]
+            exit_code = main(argv + form)
+            table = out_dir / "sweep.csv"
+            return exit_code, capsys.readouterr(), table.read_text() if table.exists() else ""
+
+        joined = sweep([value])
+        assert sweep(value.split("=")) == joined  # --flag value
+        assert joined[0] == code
+        assert f"error: {message}" in joined[1].err + joined[2]  # the message or an error row
+
     def test_malformed_manifest_axes_exit_2_naming_the_field(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 40}})
         raw = json.loads(scenario.read_text(encoding="utf-8"))
@@ -838,6 +868,85 @@ def test_bad_flag_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, argv, m
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# A prefix of a flag, or a flag the command does not have, with the last line of argparse's
+# message. A missing required argument is reported first, so each case that names one
+# (`gen-data --o`, `--vers`) has a twin that gives it and gets the flag named as typed.
+UNKNOWN_FLAGS = [
+    (RUN + ["--form", "json"], "unrecognized arguments: --form json"),
+    (
+        ["sweep", "{scenario}", "--out-dir", "{out}", "--seeds", "5,6", "--seed", "9"],
+        "unrecognized arguments: --seed 9",
+    ),
+    (["gen-data", "--o", "{out}"], "the following arguments are required: --out"),
+    (["gen-data", "--out", "{out}", "--o", "{out}"], "unrecognized arguments: --o {out}"),
+    (
+        ["extrapolate", "--ar", "5", "--avg-downpayment", "1", "--avg-instalment", "1",
+         "--avg-upfront", "1"],
+        "unrecognized arguments: --ar 5",
+    ),
+    (["--vers"], "the following arguments are required: command"),
+    (["--vers", "validate", "{out}"], "unrecognized arguments: --vers"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    UNKNOWN_FLAGS,
+    ids=["run-form", "sweep-seed", "gen-o", "gen-o-with-out", "extrapolate-ar", "vers", "vers-cmd"],
+)
+def test_abbreviated_or_removed_flag_exits_2_naming_it(tmp_path, capsys, argv, message):
+    scenario, out = write_scenario(tmp_path), tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(scenario=scenario, out=out) for arg in argv])
+    assert exc.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message.format(out=out)}")
+    assert not out.exists()
+
+
+# Each path argument: a command line with {path} in its place, and the name its errors carry.
+PATH_ARGUMENTS = [
+    (["run", "{path}"], "scenario"),
+    (["sweep", "{path}"], "scenario"),
+    (["run", "s.json", "--out-dir", "{path}"], "--out-dir"),
+    (["sweep", "s.json", "--out-dir", "{path}"], "--out-dir"),
+    (["gen-data", "--out", "{path}"], "--out"),
+    (["gen-data", "--n", "5", "--out", "s.csv", "--profile", "{path}"], "--profile"),
+    (["validate", "{path}"], "data"),
+    (["extrapolate", "--area", "1", "--from-run", "{path}"], "--from-run"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    PATH_ARGUMENTS,
+    ids=["run", "sweep", "run-out-dir", "sweep-out-dir", "out", "profile", "validate", "from-run"],
+)
+@pytest.mark.parametrize(
+    "path, fault",
+    [
+        ("", "must not be empty"),
+        (NO_SUCH_HOME + "x", f"{NO_SUCH_HOME + 'x'!r}: cannot determine the home directory"),
+    ],
+    ids=["empty", "unknown-home"],
+)
+def test_path_argument_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, name, path, fault):
+    monkeypatch.chdir(tmp_path)  # where an empty or unexpanded path would write
+    write_scenario(tmp_path, name="s.json")
+    assert main([arg.format(path=path) for arg in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {name} {fault}\n"
+    assert os.listdir(tmp_path) == ["s.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "gen-data", "validate", "extrapolate"])
+def test_help_names_every_argument_of_the_command(capsys, command):
+    assert list(cli.COMMANDS) == ["run", "sweep", "gen-data", "validate", "extrapolate"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert [name for name in cli.COMMANDS[command][2] if name not in out] == []
 
 
 def test_format_flag_replaces_a_malformed_format_key(tmp_path):
@@ -997,6 +1106,9 @@ class TestExtrapolate:
             (["--avg-downpayment", "-1"], "per-hectare averages must be >= 0"),
             (["--avg-downpayment", "-1e3"], "per-hectare averages must be >= 0"),
             (["--area", "-inf"], "--area must be a finite number, got -inf"),
+            (["--avg-instalment", "-inf"], "--avg-instalment must be a finite number, got -inf"),
+            (["--avg-downpayment=-1e3"], "per-hectare averages must be >= 0"),
+            (["--area=-inf"], "--area must be a finite number, got -inf"),
             (
                 ["--avg-upfront", "5"],
                 "--avg-upfront, --upfront-annual-budget must not both be given: "
@@ -1016,6 +1128,7 @@ class TestExtrapolate:
         ids=[
             "nan-area", "inf-average", "huge-average", "text-rate", "negative-rate", "rate-above-1",
             "negative-budget", "negative-average", "dash-exponent-average", "minus-inf-area",
+            "inf-average-spaced", "dash-exponent-average-joined", "minus-inf-area-joined",
             "two-upfront-sources", "averages-with-run", "overflow",
         ],
     )

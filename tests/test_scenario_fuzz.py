@@ -1,6 +1,7 @@
 """Fuzz of the scenario reader: `run` on mutated scenario JSON exits 0, 2 or 3, never 4,
 and a mutated scenario that resolves resolves again, from its manifest, to an equal one.
-The value flags of `run`, `sweep`, `gen-data` and `extrapolate` get the same check.
+The value flags of `run`, `sweep`, `gen-data` and `extrapolate` get the same check,
+and a proper prefix of a flag, which no command reads as the flag, exits 2.
 
 Each example applies up to three mutations to a small valid scenario: a
 value of another type (NaN, infinities and huge numbers among them), a list
@@ -161,15 +162,12 @@ def test_manifest_scenario_resolves_to_an_equal_scenario(doc):
         assert cli.resolve_scenario(cli._read_manifest(str(manifest))["scenario"]) == scenario
 
 
-# Each value flag of each command; each gets a value from FLAG_VALUES or is left out.
+# Each value flag of each command in the CLI's table; each gets a value from FLAG_VALUES or is
+# left out. Path flags are left to test_cli's path test: a value here would name a file to write.
 FLAGS = {
-    "run": ["--seed", "--format"],
-    "sweep": ["--interest-rates", "--payment-periods", "--bid-cap-scales", "--seeds"],
-    "gen-data": ["--n", "--seed"],
-    "extrapolate": [
-        "--area", "--avg-downpayment", "--avg-instalment", "--avg-upfront",
-        "--upfront-annual-budget", "--harvest-loss-rate",
-    ],
+    command: flags
+    for command, (_, _, arguments) in cli.COMMANDS.items()
+    if (flags := [flag for flag, (kind, _) in arguments.items() if flag[:2] == "--" and kind != Path])
 }
 FLAG_VALUES = ["nan", "inf", "-inf", "1e309", "-1", "0", "1.5", "", "x", " 7 ", "5_000"]
 
@@ -178,6 +176,13 @@ FLAG_VALUES = ["nan", "inf", "-inf", "1e309", "-1", "0", "1.5", "", "x", " 7 ", 
 @given(st.sampled_from(sorted(FLAGS)), st.data())
 def test_flag_values_exit_0_2_or_3(command, data):
     values = {flag: data.draw(st.sampled_from(FLAG_VALUES + [None]), flag) for flag in FLAGS[command]}
+    # and maybe a proper prefix of one of the command's flags, which must exit 2
+    arguments = cli.COMMANDS[command][2]
+    longer = [name for name in arguments if name[:2] == "--" and len(name) > 3]
+    prefix = data.draw(st.sampled_from(longer + [None]), "prefix flag")
+    if prefix is not None:
+        prefix = prefix[: data.draw(st.integers(3, len(prefix) - 1), "prefix length")]
+        assume(prefix not in arguments)
     # gen-data writes as many sites as --n asks for
     sites = cli._number(values.get("--n") or "0", int)
     assume(not isinstance(sites, int) or sites <= 50)
@@ -194,12 +199,16 @@ def test_flag_values_exit_0_2_or_3(command, data):
         for flag, value in values.items():
             if value is not None:
                 argv += data.draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]), flag)
+        if prefix is not None:
+            argv += [prefix, "1"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exit_:  # an argparse usage error
                 code = exit_.code
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err.getvalue())
+    assert code in ((EXIT_OK, EXIT_CONFIG, EXIT_IO) if prefix is None else (EXIT_CONFIG,)), (
+        argv, err.getvalue()
+    )
     if command == "extrapolate":
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), argv

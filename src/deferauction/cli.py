@@ -598,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_text, arguments) in COMMANDS.items():
         sub_p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        sub_p.set_defaults(func=func)
+        sub_p.set_defaults(func=func, parser=sub_p)
         for name, (_, options) in arguments.items():
             sub_p.add_argument(name, **options)
         if command == "sweep":  # a switch, not a value flag
@@ -614,7 +614,11 @@ def main(argv: list[str] | None = None) -> int:
     for token in tokens:
         value = next(tokens, None) if token.startswith("--") and token in arguments else None
         joined.append(token if value is None else f"{token}={value}")
-    args = build_parser().parse_args(joined)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(joined)
+    if unknown:  # named with the command's usage when they follow the command
+        owner = args.parser if argv[0] == args.command else parser
+        owner.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except ConfigError as err:

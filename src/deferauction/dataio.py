@@ -8,6 +8,7 @@ and round-trip exactly through write_sites/load_sites.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -15,7 +16,7 @@ import re
 import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .model import (
     SiteTable,
     Species,
     csv_rows,
+    utf8_lines,
 )
 from .simulation import CONSERVED, FATES, LOST, RunOutcome, RunSummary, SiteColumns, SupplySummary
 from .streams import SYNTHETIC_STREAM, rng_stream
@@ -287,9 +289,9 @@ def _parse_number(cell: str, default: float | None) -> float | str:
 
 
 def _parse_chunk(
-    cells: list[tuple[str, ...]], position: dict[str, int]
+    cells: Sequence[Sequence[str]], position: dict[str, int]
 ) -> tuple[SiteTable, list[tuple[str, dict[int, str]]]]:
-    """Rows parsed a column at a time from their cells, one tuple per header column.
+    """Rows parsed a column at a time from their cells, one sequence per header column.
 
     Returns the rows as a table, with -1 for an unknown name and NaN for a
     bad number, and each column's bad cells with why, in reporting order.
@@ -300,11 +302,13 @@ def _parse_chunk(
     codes: dict[str, np.ndarray] = {}
     for column, names, kind in _NAME_COLUMNS:
         raw = cells[position[column]]
-        codes[column] = np.array([names.get(cell.strip(), -1) for cell in raw], dtype=np.intp)
+        codes[column] = np.fromiter(map(names.get, raw, repeat(-1)), np.intp, len(raw))
+        if (codes[column] < 0).any():  # a padded name, or one that is not known
+            codes[column] = np.array([names.get(cell.strip(), -1) for cell in raw], dtype=np.intp)
         bad = np.flatnonzero(codes[column] < 0).tolist()
         unknown = {i: f"unknown {kind} '{raw[i]}'" if raw[i].strip() else _EMPTY for i in bad}
         errors.append((column, unknown))
-    ids = [cell.strip() for cell in cells[position["id"]]]
+    ids = list(map(str.strip, cells[position["id"]]))
     errors.append(("id", {i: _EMPTY for i, site_id in enumerate(ids) if not site_id}))
     numbers: dict[str, np.ndarray] = {}
     for name in NUMBER_COLUMNS:
@@ -314,7 +318,7 @@ def _parse_chunk(
             continue
         raw = cells[position[name]]
         try:
-            numbers[name] = np.array(list(map(float, raw)))
+            numbers[name] = np.fromiter(map(float, raw), float, len(raw))
         except ValueError:
             parsed = [_parse_number(cell, default) for cell in raw]
             numbers[name] = np.array([v if isinstance(v, float) else math.nan for v in parsed])
@@ -351,6 +355,33 @@ def _violations(sites: SiteTable) -> list[tuple[str, str, np.ndarray]]:
     ]
 
 
+def _column_chunks(path: Path) -> Iterator[Sequence[Sequence[str]]]:
+    """A site CSV's header row, then its rows a chunk at a time as columns, padded to the header.
+
+    Blank lines are not rows. Chunks are split at commas, as csv splits them, while no line
+    holds a quote, a CR or a NUL (which Python 3.10's csv rejects) or outgrows csv's field
+    limit, and each has a row's commas; from the first chunk that does not, csv reads the rest.
+    """
+    lines, limit = utf8_lines(path), csv.field_size_limit()
+    chunk, read = list(islice(lines, 1)), 0  # the header line first; the lines split so far
+    width = chunk[0].count(",") + 1 if chunk else 0
+    while chunk:
+        text = "".join(chunk)
+        csv_only = '"' in text or "\r" in text or "\0" in text or max(map(len, chunk)) > limit
+        if csv_only or not all(map((width - 1).__eq__, map(str.count, chunk, repeat(",")))):
+            break
+        cells = text.rstrip("\n").replace("\n", ",").split(",")
+        yield [cells[i::width] for i in range(width)] if read else cells  # the header as a row
+        read += len(chunk)
+        chunk = list(islice(lines, _LOAD_CHUNK_ROWS))
+    rows = csv_rows(path, chain(chunk, lines), read)  # a quoted cell may span lines
+    if not read and (header := next(rows, None)) is not None:  # csv reads the header too
+        yield header
+        width = len(header)
+    while records := list(islice(filter(None, rows), _LOAD_CHUNK_ROWS)):
+        yield list(zip(*(row + [""] * (width - len(row)) for row in records)))
+
+
 def load_sites(path: str | Path) -> tuple[SiteTable, list[RowIssue]]:
     """Parse a site CSV into a table of its sound rows plus a per-row issue report.
 
@@ -365,30 +396,23 @@ def load_sites(path: str | Path) -> tuple[SiteTable, list[RowIssue]]:
     read, missing required columns) reject the whole file.
     """
     path = Path(path)
-    reader = csv_rows(path)
-    header = next(reader, None)
-    if header is None:
+    chunks = _column_chunks(path)
+    if (header := next(chunks, None)) is None:
         raise LoadError(f"{path}: empty file, header row required")
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
-    if missing:
+    if missing := [c for c in REQUIRED_COLUMNS if c not in header]:
         raise LoadError(f"{path}: missing required columns: {', '.join(missing)}")
     # A repeated column name reads its last cell, as csv.DictReader does.
     position = {name: i for i, name in enumerate(header)}
-    width = len(header)
-    padding = [""] * width
-    chunks: list[SiteTable] = []
+    tables: list[SiteTable] = []
     first_error: dict[int, RowIssue] = {}
-    while lines := list(islice(reader, _LOAD_CHUNK_ROWS)):
-        rows = [row if len(row) >= width else row + padding[len(row) :] for row in lines if row]
-        if not rows:
-            continue
-        start = sum(map(len, chunks))
-        chunk, errors = _parse_chunk(list(zip(*rows)), position)
+    for cells in chunks:
+        start = sum(map(len, tables))
+        table, errors = _parse_chunk(cells, position)
         for column, messages in errors:
             for i, message in messages.items():
                 first_error.setdefault(start + i, RowIssue(start + i + 1, column, message))
-        chunks.append(chunk)
-    sites = SiteTable.concat(chunks)
+        tables.append(table)
+    sites = SiteTable.concat(tables)
 
     issues = list(first_error.values())
     parsed = np.ones(len(sites), dtype=bool)
@@ -398,14 +422,17 @@ def load_sites(path: str | Path) -> tuple[SiteTable, list[RowIssue]]:
         broken &= parsed
         keep &= ~broken
         issues.extend(RowIssue(row + 1, column, rule) for row in np.flatnonzero(broken).tolist())
-    first: dict[str, int] = {}
-    for row in np.flatnonzero(keep).tolist():
-        site_id = sites.ids[row]
-        if first.setdefault(site_id, row) != row:
-            message = f"duplicate site id '{site_id}' (first on row {first[site_id] + 1})"
-            issues.append(RowIssue(row + 1, "id", message))
+    kept = np.flatnonzero(keep).tolist()
+    if len(set(map(sites.ids.__getitem__, kept))) < len(kept):  # an id repeats: keep its first row
+        first: dict[str, int] = {}
+        for row in kept:
+            site_id = sites.ids[row]
+            if first.setdefault(site_id, row) != row:
+                message = f"duplicate site id '{site_id}' (first on row {first[site_id] + 1})"
+                issues.append(RowIssue(row + 1, "id", message))
+        kept = list(first.values())
     issues.sort(key=lambda issue: issue.row)
-    return sites.take(np.array(list(first.values()), dtype=np.intp)), issues
+    return (sites if len(kept) == len(sites) else sites.take(np.array(kept, dtype=np.intp))), issues
 
 
 def _sites_text(sites: SiteTable, header: Sequence[str]) -> Iterator[list[list[str]]]:
@@ -503,8 +530,8 @@ def _site_text(columns: SiteColumns) -> tuple[np.ndarray, ...]:
     """Per site, as CSV text: site_id; area_ha,elite; stand_age,site_type."""
     sites = columns.sites
     ages = zip(sites.stand_age.tolist(), sites.type_code.tolist())
-    text = (
-        [_quote(site_id) for site_id in sites.ids],
+    text = (  # the rule's characters are single: the joined ids hold one when some id does
+        list(map(_quote, sites.ids)) if _NEEDS_QUOTES("".join(sites.ids)) else sites.ids,
         ["%.2f,%.2f" % cells for cells in zip(sites.area_ha.tolist(), columns.elite.tolist())],
         ["%.2f,%s" % (age, _TYPE_NAMES[code]) for age, code in ages],  # names need no quotes
     )

@@ -259,13 +259,13 @@ def utf8_lines(path: str | Path) -> Iterator[str]:
             ) from None
 
 
-def csv_rows(path: str | Path) -> Iterator[list[str]]:
-    """The rows of a UTF-8 CSV file; a row csv cannot read raises LoadError naming its line."""
-    reader = csv.reader(utf8_lines(path))
+def csv_rows(path: str | Path, lines=None, skipped: int = 0) -> Iterator[list[str]]:
+    """Rows of a UTF-8 CSV file, or `lines`: its lines after `skipped`. LoadError names the line."""
+    reader = csv.reader(utf8_lines(path) if lines is None else lines)
     try:
         yield from reader
     except csv.Error as err:
-        raise LoadError(f"{path}: line {reader.line_num}: {err}") from None
+        raise LoadError(f"{path}: line {skipped + reader.line_num}: {err}") from None
 
 
 def require_valid_scheme(cfg: SchemeConfig) -> SchemeConfig:

@@ -295,6 +295,7 @@ def run_deferred(
     year = np.full(len(ranking), -1, dtype=np.int64)
     available = np.flatnonzero(schedule[ranking.site] != 0).tolist()
     funded, spent = fund(ranking.cost.tolist(), available, initial_budget)
+    funded = np.array(funded, dtype=np.intp)
     fate[funded], year[funded] = CONSERVED, 0
     instalment_per_year = ordered_sum((ranking.instalment_per_ha * ranking.area)[funded])
     spending = [spent]
@@ -323,12 +324,12 @@ def run_upfront(
     cut = np.where(harvest >= 0, harvest, cfg.horizon)  # the year a waiting offer is lost
     fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
     year = np.full(len(ranking), -1, dtype=np.int64)
-    waiting = np.ones(len(ranking), dtype=bool)
+    waiting = np.arange(len(ranking))  # the offers neither funded nor cut, in funding order
     spending: list[float] = []
     for now in range(cfg.horizon):
-        waiting &= cut > now
-        funded, spent = fund(costs, np.flatnonzero(waiting).tolist(), annual_budget)
-        waiting[funded] = False
+        waiting = waiting[(cut[waiting] > now) & (fate[waiting] == UNFUNDED)]
+        funded, spent = fund(costs, waiting.tolist(), annual_budget)
+        funded = np.array(funded, dtype=np.intp)
         fate[funded], year[funded] = CONSERVED, now
         spending.append(spent)
     # An offer still waiting in its cut year is lost then; one funded is conserved before it.
@@ -363,14 +364,12 @@ def account(
         for rows in (conserved, lost)
     )
     lost_benefits = -lost_total if lost_total > 0 else 0.0
-    instalments = offers.instalment_per_ha[conserved] * area[conserved]
-    totals = dataclasses.asdict(summarize_supply(offers.take(conserved)))
-    sites = totals.pop("sites")
+    totals = dataclasses.asdict(summarize_supply(offers, conserved))
     return RunSummary(
-        sites_conserved=sites,
+        sites_conserved=totals.pop("sites"),
         **totals,
         harvested_area_ha=ordered_sum(area[lost]),
-        instalment_cost_per_year=ordered_sum(instalments),
+        instalment_cost_per_year=ordered_sum(offers.instalment_per_ha[conserved] * area[conserved]),
         budget=budget,
         costs_npv=npv(spending, delta),
         costs_absolute=ordered_sum(spending),
@@ -380,9 +379,10 @@ def account(
     )
 
 
-def summarize_supply(offers: OfferTable) -> SupplySummary:
-    """Count, area, habitat-index sum, and per-hectare averages over `offers`, in their order."""
-    area = offers.area
+def summarize_supply(offers: OfferTable, rows: np.ndarray | slice = slice(None)) -> SupplySummary:
+    """Count, area, habitat-index sum and per-hectare averages of the offers at `rows`, in order."""
+    site = offers.site[rows]
+    area = offers.columns.sites.area_ha[site]
     total_area = ordered_sum(area)
 
     def per_ha_average(per_ha: np.ndarray) -> float:
@@ -390,13 +390,13 @@ def summarize_supply(offers: OfferTable) -> SupplySummary:
         return ordered_sum(per_ha * area) / total_area if total_area else 0.0
 
     return SupplySummary(
-        sites=len(offers),
+        sites=len(site),
         area_ha=total_area,
-        bd_index_sum=ordered_sum(offers.elite * area),
-        avg_stand_age=per_ha_average(offers.columns.sites.stand_age[offers.site]),
-        avg_downpayment=per_ha_average(offers.downpayment_per_ha),
-        avg_instalment=per_ha_average(offers.instalment_per_ha),
-        avg_total_payment_npv=per_ha_average(offers.total_payment_npv_per_ha),
+        bd_index_sum=ordered_sum(offers.elite[rows] * area),
+        avg_stand_age=per_ha_average(offers.columns.sites.stand_age[site]),
+        avg_downpayment=per_ha_average(offers.downpayment_per_ha[rows]),
+        avg_instalment=per_ha_average(offers.instalment_per_ha[rows]),
+        avg_total_payment_npv=per_ha_average(offers.total_payment_npv_per_ha[rows]),
     )
 
 

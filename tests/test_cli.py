@@ -870,38 +870,45 @@ def test_bad_flag_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, argv, m
     assert not (tmp_path / "out").exists()
 
 
-# A prefix of a flag, or a flag the command does not have, with the last line of argparse's
-# message. A missing required argument is reported first, so each case that names one
-# (`gen-data --o`, `--vers`) has a twin that gives it and gets the flag named as typed.
+# A prefix of a flag, or a flag the command does not have, with the parser that reports it
+# and the last line of argparse's message. A token after the command gets that command's
+# usage; one before it, the top-level usage. A missing required argument is reported first,
+# so each case that names one (`gen-data --o`, `--vers`) has a twin that gives it and gets
+# the flag named as typed.
 UNKNOWN_FLAGS = [
-    (RUN + ["--form", "json"], "unrecognized arguments: --form json"),
+    (RUN + ["--form", "json"], "run", "unrecognized arguments: --form json"),
     (
         ["sweep", "{scenario}", "--out-dir", "{out}", "--seeds", "5,6", "--seed", "9"],
+        "sweep",
         "unrecognized arguments: --seed 9",
     ),
-    (["gen-data", "--o", "{out}"], "the following arguments are required: --out"),
-    (["gen-data", "--out", "{out}", "--o", "{out}"], "unrecognized arguments: --o {out}"),
+    (["gen-data", "--o", "{out}"], "gen-data", "the following arguments are required: --out"),
+    (["gen-data", "--out", "{out}", "--o", "{out}"], "gen-data", "unrecognized arguments: --o {out}"),
     (
         ["extrapolate", "--ar", "5", "--avg-downpayment", "1", "--avg-instalment", "1",
          "--avg-upfront", "1"],
+        "extrapolate",
         "unrecognized arguments: --ar 5",
     ),
-    (["--vers"], "the following arguments are required: command"),
-    (["--vers", "validate", "{out}"], "unrecognized arguments: --vers"),
+    (["--vers"], None, "the following arguments are required: command"),
+    (["--vers", "validate", "{out}"], None, "unrecognized arguments: --vers"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, command, message",
     UNKNOWN_FLAGS,
     ids=["run-form", "sweep-seed", "gen-o", "gen-o-with-out", "extrapolate-ar", "vers", "vers-cmd"],
 )
-def test_abbreviated_or_removed_flag_exits_2_naming_it(tmp_path, capsys, argv, message):
+def test_abbreviated_or_removed_flag_exits_2_naming_it(tmp_path, capsys, argv, command, message):
     scenario, out = write_scenario(tmp_path), tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([arg.format(scenario=scenario, out=out) for arg in argv])
     assert exc.value.code == EXIT_CONFIG
-    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message.format(out=out)}")
+    prog = "deferauction" if command is None else f"deferauction {command}"
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: {prog} [-h]")
+    assert err[-1] == f"{prog}: error: {message.format(out=out)}"
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracle
 from deferauction import dataio
+from deferauction.cli import EXIT_IO, main
 from deferauction.dataio import (
     _CHUNK_ROWS,
     LEDGER_COLUMNS,
@@ -313,9 +315,18 @@ def site_rows(draw, header):
     return [] if shape == "blank" else row
 
 
+# Text that only the csv module reads as it should, drawn into the rows after a
+# site CSV's first rows: each row of the tail ends in CRLF, holds a NUL, holds a
+# quoted cell with a newline or a comma in it, or is followed by blank lines.
+QUIRKS = ["crlf", "nul", "quoted newline", "quoted comma", "blank"]
+
+
 @st.composite
 def site_csvs(draw):
-    """A site CSV: the columns in any order, either optional column left out, up to 12 rows."""
+    """A site CSV: the columns in any order, either optional column left out, up to 12 rows.
+
+    Up to 4 more rows may follow with one of the QUIRKS.
+    """
     header = [
         column
         for column in draw(st.permutations(REQUIRED_COLUMNS + OPTIONAL_COLUMNS))
@@ -326,6 +337,19 @@ def site_csvs(draw):
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+    quirk = draw(st.sampled_from([None, *QUIRKS]))
+    for row in draw(st.lists(site_rows(header), max_size=4 if quirk else 0)):
+        if quirk in ("quoted newline", "quoted comma") and row:
+            at = draw(st.integers(0, len(row) - 1))
+            cut = draw(st.integers(0, len(row[at])))
+            row[at] = row[at][:cut] + ("\n" if quirk == "quoted newline" else ",") + row[at][cut:]
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n" if quirk == "crlf" else "\n").writerow(row)
+        line = line.getvalue()
+        if quirk == "nul":
+            cut = draw(st.integers(0, len(line) - 1))
+            line = line[:cut] + "\0" + line[cut:]
+        text.write(line + "\n" * draw(st.integers(1 if quirk == "blank" else 0, 2)))
     return text.getvalue()
 
 
@@ -352,9 +376,61 @@ class TestTableLoaderAgainstOracle:
     @given(text=site_csvs(), chunk_rows=st.sampled_from([1, 2, 5, 2000]))
     def test_broken_cells(self, tmp_path, text, chunk_rows):
         path = tmp_path / "sites.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", newline="")
         with mock.patch.object(dataio, "_LOAD_CHUNK_ROWS", chunk_rows):
-            assert_loads_like_the_oracle(path)
+            if "\0" in text and sys.version_info < (3, 11):  # whose csv module rejects a NUL
+                with pytest.raises(LoadError, match="line contains NUL"):
+                    load_sites(path)
+            else:
+                assert_loads_like_the_oracle(path)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2000])
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_end_is_not_part_of_the_last_cell(self, tmp_path, chunk_rows, end):
+        # site_type last, so an unknown type is named as csv reads it, without the line end.
+        rows = [line.split(",") for line in WELL_FORMED.splitlines()]
+        rows = [",".join(row[:1] + row[2:] + row[1:2]) for row in rows]
+        text = "\n".join(rows) + "\n" + end.join([rows[1], rows[2] + "x", rows[3]]) + end
+        path = tmp_path / "sites.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(dataio, "_LOAD_CHUNK_ROWS", chunk_rows):
+            _, issues = assert_loads_like_the_oracle(path)
+        assert [str(issue) for issue in issues] == [
+            "row 4, id: duplicate site id 'a1' (first on row 1)",
+            "row 5, site_type: unknown site type 'herb_richx'",
+            "row 6, id: duplicate site id 'a3' (first on row 3)",
+        ]
+
+    def test_clean_input_is_split_without_the_csv_module(self, tmp_path):
+        sites = generate_synthetic(SyntheticProfile(n_sites=2 * dataio._LOAD_CHUNK_ROWS + 1), 4)
+        write_sites(sites, tmp_path / "sites.csv")
+        read = []
+        reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                read.append(row)
+                yield row
+
+        with mock.patch.object(csv, "reader", counting_reader):
+            loaded, issues = load_sites(tmp_path / "sites.csv")
+        assert len(read) <= 1  # at most the header
+        assert issues == [] and oracle.site_records(loaded) == oracle.site_records(sites)
+
+    def test_cell_over_a_lowered_field_limit_named_by_its_line_in_the_file(self, tmp_path, capsys):
+        path = tmp_path / "sites.csv"
+        write_sites(generate_synthetic(SyntheticProfile(n_sites=20), 4), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[13] = "x" * 1001 + lines[13]  # data row 13, in the third chunk of 5 rows
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        limit = csv.field_size_limit(1000)
+        try:
+            with mock.patch.object(dataio, "_LOAD_CHUNK_ROWS", 5):
+                assert main(["validate", str(path)]) == EXIT_IO
+        finally:
+            csv.field_size_limit(limit)
+        message = f"error: {path}: line 14: field larger than field limit (1000)\n"
+        assert capsys.readouterr().err == message
 
     def test_validate_golden_input(self):
         path = Path(__file__).parent / "golden" / "validate" / "sites.csv"

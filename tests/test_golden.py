@@ -1,4 +1,4 @@
-"""Golden outputs: every report file of a small run and a small sweep, pinned.
+"""Golden outputs: every report file of two small runs and a small sweep, pinned.
 
 CSV files and ``manifest.json`` must match ``tests/golden/`` byte for byte;
 ``summary.json`` line for line, with every number within 1e-12 relative.
@@ -11,10 +11,16 @@ a CSV of broken cells (empty, padded, non-finite and unparseable numbers,
 negative values, unknown names, species mismatches, repeated ids, blank,
 short and long rows), recorded with the per-row loader the table loader
 replaced. That script does not rewrite it.
+
+``golden/input/sites.csv`` is the committed input of the ``run-csv`` case:
+70 generated rows with a padded cell, a repeated id, a blank line and a
+quoted id, so the site CSV path's ledgers, summary and manifest are pinned
+without depending on the generator's bytes.
 """
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 from itertools import zip_longest
@@ -22,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from deferauction import dataio
 from deferauction.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,21 +40,32 @@ SCENARIO = {
     "scheme": {"seed": 3},
     "budget": {"initial": 100_000.0, "upfront": "npv-matched"},
 }
+# The CSV case reads the committed input, named relative to the work directory
+# so that the manifest records the same path wherever the test runs.
+CSV_SCENARIO = {**SCENARIO, "dataset": {"path": "sites.csv"}}
 CASES = {
-    "run": ["run", "--format", "both"],
-    "sweep": ["sweep", "--interest-rates", "0.02,0.04", "--payment-periods", "10", "--point-dirs"],
+    "run": (SCENARIO, ["run", "--format", "both"]),
+    "run-csv": (CSV_SCENARIO, ["run", "--format", "both"]),
+    "sweep": (
+        SCENARIO,
+        ["sweep", "--interest-rates", "0.02,0.04", "--payment-periods", "10", "--point-dirs"],
+    ),
 }
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 def produce(case: str, work: Path) -> Path:
     """Run one case in `work`; returns its output directory."""
-    scenario = work / "scenario.json"
-    scenario.write_text(json.dumps(SCENARIO), encoding="utf-8")
-    command, *options = CASES[case]
-    out_dir = work / case
-    assert main([command, str(scenario), "--out-dir", str(out_dir), *options]) == EXIT_OK
-    return out_dir
+    scenario, (command, *options) = CASES[case]
+    (work / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    shutil.copy(GOLDEN / "input" / "sites.csv", work / "sites.csv")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        assert main([command, "scenario.json", "--out-dir", case, *options]) == EXIT_OK
+    finally:
+        os.chdir(cwd)
+    return work / case
 
 
 def _files(root: Path) -> list[Path]:
@@ -75,7 +93,10 @@ def first_difference(expected: str, actual: str, numeric: bool) -> str | None:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_golden(case, tmp_path):
+def test_outputs_match_golden(case, tmp_path, monkeypatch):
+    # Chunks of 16 rows: the CSV case loads plain chunks, then its blank line
+    # sends the rest of the file through the csv module.
+    monkeypatch.setattr(dataio, "_LOAD_CHUNK_ROWS", 16)
     out_dir = produce(case, tmp_path)
     golden = GOLDEN / case
     assert _files(out_dir) == _files(golden)

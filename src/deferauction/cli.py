@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    FORMATS,
     SWEEP_POINT_COLUMNS,
     LoadError,
     Run,
@@ -30,6 +31,8 @@ from .dataio import (
     generate_synthetic,
     load_sites,
     report_cells,
+    sweep_cells,
+    write_json,
     write_report,
     write_sites,
     write_sweep,
@@ -218,7 +221,7 @@ def resolve_scenario(raw: dict) -> Scenario:
             upfront != NPV_MATCHED or has_deferred or not has_upfront,
             f"{NPV_MATCHED!r} requires a deferred run in the same scenario",
         ),
-        ("format", scenario.format in ("csv", "json", "both"), "must be csv, json, or both"),
+        ("format", scenario.format in FORMATS, "must be csv, json, or both"),
     ]
     broken = dataset["synthetic"].validate() if "synthetic" in dataset else []
     broken += [f"{name} {rule}" for name, ok, rule in rules if not ok] + validate_scheme(scheme)
@@ -312,12 +315,8 @@ def execute_scenario(scenario: Scenario, inputs: SeedInputs) -> list[Run]:
 
 def _write_manifest(out_dir: Path, kind: str, scenario: Scenario, extra: dict | None = None) -> Path:
     manifest = {"version": __version__, "kind": kind, "scenario": dataclasses.asdict(scenario)}
-    if extra:
-        manifest.update(extra)
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {**manifest, **(extra or {})})
     return path
 
 
@@ -396,7 +395,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             point_scheme = require_valid_scheme(point_scheme)
             scenarios[index] = dataclasses.replace(scenario, scheme=point_scheme, seed=seed)
         except ConfigError as err:
-            rows[index]["status"] = f"error: {err}"
+            rows[index].update(sweep_cells(err))
 
     # A site CSV and a habitat table are read (or fail) once per sweep, a synthetic
     # dataset once per seed; points run grouped by seed, so one seed's inputs are
@@ -414,12 +413,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failed = [loaded for loaded in (dataset, table) if isinstance(loaded, Exception)]
         if failed:
             for index in group:
-                rows[index]["status"] = f"error: {failed[0]}"
+                rows[index].update(sweep_cells(failed[0]))
             continue
         inputs = seed_inputs(seed_scenario, dataset, table)
         for index in group:
             point_dir = out_dir / f"point_{index:04d}" if args.point_dirs else None
-            _run_sweep_point(scenarios[index], inputs, point_dir, rows[index])
+            rows[index].update(_run_sweep_point(scenarios[index], inputs, point_dir))
 
     sweep_path = out_dir / "sweep.csv"
     write_sweep(sweep_path, [Mechanism(name) for name in scenario.mechanisms], rows)
@@ -428,22 +427,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_sweep_point(
-    scenario: Scenario, inputs: SeedInputs, point_dir: Path | None, row: dict[str, object]
-) -> None:
-    """Run one sweep point, into `point_dir` if given; its status and result cells go into `row`."""
+def _run_sweep_point(scenario: Scenario, inputs: SeedInputs, point_dir: Path | None) -> dict:
+    """Run one sweep point, into `point_dir` if given; returns its status and result cells."""
     try:
         runs = execute_scenario(scenario, inputs)
         if point_dir is not None:
             write_report(runs, scenario.scheme, point_dir, scenario.format)
             _write_manifest(point_dir, "run", scenario)
     except INPUT_ERRORS as err:
-        row["status"] = f"error: {err}"
-        return
-    row["status"] = "ok"
-    for outcome, supply in runs:
-        cells = report_cells(outcome, supply)
-        row.update((f"{outcome.mechanism.value}_{k}", v) for k, v in cells.items())
+        return sweep_cells(err)
+    return sweep_cells(runs)
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -520,6 +513,11 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
         deferred, upfront = summaries.get("deferred"), summaries.get("upfront")
         if deferred is None:
             raise ConfigError(f"{flags['from_run']}: no deferred run to take averages from")
+        if upfront is None and budget is None:
+            raise ConfigError(
+                f"{flags['from_run']}: no up-front run to take the up-front average from; "
+                "give --upfront-annual-budget"
+            )
         averages = [deferred["avg_downpayment"], deferred["avg_instalment"]]
         averages.append(upfront["avg_downpayment"] if upfront else None)
         # r, x and the horizon must be the run's own, not the defaults

@@ -39,6 +39,7 @@ from .simulation import CONSERVED, FATES, LOST, RunOutcome, RunSummary, SiteColu
 from .streams import SYNTHETIC_STREAM, rng_stream
 
 REPORT_SCHEMA_VERSION = 3
+FORMATS = ("csv", "json", "both")  # a report's: the csv tables, summary.json, or both
 
 REQUIRED_COLUMNS = (
     "id",
@@ -223,35 +224,24 @@ def generate_synthetic(profile: SyntheticProfile, seed: int) -> SiteTable:
     n = profile.n_sites
     rng = rng_stream(seed, SYNTHETIC_STREAM)
 
+    def lognormal(sd: float) -> np.ndarray:
+        """Per site, a lognormal noise factor of mean 1 whose log has the deviation `sd`."""
+        return np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
+
     type_idx = rng.choice(len(SITE_TYPES), size=n, p=profile.site_type_mix)
     band = rng.choice(3, size=n, p=profile.age_band_weights)
-    lo_edges = np.array([profile.age_min, profile.age_band_edges[0], profile.age_band_edges[1]])
-    hi_edges = np.array([profile.age_band_edges[0], profile.age_band_edges[1], profile.age_max])
-    ages = rng.uniform(lo_edges[band], hi_edges[band])
+    edges = np.array([profile.age_min, *profile.age_band_edges, profile.age_max])
+    ages = rng.uniform(edges[band], edges[band + 1])
     ages = np.clip(ages, profile.age_min, profile.age_max)
 
     v_max = np.array(profile.volume_v_max)[type_idx]
     growth = np.array(profile.volume_growth)[type_idx]
-    sd = profile.volume_noise_sd
-    volume_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
-    volumes = v_max * (1.0 - np.exp(-growth * ages)) ** 2 * volume_noise
-
-    sd = profile.price_noise_sd
-    price_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
-    timber_values = volumes * profile.timber_price_per_m3 * price_noise
-
-    sd = profile.v0_noise_sd
-    v0_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
-    v0 = _best_harvest_value(profile, type_idx, ages, timber_values) * v0_noise
-
-    sd = profile.deadwood_noise_sd
-    deadwood_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
-    deadwood = (
-        profile.deadwood_max * (ages / profile.age_max) ** profile.deadwood_exponent * deadwood_noise
-    )
-
-    beta_a = np.array([a for a, _ in profile.broadleaf_beta])[type_idx]
-    beta_b = np.array([b for _, b in profile.broadleaf_beta])[type_idx]
+    volumes = v_max * (1.0 - np.exp(-growth * ages)) ** 2 * lognormal(profile.volume_noise_sd)
+    timber_values = volumes * profile.timber_price_per_m3 * lognormal(profile.price_noise_sd)
+    v0 = _best_harvest_value(profile, type_idx, ages, timber_values) * lognormal(profile.v0_noise_sd)
+    deadwood_curve = (ages / profile.age_max) ** profile.deadwood_exponent
+    deadwood = profile.deadwood_max * deadwood_curve * lognormal(profile.deadwood_noise_sd)
+    beta_a, beta_b = np.array(profile.broadleaf_beta)[type_idx].T
     shares = rng.beta(beta_a, beta_b)
 
     sites = SiteTable(
@@ -480,15 +470,15 @@ LEDGER_COLUMNS = (
 )
 SWEEP_AXIS_COLUMNS = ("interest_rate", "payment_periods", "bid_cap_scale", "seed")
 SWEEP_POINT_COLUMNS = ("point", *SWEEP_AXIS_COLUMNS, "status")
+# Per mechanism, its sweep.csv result columns: REPORT_COLUMNS as `{mech}_{column}`.
+RESULT_COLUMNS = {m: tuple(f"{m.value}_{name}" for name in REPORT_COLUMNS) for m in Mechanism}
 Run = tuple[RunOutcome, SupplySummary]  # a mechanism's outcome, and the supply of its offers
 
 
 def report_cells(outcome: RunOutcome, supply: SupplySummary) -> dict[str, object]:
     """One mechanism's REPORT_COLUMNS values."""
-    cells: dict[str, object] = {name: getattr(outcome.summary, name) for name in SUMMARY_COLUMNS}
-    for name in SUPPLY_COLUMNS:
-        cells[f"offered_{name}"] = getattr(supply, name)
-    return cells
+    values = [getattr(outcome.summary, name) for name in SUMMARY_COLUMNS]
+    return dict(zip(REPORT_COLUMNS, values + [getattr(supply, name) for name in SUPPLY_COLUMNS]))
 
 
 def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object]]:
@@ -500,8 +490,7 @@ def _timeseries(outcome: RunOutcome, cfg: SchemeConfig) -> list[dict[str, object
         for fate in (outcome.fate == CONSERVED, outcome.fate == LOST)
     )
     spending = outcome.spending + [0.0] * (n_years - len(outcome.spending))
-    cum_cost = list(accumulate(spending, initial=0.0))[1:]
-    cum_area = list(accumulate(conserved, initial=0.0))[1:]
+    cum_cost, cum_area = (list(accumulate(column, initial=0.0))[1:] for column in (spending, conserved))
     values = (range(n_years), spending, cum_cost, conserved, cum_area, lost)
     return [dict(zip(TIMESERIES_COLUMNS, row)) for row in zip(*values)]
 
@@ -568,6 +557,13 @@ def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[list[Sequence
             fh.write("".join([",".join(row) + "\n" for row in zip(*text)]))
 
 
+def write_json(path: Path, payload: object) -> None:
+    """Write `payload` as JSON: indented by 2, keys sorted, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_report(
     runs: list[Run], cfg: SchemeConfig, out_dir: str | Path, fmt: str = "both"
 ) -> list[Path]:
@@ -578,33 +574,31 @@ def write_report(
     summary.json, the same at full precision with a schema version. Returns
     the written paths.
     """
-    if fmt not in ("csv", "json", "both"):
+    if fmt not in FORMATS:
         raise ValueError("format must be csv, json, or both")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     reports = [(outcome, supply, _timeseries(outcome, cfg)) for outcome, supply in runs]
-
-    if fmt in ("csv", "both"):
-        path = out_dir / "summary.csv"
+    # Each CSV file in write order; a ledger's text chunks are made as they are written.
+    files: list[tuple[str, Sequence[str], Iterable[list[Sequence[str]]]]] = []
+    if fmt != "json":
         header = ("mechanism",) + REPORT_COLUMNS
         rows = [
             {"mechanism": outcome.mechanism.value, **report_cells(outcome, supply)}
             for outcome, supply, _ in reports
         ]
-        _write_csv(path, header, [_text(rows, header)])
-        written.append(path)
+        files.append(("summary.csv", header, [_text(rows, header)]))
     for outcome, _, timeseries in reports:
         mech = outcome.mechanism.value
-        if fmt in ("csv", "both"):
-            path = out_dir / f"timeseries_{mech}.csv"
-            _write_csv(path, TIMESERIES_COLUMNS, [_text(timeseries, TIMESERIES_COLUMNS)])
-            written.append(path)
-        _write_csv(out_dir / f"sites_{mech}.csv", LEDGER_COLUMNS, _ledger_text(outcome))
-        written.append(out_dir / f"sites_{mech}.csv")
+        if fmt != "json":
+            text = [_text(timeseries, TIMESERIES_COLUMNS)]
+            files.append((f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, text))
+        files.append((f"sites_{mech}.csv", LEDGER_COLUMNS, _ledger_text(outcome)))
+    for name, header, chunks in files:
+        _write_csv(out_dir / name, header, chunks)
+    written = [out_dir / name for name, _, _ in files]
 
-    if fmt in ("json", "both"):
-        path = out_dir / "summary.json"
+    if fmt != "csv":
         runs = [
             {
                 "mechanism": outcome.mechanism.value,
@@ -614,31 +608,36 @@ def write_report(
             }
             for outcome, supply, timeseries in reports
         ]
-        payload = {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
+        written.append(out_dir / "summary.json")
+        write_json(written[-1], {"schema_version": REPORT_SCHEMA_VERSION, "runs": runs})
     return written
 
 
+def sweep_cells(result: list[Run] | Exception) -> dict[str, object]:
+    """A sweep point's status cell, and the result cells of its runs or none if it failed."""
+    if isinstance(result, Exception):
+        return {"status": f"error: {result}"}
+    cells: dict[str, object] = {"status": "ok"}
+    for outcome, supply in result:
+        cells.update(zip(RESULT_COLUMNS[outcome.mechanism], report_cells(outcome, supply).values()))
+    return cells
+
+
 def write_sweep(path: Path, mechanisms: Sequence[Mechanism], rows: list[dict[str, object]]) -> None:
-    """Write sweep.csv: the axis columns, then REPORT_COLUMNS per mechanism as `{mech}_{column}`.
+    """Write sweep.csv: SWEEP_POINT_COLUMNS, then each mechanism's result columns.
 
     Axis cells keep full precision, as in each point's manifest; result cells
     round like summary.csv. Cells a row lacks (every result cell of a failed
     point) are left empty.
     """
-    columns = SWEEP_POINT_COLUMNS + tuple(
-        f"{mechanism.value}_{name}" for mechanism in mechanisms for name in REPORT_COLUMNS
-    )
+    columns = SWEEP_POINT_COLUMNS + tuple(chain.from_iterable(map(RESULT_COLUMNS.get, mechanisms)))
     exact = [{**row, **{name: str(row[name]) for name in SWEEP_AXIS_COLUMNS}} for row in rows]
     _write_csv(path, columns, [_text(exact, columns)])
 
 
-def _round10(value: float) -> int | float:
-    """`value` to the nearest 10; an overflowed (non-finite) sum as it is."""
-    return int(round(value / 10.0)) * 10 if math.isfinite(value) else value
+def _euros(value: float) -> str:
+    """`value` to the nearest 10, with thousands separators; an overflowed (non-finite) sum as it is."""
+    return f"{int(round(value / 10.0)) * 10 if math.isfinite(value) else value:,}"
 
 
 def format_console_summary(runs: list[Run]) -> str:
@@ -646,21 +645,23 @@ def format_console_summary(runs: list[Run]) -> str:
     lines = []
     for outcome, supply in runs:
         s = outcome.summary
-        head = "Deferred payments" if outcome.mechanism is Mechanism.DEFERRED else "Up-front payments"
-        budget_label = "Initial budget" if outcome.mechanism is Mechanism.DEFERRED else "Annual budget"
-        lines.append(head)
-        lines.append(f"  Offered area, ha               {supply.area_ha:,.0f}")
-        lines.append(f"  {budget_label}, EUR            {_round10(s.budget):,}")
-        lines.append(f"  Cost of instalments, EUR/year  {_round10(s.instalment_cost_per_year):,}")
-        lines.append(f"  Area, ha                       {s.area_ha:,.0f}")
-        lines.append(f"  Harvested sites, ha            {s.harvested_area_ha:,.0f}")
-        lines.append(f"  BD index sum                   {s.bd_index_sum:,.0f}")
-        lines.append(f"  Stand age, avg., years         {s.avg_stand_age:,.0f}")
-        lines.append(f"  Downpayments, avg., EUR/ha     {_round10(s.avg_downpayment):,}")
-        lines.append(f"  Instalments, avg., EUR/ha/year {_round10(s.avg_instalment):,}")
-        lines.append(f"  Costs, total (NPV), EUR        {_round10(s.costs_npv):,}")
-        lines.append(f"  Benefits, total (NPV), EUR     {_round10(s.benefits_npv):,}")
-        lines.append(f"  Lost benefits in harvests, EUR {_round10(s.lost_benefits):,}")
-        lines.append(f"  Ex post net benefits, EUR      {_round10(s.ex_post_net_benefits):,}")
+        deferred = outcome.mechanism is Mechanism.DEFERRED
+        rows = [
+            ("Offered area, ha", f"{supply.area_ha:,.0f}"),
+            ("Initial budget, EUR" if deferred else "Annual budget, EUR", _euros(s.budget)),
+            ("Cost of instalments, EUR/year", _euros(s.instalment_cost_per_year)),
+            ("Area, ha", f"{s.area_ha:,.0f}"),
+            ("Harvested sites, ha", f"{s.harvested_area_ha:,.0f}"),
+            ("BD index sum", f"{s.bd_index_sum:,.0f}"),
+            ("Stand age, avg., years", f"{s.avg_stand_age:,.0f}"),
+            ("Downpayments, avg., EUR/ha", _euros(s.avg_downpayment)),
+            ("Instalments, avg., EUR/ha/year", _euros(s.avg_instalment)),
+            ("Costs, total (NPV), EUR", _euros(s.costs_npv)),
+            ("Benefits, total (NPV), EUR", _euros(s.benefits_npv)),
+            ("Lost benefits in harvests, EUR", _euros(s.lost_benefits)),
+            ("Ex post net benefits, EUR", _euros(s.ex_post_net_benefits)),
+        ]
+        lines.append("Deferred payments" if deferred else "Up-front payments")
+        lines += [f"  {label:<31}{value}" for label, value in rows]
         lines.append("")
     return "\n".join(lines)

@@ -78,5 +78,5 @@ def match_upfront_budget(
     deferred_npv = initial
     if years >= 1:
         deferred_npv += discounted_instalment_sum(instalment_cost_per_year, years, delta)
-    due_factor = ordered_sum([(1.0 + delta) ** (-y) for y in range(horizon)])
+    due_factor = npv([1.0] * horizon, delta)
     return deferred_npv / due_factor

@@ -438,7 +438,7 @@ def extrapolate_national(
     deferred_npv = downpayments + instalments * annuity_factor(cfg.instalment_count_x, delta)
     area_per_year = area_ha / cfg.horizon
     cost_per_year = area_per_year * avg_upfront
-    upfront_npv = ordered_sum([cost_per_year * (1.0 + delta) ** (-y) for y in range(cfg.horizon)])
+    upfront_npv = npv([cost_per_year] * cfg.horizon, delta)
     return ExtrapolationReport(
         area_ha=area_ha,
         deferred_downpayments_total=downpayments,

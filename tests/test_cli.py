@@ -109,6 +109,13 @@ class TestRun:
         console = capsys.readouterr().out
         assert "Deferred payments" in console and "Up-front payments" in console
 
+    def test_console_table_values_start_in_one_column(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+        assert len(rows) == 2 * 13  # a label and a value per line, for both mechanisms
+        assert {len(line) - len(line.split()[-1]) for line in rows} == {2 + 31}
+
     def test_omega_violation_exits_2(self, tmp_path):
         scenario = write_scenario(
             tmp_path,
@@ -401,6 +408,14 @@ class TestRun:
         assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == EXIT_IO
         where = "byte 0xe4 at offset 39 (line 2)"
         assert capsys.readouterr().err == f"error: {table}: not UTF-8 text: {where}\n"
+
+    def test_elite_table_without_its_columns_exits_2_naming_them(self, tmp_path, capsys):
+        table = tmp_path / "elite.csv"
+        table.write_text("component,weight\ndeadwood,1.0\n", encoding="utf-8")
+        scenario = write_scenario(tmp_path, elite_table=str(table))
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        columns = "['component', 'reference', 'site_types', 'weight']"
+        assert capsys.readouterr().err == f"error: {table}: elite table must have columns {columns}\n"
 
     def test_elite_table_with_a_short_row_exits_2_naming_the_cells(self, tmp_path, capsys):
         table = tmp_path / "elite.csv"
@@ -1046,6 +1061,12 @@ class TestValidateCommand:
         limit = "field larger than field limit (131072)"
         assert capsys.readouterr().err == f"error: {path}: line 2: {limit}\n"
 
+    def test_empty_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "sites.csv"
+        path.write_bytes(b"")
+        assert main(["validate", str(path)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: empty file, header row required\n"
+
     def test_non_utf8_file_exits_3(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(LATIN1_CSV)
@@ -1212,6 +1233,41 @@ class TestExtrapolate:
         assert main(["extrapolate", "--area", "54000", "--from-run", str(summary)]) == EXIT_IO
         where = "byte 0xff at offset 0 (line 1)"
         assert capsys.readouterr().err == f"error: {summary}: not UTF-8 text: {where}\n"
+
+    @pytest.mark.parametrize(
+        "mechanisms, message",
+        [
+            ("upfront", "no deferred run to take averages from"),
+            (
+                "deferred",
+                "no up-front run to take the up-front average from; give --upfront-annual-budget",
+            ),
+        ],
+    )
+    def test_from_run_without_a_mechanism_exits_2_naming_what_is_missing(
+        self, tmp_path, capsys, mechanisms, message
+    ):
+        budgets = {"initial": 1_200_000.0, "upfront": 60_000.0}
+        scenario = write_scenario(tmp_path, mechanisms=mechanisms, budget=budgets)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        summary = out_dir / "summary.json"
+        argv = ["extrapolate", "--area", "54000", "--from-run", str(summary)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {summary}: {message}\n")
+
+    def test_from_run_of_a_deferred_run_takes_the_upfront_average_from_the_budget(
+        self, tmp_path, capsys
+    ):
+        scenario = write_scenario(tmp_path, mechanisms="deferred")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["extrapolate", "--area", "54000", "--from-run", str(out_dir / "summary.json")]
+        assert main([*argv, "--upfront-annual-budget", "48000000"]) == EXIT_OK
+        assert "cost per year:           48.0 M EUR" in capsys.readouterr().out
 
     def test_from_run_uses_the_runs_scheme(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, scheme={"seed": 7, "instalment_count_x": 20})

@@ -1,4 +1,4 @@
-"""Golden outputs: every report file of two small runs and a small sweep, pinned.
+"""Golden outputs: the report files of two runs and a sweep, and a generated site CSV, pinned.
 
 CSV files and ``manifest.json`` must match ``tests/golden/`` byte for byte;
 ``summary.json`` line for line, with every number within 1e-12 relative.
@@ -16,6 +16,12 @@ replaced. That script does not rewrite it.
 70 generated rows with a padded cell, a repeated id, a blank line and a
 quoted id, so the site CSV path's ledgers, summary and manifest are pinned
 without depending on the generator's bytes.
+
+``golden/gen-data`` pins the generator itself: ``gen-data --n 80 --seed 7``
+with a profile that moves every noise sd, the age bands, the beta pairs,
+``v0_horizon`` and the deadwood curve off their defaults, so each draw and
+each formula shows in the CSV. Its numbers compare within 1e-12 relative,
+since numpy's exp may round the last bit differently on another CPU.
 """
 from __future__ import annotations
 
@@ -54,18 +60,31 @@ CASES = {
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
+def _main_in(work: Path, argv: list[str]) -> None:
+    """Run the CLI on `argv` in the working directory `work`; it must exit 0."""
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        assert main(argv) == EXIT_OK
+    finally:
+        os.chdir(cwd)
+
+
 def produce(case: str, work: Path) -> Path:
     """Run one case in `work`; returns its output directory."""
     scenario, (command, *options) = CASES[case]
     (work / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
     shutil.copy(GOLDEN / "input" / "sites.csv", work / "sites.csv")
-    cwd = os.getcwd()
-    os.chdir(work)
-    try:
-        assert main([command, "scenario.json", "--out-dir", case, *options]) == EXIT_OK
-    finally:
-        os.chdir(cwd)
+    _main_in(work, [command, "scenario.json", "--out-dir", case, *options])
     return work / case
+
+
+def generate(work: Path) -> Path:
+    """Run the generator case in `work`; returns the CSV it wrote."""
+    shutil.copy(GOLDEN / "gen-data" / "profile.json", work / "profile.json")
+    argv = ["gen-data", "--n", "80", "--seed", "7", "--profile", "profile.json", "--out", "sites.csv"]
+    _main_in(work, argv)
+    return work / "sites.csv"
 
 
 def _files(root: Path) -> list[Path]:
@@ -107,6 +126,11 @@ def test_outputs_match_golden(case, tmp_path, monkeypatch):
         assert difference is None, f"{case}/{rel}: {difference}"
 
 
+def test_generated_sites_match_golden(tmp_path):
+    expected = (GOLDEN / "gen-data" / "sites.csv").read_text(encoding="utf-8")
+    actual = generate(tmp_path).read_text(encoding="utf-8")
+    assert first_difference(expected, actual, numeric=True) is None
+
 
 def test_validate_output_matches_golden(capsys):
     golden = GOLDEN / "validate"
@@ -114,6 +138,7 @@ def test_validate_output_matches_golden(capsys):
     captured = capsys.readouterr()
     assert captured.out.encode("utf-8") == (golden / "stdout.txt").read_bytes()
     assert captured.err == ""
+
 
 if __name__ == "__main__":
     for name in CASES:
@@ -123,3 +148,8 @@ if __name__ == "__main__":
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         produce(name, work).rename(GOLDEN / name)
         shutil.rmtree(work)
+    work = GOLDEN / ".gen-data-work"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    generate(work).replace(GOLDEN / "gen-data" / "sites.csv")
+    shutil.rmtree(work)

@@ -464,7 +464,11 @@ def _run_summaries(path: str) -> dict[str, dict]:
 
     A report of any other shape raises LoadError naming the field at fault.
     """
-    report = _read_json(path)
+    try:
+        report = _read_json(path)
+    except FileNotFoundError:
+        message = "no such file; a run writes summary.json only with --format json or both"
+        raise LoadError(f"{path}: {message}") from None
 
     def require(ok: bool, field: str, kind: str) -> None:
         if not ok:

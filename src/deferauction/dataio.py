@@ -177,16 +177,25 @@ def _best_harvest_value(
     The realized timber value is projected along the type's relative volume
     curve; each candidate year nets a fraction of it plus the bare land value,
     discounted back. Young stands thus carry future value well above their
-    current timber value, mature stands price near harvest-now.
+    current timber value, mature stands price near harvest-now. Years that
+    cannot beat a stand's best so far are skipped, with the same result.
     """
     growth = np.asarray(profile.volume_growth)[type_idx]
-    bare = np.asarray(profile.v0_bare_land)[type_idx][:, None]
+    bare = np.asarray(profile.v0_bare_land)[type_idx]
     waits = np.arange(profile.v0_horizon + 1)
     best = np.full(len(ages), -np.inf)
     discounts = (1.0 + profile.v0_discount_rate) ** (-waits)
-    curve_now = ((1.0 - np.exp(-growth * ages)) ** 2)[:, None]
-    neg_growth = -growth[:, None]
-    net_timber = profile.v0_harvest_net_factor * timber_values[:, None]
+    curve_now = (1.0 - np.exp(-growth * ages)) ** 2
+    net_timber = profile.v0_harvest_net_factor * timber_values
+    # No later year beats ceiling * (its largest discount): with growth, age and
+    # net timber >= 0, (1 - exp(-growth (age + wait)))^2 <= 1, and + * / round
+    # monotonically. Elsewhere the bound is NaN, which prunes nothing.
+    ceiling = net_timber * (1.0 / curve_now) + bare
+    bounded = (growth >= 0) & (ages >= 0) & (net_timber >= 0) & (curve_now > 0) & (ceiling >= 0)
+    bounded &= np.isfinite(ceiling) & bool((discounts >= 0).all())
+    ceiling[~bounded] = np.nan
+    later = np.maximum.accumulate(discounts[::-1])[::-1]
+    live = np.arange(len(ages))  # the stands whose best a later year may still beat
     # Chunk over candidate years to keep memory flat for very large datasets;
     # each chunk's values are computed in place, with the operations of
     # (net_timber * ((1 - exp(-growth (age + wait)))^2 / curve_now) + bare) * discount.
@@ -194,18 +203,20 @@ def _best_harvest_value(
     # slice of a wider buffer): numpy's SIMD exp may round strided input differently.
     buffer = np.empty(len(ages) * min(len(waits), 32))
     for start in range(0, len(waits), 32):
+        if start:
+            live = live[~(best[live] > ceiling[live] * later[start])]
         chunk = waits[start : start + 32]
-        value = buffer[: len(ages) * len(chunk)].reshape(len(ages), len(chunk))
-        np.add(ages[:, None], chunk, out=value)
-        np.multiply(neg_growth, value, out=value)
+        value = buffer[: len(live) * len(chunk)].reshape(len(live), len(chunk))
+        np.add(ages[live, None], chunk, out=value)
+        np.multiply(-growth[live, None], value, out=value)
         np.exp(value, out=value)
         np.subtract(1.0, value, out=value)
         np.square(value, out=value)
-        np.divide(value, curve_now, out=value)
-        np.multiply(net_timber, value, out=value)
-        np.add(value, bare, out=value)
+        np.divide(value, curve_now[live, None], out=value)
+        np.multiply(net_timber[live, None], value, out=value)
+        np.add(value, bare[live, None], out=value)
         np.multiply(value, discounts[start : start + 32], out=value)
-        np.maximum(best, value.max(axis=1), out=best)
+        best[live] = np.maximum(best[live], value.max(axis=1))
     return best
 
 
@@ -537,11 +548,17 @@ def _ledger_text(outcome: RunOutcome) -> Iterator[list[list[str]]]:
     cells = np.array([[f"{name},{year}" for name in FATES] for year in years], dtype=object)
     fate = cells[outcome.year + 1, outcome.fate]  # one text per (year, fate), shared by its rows
     paid = (offers.downpayment_per_ha, offers.instalment_per_ha, offers.total_payment_npv_per_ha)
+    down, instalment, total = paid
+    # Up-front offers pay the downpayment alone: it is their total, and every instalment is +0.0.
+    paid_once = down.tobytes() == total.tobytes() and not instalment.view(np.int64).any()
     order = np.argsort(columns.id_rank[offers.site])
     for start in range(0, len(order), _CHUNK_ROWS):
         rows = order[start : start + _CHUNK_ROWS]
         site_id, area_elite, age_type = (text[offers.site[rows]].tolist() for text in site_text)
-        payments = ["%.2f,%.2f,%.2f" % c for c in zip(*(column[rows].tolist() for column in paid))]
+        if paid_once:
+            payments = [f"{cell},0.00,{cell}" for cell in ["%.2f" % v for v in down[rows].tolist()]]
+        else:
+            payments = ["%.2f,%.2f,%.2f" % c for c in zip(*(column[rows].tolist() for column in paid))]
         yield [site_id, fate[rows].tolist(), area_elite, payments, age_type]
 
 

@@ -252,7 +252,15 @@ def rank_benefit_cost(offers: OfferTable) -> OfferTable:
     benefit = offers.elite * offers.area
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(cost > 0, benefit / cost, np.where(benefit > 0, np.inf, 0.0))
-    return offers.take(np.lexsort((offers.columns.id_rank[offers.site], cost, -ratio)))
+    id_rank = offers.columns.id_rank[offers.site]
+    # One stable sort gives lexsort's order when no ratio is NaN and offers of equal ratio
+    # already stand by cost, then id: the zero-outlay offers of a generated dataset do.
+    order = np.argsort(-ratio, kind="stable")
+    key, by_cost, by_id = -ratio[order], cost[order], id_rank[order]
+    cheaper = (by_cost[:-1] < by_cost[1:]) | ((by_cost[:-1] == by_cost[1:]) & (by_id[:-1] < by_id[1:]))
+    if np.isnan(key[-1:]).any() or not (cheaper | (key[:-1] != key[1:])).all():
+        order = np.lexsort((id_rank, cost, -ratio))
+    return offers.take(order)
 
 
 def select_old_growth(offers: OfferTable) -> OfferTable:
@@ -260,21 +268,45 @@ def select_old_growth(offers: OfferTable) -> OfferTable:
     return offers.take(offers.columns.old_growth[offers.site])
 
 
-def fund(costs: list[float], rows: list[int], budget: float) -> tuple[list[int], float]:
+# Runs of fitting rows `fund` replays with one accumulate each before it
+# finishes with the plain loop, so its worst case stays near the loop's.
+_FUND_PASSES = 4
+
+
+def fund(costs: np.ndarray, rows: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
     """Skip-and-continue greedy funding of `rows`, best first: those `budget` pays, and their cost.
 
     A row is funded if its cost fits what is left of the budget, else skipped,
-    so cheaper later rows may still be funded; a NaN cost never fits.
+    so cheaper later rows may still be funded; a NaN cost never fits. What is
+    left is the budget less each funded cost in turn, as a loop over the rows
+    would subtract them; the cost is their sum added in that order.
     """
-    funded: list[int] = []
+    cost = costs[rows]
+    falling = not (cost < 0).any()  # then what is left can only fall
+    funded = []
     remaining = budget
-    spent = 0.0
-    for row in rows:
-        if costs[row] <= remaining:
-            remaining -= costs[row]
-            spent += costs[row]
-            funded.append(row)
-    return funded, spent
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_FUND_PASSES):
+            if not len(rows):
+                break
+            # left[k] is what is left before row k if every earlier row fits.
+            left = np.subtract.accumulate(np.concatenate(([remaining], cost)))
+            fits = cost <= left[:-1]
+            miss = int(fits.argmin())  # the first row that does not fit, if any does
+            miss = len(cost) if fits[miss] else miss
+            funded.append(rows[:miss])
+            remaining = float(left[miss])
+            rows, cost = rows[miss + 1 :], cost[miss + 1 :]
+            if falling:  # drop what cannot fit now, nor later
+                fits = cost <= remaining
+                rows, cost = rows[fits], cost[fits]
+    tail = []
+    for row, row_cost in zip(rows.tolist(), cost.tolist()):
+        if row_cost <= remaining:
+            remaining -= row_cost
+            tail.append(row)
+    funded = np.concatenate([*funded, np.array(tail, dtype=np.intp)])
+    return funded, ordered_sum(costs[funded])
 
 
 def run_deferred(
@@ -293,9 +325,8 @@ def run_deferred(
         raise ValueError("initial_budget must be >= 0")
     fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
     year = np.full(len(ranking), -1, dtype=np.int64)
-    available = np.flatnonzero(schedule[ranking.site] != 0).tolist()
-    funded, spent = fund(ranking.cost.tolist(), available, initial_budget)
-    funded = np.array(funded, dtype=np.intp)
+    available = np.flatnonzero(schedule[ranking.site] != 0)
+    funded, spent = fund(ranking.cost, available, initial_budget)
     fate[funded], year[funded] = CONSERVED, 0
     instalment_per_year = ordered_sum((ranking.instalment_per_ha * ranking.area)[funded])
     spending = [spent]
@@ -319,7 +350,7 @@ def run_upfront(
     """
     if annual_budget < 0:
         raise ValueError("annual_budget must be >= 0")
-    costs = ranking.cost.tolist()
+    costs = ranking.cost
     harvest = schedule[ranking.site]
     cut = np.where(harvest >= 0, harvest, cfg.horizon)  # the year a waiting offer is lost
     fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
@@ -328,8 +359,7 @@ def run_upfront(
     spending: list[float] = []
     for now in range(cfg.horizon):
         waiting = waiting[(cut[waiting] > now) & (fate[waiting] == UNFUNDED)]
-        funded, spent = fund(costs, waiting.tolist(), annual_budget)
-        funded = np.array(funded, dtype=np.intp)
+        funded, spent = fund(costs, waiting, annual_budget)
         fate[funded], year[funded] = CONSERVED, now
         spending.append(spent)
     # An offer still waiting in its cut year is lost then; one funded is conserved before it.

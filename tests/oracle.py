@@ -12,6 +12,8 @@ ledger and timeseries row, one formatted cell at a time, and ``json.dump`` of
 the summary. Sites are ``SiteRecord`` objects here, one per stand, as the
 per-row loader and the per-site generator built them; ``site_table`` and
 ``site_records`` convert between them and the package's ``SiteTable``. The
+generator's harvest search tries every candidate year, and ``fund`` is the
+plain funding loop over one row at a time. The
 scheme and site validators check one rule per ``if`` and return ``Violation``
 records; the package's rule table must give the same messages.
 """
@@ -69,7 +71,6 @@ from deferauction.dataio import (
     LoadError,
     RowIssue,
     SyntheticProfile,
-    _best_harvest_value,
     report_cells,
 )
 from deferauction.streams import SYNTHETIC_STREAM, rng_stream
@@ -413,6 +414,43 @@ def load_sites(path: Path) -> tuple[list[SiteRecord], list[RowIssue]]:
     return sites, issues
 
 
+def best_harvest_value(
+    profile: SyntheticProfile,
+    type_idx: np.ndarray,
+    ages: np.ndarray,
+    timber_values: np.ndarray,
+) -> np.ndarray:
+    """The harvest search without pruning: every stand's value in every candidate year.
+
+    The package's search skips years that cannot beat a stand's best so far;
+    its values must equal these bit for bit. The operations and their order
+    are the package's, on the same contiguous 32-year chunks.
+    """
+    growth = np.asarray(profile.volume_growth)[type_idx]
+    bare = np.asarray(profile.v0_bare_land)[type_idx][:, None]
+    waits = np.arange(profile.v0_horizon + 1)
+    best = np.full(len(ages), -np.inf)
+    discounts = (1.0 + profile.v0_discount_rate) ** (-waits)
+    curve_now = ((1.0 - np.exp(-growth * ages)) ** 2)[:, None]
+    neg_growth = -growth[:, None]
+    net_timber = profile.v0_harvest_net_factor * timber_values[:, None]
+    buffer = np.empty(len(ages) * min(len(waits), 32))
+    for start in range(0, len(waits), 32):
+        chunk = waits[start : start + 32]
+        value = buffer[: len(ages) * len(chunk)].reshape(len(ages), len(chunk))
+        np.add(ages[:, None], chunk, out=value)
+        np.multiply(neg_growth, value, out=value)
+        np.exp(value, out=value)
+        np.subtract(1.0, value, out=value)
+        np.square(value, out=value)
+        np.divide(value, curve_now, out=value)
+        np.multiply(net_timber, value, out=value)
+        np.add(value, bare, out=value)
+        np.multiply(value, discounts[start : start + 32], out=value)
+        np.maximum(best, value.max(axis=1), out=best)
+    return best
+
+
 def generate_records(profile: SyntheticProfile, seed: int) -> list[SiteRecord]:
     """The per-site generator: the same draws as generate_synthetic, one record per site."""
     if broken := profile.validate():
@@ -441,7 +479,7 @@ def generate_records(profile: SyntheticProfile, seed: int) -> list[SiteRecord]:
 
     sd = profile.v0_noise_sd
     v0_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
-    v0 = _best_harvest_value(profile, type_idx, ages, timber_values) * v0_noise
+    v0 = best_harvest_value(profile, type_idx, ages, timber_values) * v0_noise
 
     sd = profile.deadwood_noise_sd
     deadwood_noise = np.exp(rng.normal(-sd * sd / 2.0, sd, size=n))
@@ -790,6 +828,19 @@ def fold(values) -> float:
     for value in values:
         total += value
     return total
+
+
+def fund(costs: Sequence[float], rows: Sequence[int], budget: float) -> tuple[list[int], float]:
+    """Skip-and-continue funding one row at a time: the rows `budget` pays, and their cost."""
+    funded: list[int] = []
+    remaining = budget
+    spent = 0.0
+    for row in rows:
+        if costs[row] <= remaining:
+            remaining -= costs[row]
+            spent += costs[row]
+            funded.append(row)
+    return funded, spent
 
 
 def run_deferred(

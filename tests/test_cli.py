@@ -1227,6 +1227,17 @@ class TestExtrapolate:
         assert main(["extrapolate", "--area", "54000", "--from-run", str(summary)]) == EXIT_IO
         assert capsys.readouterr().err.startswith(f"error: {summary}: {field} must be ")
 
+    def test_from_run_of_a_csv_run_exits_3_naming_the_missing_summary(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, format="csv")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scenario), "--out-dir", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        summary = out_dir / "summary.json"
+        assert main(["extrapolate", "--area", "54000", "--from-run", str(summary)]) == EXIT_IO
+        captured = capsys.readouterr()
+        message = "no such file; a run writes summary.json only with --format json or both"
+        assert (captured.out, captured.err) == ("", f"error: {summary}: {message}\n")
+
     def test_from_run_non_utf8_report_exits_3_naming_the_byte(self, tmp_path, capsys):
         summary = tmp_path / "summary.json"
         summary.write_bytes(b"\xff\xfe{}")

@@ -460,11 +460,45 @@ class TestTableLoaderAgainstOracle:
             (SyntheticProfile(n_sites=50), 11),
             (SyntheticProfile(n_sites=0), 3),
             (SyntheticProfile(n_sites=300, area_ha=2.5, land_payment=0.0), 7),
+            (SyntheticProfile(n_sites=2000), 2),
         ],
     )
     def test_generated_table_equals_the_per_site_records(self, profile, seed):
         table = generate_synthetic(profile, seed)
         assert oracle.site_records(table) == oracle.generate_records(profile, seed)
+
+
+# Per site type, a growth rate or a bare land value: an ordinary one, or one
+# for which the harvest search's pruning bound does not hold.
+SIGNED = st.one_of(st.floats(-0.05, 0.1), st.sampled_from([0.0, -0.0, 0.026, -1.0, 1e-300]))
+BARE = st.one_of(st.floats(-2000.0, 2000.0), st.sampled_from([0.0, -0.0, 700.0, -700.0]))
+
+
+@st.composite
+def harvest_searches(draw):
+    """A profile's harvest knobs and a few stands, ordinary and degenerate."""
+    profile = SyntheticProfile(
+        volume_growth=tuple(draw(st.lists(SIGNED, min_size=6, max_size=6))),
+        v0_bare_land=tuple(draw(st.lists(BARE, min_size=6, max_size=6))),
+        v0_discount_rate=draw(st.one_of(st.floats(-2.5, 0.1), st.sampled_from([0.0, -1.0, 0.02]))),
+        v0_horizon=draw(st.sampled_from([0, 1, 31, 32, 33, 64, 150])),
+        v0_harvest_net_factor=draw(st.sampled_from([0.95, 0.0, -0.5, 1.0])),
+    )
+    n = draw(st.integers(0, 40))
+    ages = st.one_of(st.floats(0.0, 230.0), st.sampled_from([0.0, -5.0, math.inf, math.nan]))
+    timber = st.one_of(st.floats(0.0, 20_000.0), st.sampled_from([0.0, -100.0, math.inf]))
+    columns = [draw(st.lists(values, min_size=n, max_size=n)) for values in (ages, timber)]
+    type_idx = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=np.intp)
+    return profile, type_idx, *(np.array(column, dtype=float) for column in columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(harvest_searches())
+def test_harvest_search_equals_the_unpruned_search_bit_for_bit(search):
+    with np.errstate(all="ignore"):
+        best = dataio._best_harvest_value(*search)
+        expected = oracle.best_harvest_value(*search)
+    assert best.tobytes() == expected.tobytes()
 
 
 def _paired_runs(n_sites=120, seed=6, initial=1.5e6, dataset=None):
@@ -655,6 +689,28 @@ class TestReportBytes:
         for column in ("elite", "stand_age", "instalment_per_ha"):
             cells = {row[column] for row in rows}
             assert {"nan", "inf", "-inf", "-0.00"} <= cells
+
+    def test_payment_cells_follow_the_data_not_the_mechanism(self, tmp_path):
+        # The ledger formats one payment where the total is the downpayment and every
+        # instalment is +0.0; a moved total or a -0.0 instalment must still show.
+        cfg, runs = _paired_runs()
+        _, (upfront, supply) = runs
+        offers = upfront.offers
+        down = offers.downpayment_per_ha.copy()
+        down[:3] = [math.nan, -0.0, math.inf]
+        moved, signed_zero = down.copy(), np.zeros(len(offers))
+        moved[3] += 1.0
+        signed_zero[4] = -0.0
+        cases = {  # name: (instalment, total)
+            "paid-once": (np.zeros(len(offers)), down.copy()),
+            "total-moved": (np.zeros(len(offers)), moved),
+            "signed-zero": (signed_zero, down.copy()),
+        }
+        for name, (instalment, total) in cases.items():
+            paid = dataclasses.replace(offers, downpayment_per_ha=down, instalment_per_ha=instalment,
+                                       total_payment_npv_per_ha=total)
+            outcome = dataclasses.replace(upfront, offers=paid)
+            assert_same_report(tmp_path / name, [runs[0], (outcome, supply)], cfg)
 
     def test_sweep_table(self, tmp_path):
         cfg, runs = _paired_runs()

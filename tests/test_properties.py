@@ -5,8 +5,10 @@ including every stand cut in year 0, zero-cost offers, a zero budget and
 extreme caps, and sets some outlays to 0, NaN, +-inf or a negative amount, as
 overflowed inputs give. Every run must keep the engine's invariants and decide
 exactly what the reference loops of ``tests/oracle.py`` decide on the same
-ranked offers. ``fund`` alone is checked on cost lists whose decisions hang
-on a skip, a negative or infinite cost, or what remains becoming NaN.
+ranked offers. ``fund`` alone must fund the rows of the plain loop, on cost
+lists whose decisions hang on a skip, a negative or infinite cost, or what
+remains becoming NaN. The ranking must be lexsort's on keys with ties, signed
+zeros, infinities and NaN.
 """
 import dataclasses
 import math
@@ -25,6 +27,7 @@ from deferauction.simulation import (
     LOST,
     NEVER_CUT,
     UNFUNDED,
+    OfferTable,
     build_offers,
     draw_harvest_schedule,
     fund,
@@ -168,17 +171,34 @@ def test_upfront_run_keeps_its_invariants(case):
 
 
 def check_fund(costs, budget, rows=None):
-    """The rows `fund` funds, after checking that it spent their costs added left to right."""
+    """The rows `fund` funds, after checking them and their cost against the plain loop."""
     rows = list(range(len(costs))) if rows is None else rows
-    funded, spent = fund(costs, rows, budget)
-    assert same(spent, oracle.fold(costs[row] for row in funded))
+    funded, spent = fund(np.array(costs, dtype=float), np.array(rows, dtype=np.intp), budget)
+    funded = funded.tolist()
+    expected, expected_spent = oracle.fund(costs, rows, budget)
+    assert funded == expected
+    assert same(spent, expected_spent)
     return funded
+
+
+# A cost or a budget: mostly ordinary amounts, some a fault or an overflow could give.
+AMOUNTS = st.one_of(
+    st.floats(0.0, 100.0),
+    st.sampled_from([0.0, -0.0, 1.0, 5.0, -3.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(AMOUNTS, max_size=60), AMOUNTS, st.data())
+def test_fund_matches_the_plain_loop(costs, budget, data):
+    rows = data.draw(st.permutations(range(len(costs))))
+    check_fund(costs, budget, rows=rows[: data.draw(st.integers(0, len(costs)))])
 
 
 def test_fund_with_fitting_and_only_just_failing_costs_in_turn():
     # Each even row fits, and each odd one costs one ulp more than what remains,
     # though every later odd row fits then.
-    budget, n = 1e6, 3_000
+    budget, n = 1e6, 100_000
     costs = [1.0 if row % 2 == 0 else math.nextafter(budget - (row + 1) // 2, math.inf)
              for row in range(n)]
     assert check_fund(costs, budget) == list(range(0, n, 2))
@@ -198,3 +218,30 @@ def test_fund_infinite_cost_of_an_infinite_budget_leaves_nan():
 def test_fund_without_rows():
     assert check_fund([1.0, 2.0], 10.0, rows=[]) == []
     assert check_fund([], 10.0) == []
+
+
+# A benefit or an outlay per hectare: ties, signed zeros, infinities and NaN among ordinary values.
+RANKING_VALUES = st.one_of(
+    st.floats(0.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranking_matches_lexsort(data):
+    n = data.draw(st.integers(0, 30))
+    sites = [make_site(site_id=f"s{data.draw(st.integers(0, 99)):02d}-{i}",
+                       area_ha=data.draw(st.sampled_from([1.0, 2.5, 10.0])))
+             for i in range(n)]
+    columns = site_columns(site_table(sites), SchemeConfig(), rng_stream(1, PHI_STREAM))
+    # Each column draws from a pool of values, small ones giving many ties.
+    pools = [data.draw(st.lists(RANKING_VALUES, min_size=1, max_size=max(n, 1))) for _ in range(2)]
+    elite, outlay = (np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+                     for pool in pools)
+    offers = OfferTable(columns, np.arange(n), elite, outlay, np.zeros(n), outlay)
+    cost, benefit = offers.cost, elite * offers.area
+    with np.errstate(all="ignore"):
+        ratio = np.where(cost > 0, benefit / cost, np.where(benefit > 0, np.inf, 0.0))
+    expected = np.lexsort((columns.id_rank, cost, -ratio))
+    assert rank_benefit_cost(offers).site.tolist() == expected.tolist()

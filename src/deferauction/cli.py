@@ -2,8 +2,8 @@
 
 Scenario files are JSON; every run writes a manifest with the fully resolved
 configuration so that re-running the manifest reproduces all outputs
-bit-identically. Exit codes: 0 ok, 2 configuration error, 3 I/O error,
-4 internal invariant breach.
+bit-identically. Exit codes: 0 ok, 2 configuration error, 3 I/O error or
+out of memory, 4 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -239,15 +239,18 @@ def resolve_scenario(raw: dict) -> Scenario:
     )
 
 
-def _load_dataset(scenario: Scenario) -> SiteTable:
+def _load_dataset(scenario: Scenario, args: argparse.Namespace) -> SiteTable:
+    """The scenario's sites; `args.sites` counts them from when that is known."""
     path = scenario.dataset.get("path")
     if path is None:
+        args.sites = scenario.dataset["synthetic"].n_sites
         return generate_synthetic(scenario.dataset["synthetic"], scenario.scheme.seed)
     sites, issues = load_sites(path)
     for issue in issues:
         print(f"warning: {path}: {issue}", file=sys.stderr)
     if not sites:
         raise LoadError(f"{path}: no valid rows")
+    args.sites = len(sites)
     return sites
 
 
@@ -261,10 +264,10 @@ SeedInputs = tuple[SiteColumns, np.ndarray]
 INPUT_ERRORS = (ConfigError, LoadError, OSError)
 
 
-def _or_error(read, scenario: Scenario):
-    """What `read(scenario)` returns, or the input error it raises."""
+def _or_error(read, *arguments):
+    """What `read(*arguments)` returns, or the input error it raises."""
     try:
-        return read(scenario)
+        return read(*arguments)
     except INPUT_ERRORS as err:
         return err
 
@@ -292,9 +295,9 @@ def execute_scenario(scenario: Scenario, inputs: SeedInputs) -> list[Run]:
             supply = summarize_supply(offers)
             if scenario.ranking == "old_growth":
                 offers = select_old_growth(offers)
-            ranked = rank_benefit_cost(offers)
+            offers = rank_benefit_cost(offers)  # the unranked table is freed here
             if mechanism is Mechanism.DEFERRED:
-                outcome = deferred_outcome = run_deferred(cfg, scenario.budget.initial, ranked, schedule)
+                outcome = deferred_outcome = run_deferred(cfg, scenario.budget.initial, offers, schedule)
             else:
                 budget = scenario.budget.upfront
                 if budget == NPV_MATCHED:  # resolve_scenario puts the deferred run first
@@ -305,7 +308,7 @@ def execute_scenario(scenario: Scenario, inputs: SeedInputs) -> list[Run]:
                         cfg.discount_rate,
                         cfg.horizon,
                     )
-                outcome = run_upfront(cfg, float(budget), ranked, schedule)
+                outcome = run_upfront(cfg, float(budget), offers, schedule)
         runs.append((outcome, supply))
         for name, value in report_cells(outcome, supply).items():
             if not math.isfinite(value):  # a sum overflowed
@@ -358,7 +361,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     flags = _flags(args)
     path, out_dir = flags.pop("scenario"), Path(flags.pop("out_dir"))
     scenario = resolve_scenario({**_read_manifest(path)["scenario"], **flags})  # --seed, --format
-    inputs = seed_inputs(scenario, _load_dataset(scenario), _elite_table(scenario))
+    inputs = seed_inputs(scenario, _load_dataset(scenario, args), _elite_table(scenario))
     runs = execute_scenario(scenario, inputs)
     write_report(runs, scenario.scheme, out_dir, scenario.format)
     manifest = _write_manifest(out_dir, "run", scenario)
@@ -401,7 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # dataset once per seed; points run grouped by seed, so one seed's inputs are
     # alive at a time. As in a run, a point names the dataset's fault before the table's.
     has_csv = "path" in scenario.dataset and bool(scenarios)
-    csv_sites = _or_error(_load_dataset, scenario) if has_csv else None
+    csv_sites = _or_error(_load_dataset, scenario, args) if has_csv else None
     table = _or_error(_elite_table, scenario)
     for seed in dict.fromkeys(plan.seeds):
         group = [index for index, point in scenarios.items() if point.seed == seed]
@@ -409,7 +412,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         seed_scenario = scenarios[group[0]]
         dataset = inputs = None  # the previous seed's, freed before this seed's are built
-        dataset = csv_sites if has_csv else _or_error(_load_dataset, seed_scenario)
+        dataset = csv_sites if has_csv else _or_error(_load_dataset, seed_scenario, args)
         failed = [loaded for loaded in (dataset, table) if isinstance(loaded, Exception)]
         if failed:
             for index in group:
@@ -445,6 +448,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     raw = _read_json(flags["profile"]) if "profile" in flags else {}
     profile = _from_json(SyntheticProfile, raw, flags.get("profile"))
     profile = dataclasses.replace(profile, n_sites=flags.get("n", profile.n_sites))
+    args.sites = profile.n_sites
     sites = generate_synthetic(profile, flags["seed"])
     write_sites(sites, flags["out"])
     print(f"wrote {len(sites)} sites to {flags['out']}")
@@ -592,35 +596,53 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of COMMANDS; no parser reads a flag from its prefix."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of COMMANDS, or of `command` alone if given.
+
+    `main` gives the command when it is the first argument: the top-level
+    parser then prints neither its usage nor its help. No parser reads a flag
+    from its prefix. Usage lines mark the required arguments, but `main`
+    checks them, after naming any unrecognized one.
+    """
     description = "Deferred-payment conservation auction simulator"
     parser = argparse.ArgumentParser(prog="deferauction", description=description, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, arguments) in COMMANDS.items():
-        sub_p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        sub_p.set_defaults(func=func, parser=sub_p)
-        for name, (_, options) in arguments.items():
-            sub_p.add_argument(name, **options)
-        if command == "sweep":  # a switch, not a value flag
+    sub = parser.add_subparsers(dest="command")
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        sub_p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        actions = [sub_p.add_argument(flag, **options) for flag, (_, options) in arguments.items()]
+        if name == "sweep":  # a switch, not a value flag
             sub_p.add_argument("--point-dirs", action="store_true", help="also write point_NNNN/ runs")
+        required = [action for action in actions if action.required and action.option_strings]
+        if required:  # the usage line is fixed while they are still marked required
+            sub_p.usage = sub_p.format_usage().removeprefix("usage: ").rstrip("\n")
+            for action in required:
+                action.required = False
+        sub_p.set_defaults(func=func, parser=sub_p, required=required)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     # A value flag takes the next token as its value, "-1e3" too: argparse gets `--flag=value`.
-    arguments = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
+    arguments = COMMANDS[command][2] if command else {}
     joined, tokens = [], iter(argv)
     for token in tokens:
         value = next(tokens, None) if token.startswith("--") and token in arguments else None
         joined.append(token if value is None else f"{token}={value}")
-    parser = build_parser()
+    parser = build_parser(command)
     args, unknown = parser.parse_known_args(joined)
     if unknown:  # named with the command's usage when they follow the command
         owner = args.parser if argv[0] == args.command else parser
         owner.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if args.command is None:
+        parser.error("the following arguments are required: command")
+    if missing := [flag.option_strings[0] for flag in args.required if getattr(args, flag.dest) is None]:
+        args.parser.error(f"the following arguments are required: {', '.join(missing)}")
+    args.sites = None  # a command sets it once it knows how many sites its dataset holds
     try:
         return args.func(args)
     except ConfigError as err:
@@ -628,6 +650,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (LoadError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        sites = "" if args.sites is None else f" on {args.sites:,} sites"
+        print(f"error: {args.command} ran out of memory{sites}", file=sys.stderr)
         return EXIT_IO
     except Exception as err:  # noqa: BLE001 - an invariant breach is always a bug
         print(f"internal error: {err!r}", file=sys.stderr)

@@ -69,12 +69,16 @@ _NAME_COLUMNS = (
     ("dominant_species", {name: code for code, name in enumerate(_SPECIES_NAMES)}, "species"),
 )
 _EMPTY = "required cell is empty"
+# The dtype of each SiteTable column but the ids.
+_COLUMN_DTYPES = {"type_code": np.intp, "broadleaf": bool, **dict.fromkeys(NUMBER_COLUMNS, float)}
 
 # A site CSV is parsed this many rows at a time, so the text of a large file
 # is never held whole.
-_LOAD_CHUNK_ROWS = 2000
+_LOAD_CHUNK_ROWS = 500
 # Site CSVs and ledgers are formatted and written this many rows at a time.
 _CHUNK_ROWS = 1000
+# Stands and candidate years per block of the harvest search (8 bytes a value).
+_HARVEST_BLOCK = (4096, 32)
 # Upper bound of a synthetic profile's site count.
 MAX_SITES = 10_000_000
 
@@ -195,28 +199,30 @@ def _best_harvest_value(
     bounded &= np.isfinite(ceiling) & bool((discounts >= 0).all())
     ceiling[~bounded] = np.nan
     later = np.maximum.accumulate(discounts[::-1])[::-1]
-    live = np.arange(len(ages))  # the stands whose best a later year may still beat
-    # Chunk over candidate years to keep memory flat for very large datasets;
-    # each chunk's values are computed in place, with the operations of
+    # The search runs over blocks of stands and of candidate years, so that its buffer
+    # has a fixed size; each block's values are computed in place, with the operations of
     # (net_timber * ((1 - exp(-growth (age + wait)))^2 / curve_now) + bare) * discount.
-    # Each chunk must be a contiguous view (a flat slice reshaped, never a column
+    # Each block must be a contiguous view (a flat slice reshaped, never a column
     # slice of a wider buffer): numpy's SIMD exp may round strided input differently.
-    buffer = np.empty(len(ages) * min(len(waits), 32))
-    for start in range(0, len(waits), 32):
-        if start:
-            live = live[~(best[live] > ceiling[live] * later[start])]
-        chunk = waits[start : start + 32]
-        value = buffer[: len(live) * len(chunk)].reshape(len(live), len(chunk))
-        np.add(ages[live, None], chunk, out=value)
-        np.multiply(-growth[live, None], value, out=value)
-        np.exp(value, out=value)
-        np.subtract(1.0, value, out=value)
-        np.square(value, out=value)
-        np.divide(value, curve_now[live, None], out=value)
-        np.multiply(net_timber[live, None], value, out=value)
-        np.add(value, bare[live, None], out=value)
-        np.multiply(value, discounts[start : start + 32], out=value)
-        best[live] = np.maximum(best[live], value.max(axis=1))
+    stands, years = _HARVEST_BLOCK
+    buffer = np.empty(min(len(ages), stands) * min(len(waits), years))
+    for first in range(0, len(ages), stands):
+        live = np.arange(first, min(first + stands, len(ages)))  # whose best a later year may beat
+        for start in range(0, len(waits), years):
+            if start:
+                live = live[~(best[live] > ceiling[live] * later[start])]
+            chunk = waits[start : start + years]
+            value = buffer[: len(live) * len(chunk)].reshape(len(live), len(chunk))
+            np.add(ages[live, None], chunk, out=value)
+            np.multiply(-growth[live, None], value, out=value)
+            np.exp(value, out=value)
+            np.subtract(1.0, value, out=value)
+            np.square(value, out=value)
+            np.divide(value, curve_now[live, None], out=value)
+            np.multiply(net_timber[live, None], value, out=value)
+            np.add(value, bare[live, None], out=value)
+            np.multiply(value, discounts[start : start + years], out=value)
+            best[live] = np.maximum(best[live], value.max(axis=1))
     return best
 
 
@@ -291,13 +297,14 @@ def _parse_number(cell: str, default: float | None) -> float | str:
 
 def _parse_chunk(
     cells: Sequence[Sequence[str]], position: dict[str, int]
-) -> tuple[SiteTable, list[tuple[str, dict[int, str]]]]:
+) -> tuple[list[str], dict[str, np.ndarray], list[tuple[str, dict[int, str]]]]:
     """Rows parsed a column at a time from their cells, one sequence per header column.
 
-    Returns the rows as a table, with -1 for an unknown name and NaN for a
-    bad number, and each column's bad cells with why, in reporting order.
-    Python's float parses the numbers, so surrounding whitespace and digit
-    underscores are accepted; a column whose cells all parse takes one pass.
+    Returns the ids, the other SiteTable columns by name, with -1 for an
+    unknown name and NaN for a bad number, and each column's bad cells with
+    why, in reporting order. Python's float parses the numbers, so
+    surrounding whitespace and digit underscores are accepted; a column whose
+    cells all parse takes one pass.
     """
     errors: list[tuple[str, dict[int, str]]] = []
     codes: dict[str, np.ndarray] = {}
@@ -311,22 +318,21 @@ def _parse_chunk(
         errors.append((column, unknown))
     ids = list(map(str.strip, cells[position["id"]]))
     errors.append(("id", {i: _EMPTY for i, site_id in enumerate(ids) if not site_id}))
-    numbers: dict[str, np.ndarray] = {}
+    columns = {"type_code": codes["site_type"], "broadleaf": codes["dominant_species"] == 1}
     for name in NUMBER_COLUMNS:
         default = OPTIONAL_DEFAULTS.get(name)
         if name not in position:
-            numbers[name] = np.full(len(ids), default)
+            columns[name] = np.full(len(ids), default)
             continue
         raw = cells[position[name]]
         try:
-            numbers[name] = np.fromiter(map(float, raw), float, len(raw))
+            columns[name] = np.fromiter(map(float, raw), float, len(raw))
         except ValueError:
             parsed = [_parse_number(cell, default) for cell in raw]
-            numbers[name] = np.array([v if isinstance(v, float) else math.nan for v in parsed])
-        bad = np.flatnonzero(~np.isfinite(numbers[name])).tolist()
+            columns[name] = np.array([v if isinstance(v, float) else math.nan for v in parsed])
+        bad = np.flatnonzero(~np.isfinite(columns[name])).tolist()
         errors.append((name, {i: _parse_number(raw[i], default) for i in bad}))
-    broadleaf = codes["dominant_species"] == 1
-    return SiteTable(ids, codes["site_type"], broadleaf, **numbers), errors
+    return ids, columns, errors
 
 
 def _violations(sites: SiteTable) -> list[tuple[str, str, np.ndarray]]:
@@ -404,16 +410,21 @@ def load_sites(path: str | Path) -> tuple[SiteTable, list[RowIssue]]:
         raise LoadError(f"{path}: missing required columns: {', '.join(missing)}")
     # A repeated column name reads its last cell, as csv.DictReader does.
     position = {name: i for i, name in enumerate(header)}
-    tables: list[SiteTable] = []
+    ids: list[str] = []
+    # Each column's chunk parts, after an empty one that keeps its dtype when no row is read.
+    parts = {name: [np.zeros(0, dtype)] for name, dtype in _COLUMN_DTYPES.items()}
     first_error: dict[int, RowIssue] = {}
     for cells in chunks:
-        start = sum(map(len, tables))
-        table, errors = _parse_chunk(cells, position)
+        start = len(ids)
+        chunk_ids, columns, errors = _parse_chunk(cells, position)
         for column, messages in errors:
             for i, message in messages.items():
                 first_error.setdefault(start + i, RowIssue(start + i + 1, column, message))
-        tables.append(table)
-    sites = SiteTable.concat(tables)
+        ids += chunk_ids
+        for name, values in columns.items():
+            parts[name].append(values)
+    # Each column's chunk parts go as it is joined, so the table is never held twice.
+    sites = SiteTable(ids, **{name: np.concatenate(parts.pop(name)) for name in _COLUMN_DTYPES})
 
     issues = list(first_error.values())
     parsed = np.ones(len(sites), dtype=bool)

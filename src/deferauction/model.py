@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -80,16 +80,6 @@ class SiteTable:
         """The stands at the indices `rows`, in that order."""
         arrays = (getattr(self, field.name)[rows] for field in fields(self)[1:])
         return SiteTable([self.ids[row] for row in rows.tolist()], *arrays)
-
-    @classmethod
-    def concat(cls, tables: Sequence[SiteTable]) -> SiteTable:
-        """The stands of every table in `tables`, in order."""
-        empty = {"type_code": np.zeros(0, np.intp), "broadleaf": np.zeros(0, bool)}
-        arrays = (
-            np.concatenate([empty.get(f.name, np.zeros(0))] + [getattr(t, f.name) for t in tables])
-            for f in fields(cls)[1:]
-        )
-        return cls([site_id for table in tables for site_id in table.ids], *arrays)
 
 
 @dataclass(frozen=True)

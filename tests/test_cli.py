@@ -887,9 +887,8 @@ def test_bad_flag_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, argv, m
 
 # A prefix of a flag, or a flag the command does not have, with the parser that reports it
 # and the last line of argparse's message. A token after the command gets that command's
-# usage; one before it, the top-level usage. A missing required argument is reported first,
-# so each case that names one (`gen-data --o`, `--vers`) has a twin that gives it and gets
-# the flag named as typed.
+# usage; one before it, the top-level usage. A token typed is named before a missing
+# required argument (`gen-data --o`, `--vers`); the last two cases type none.
 UNKNOWN_FLAGS = [
     (RUN + ["--form", "json"], "run", "unrecognized arguments: --form json"),
     (
@@ -897,7 +896,7 @@ UNKNOWN_FLAGS = [
         "sweep",
         "unrecognized arguments: --seed 9",
     ),
-    (["gen-data", "--o", "{out}"], "gen-data", "the following arguments are required: --out"),
+    (["gen-data", "--o", "{out}"], "gen-data", "unrecognized arguments: --o {out}"),
     (["gen-data", "--out", "{out}", "--o", "{out}"], "gen-data", "unrecognized arguments: --o {out}"),
     (
         ["extrapolate", "--ar", "5", "--avg-downpayment", "1", "--avg-instalment", "1",
@@ -905,15 +904,20 @@ UNKNOWN_FLAGS = [
         "extrapolate",
         "unrecognized arguments: --ar 5",
     ),
-    (["--vers"], None, "the following arguments are required: command"),
+    (["--vers"], None, "unrecognized arguments: --vers"),
     (["--vers", "validate", "{out}"], None, "unrecognized arguments: --vers"),
+    ([], None, "the following arguments are required: command"),
+    (["gen-data", "--n", "5"], "gen-data", "the following arguments are required: --out"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, command, message",
     UNKNOWN_FLAGS,
-    ids=["run-form", "sweep-seed", "gen-o", "gen-o-with-out", "extrapolate-ar", "vers", "vers-cmd"],
+    ids=[
+        "run-form", "sweep-seed", "gen-o", "gen-o-with-out", "extrapolate-ar", "vers", "vers-cmd",
+        "no-command", "no-out",
+    ],
 )
 def test_abbreviated_or_removed_flag_exits_2_naming_it(tmp_path, capsys, argv, command, message):
     scenario, out = write_scenario(tmp_path), tmp_path / "out"
@@ -969,6 +973,47 @@ def test_help_names_every_argument_of_the_command(capsys, command):
     assert exc.value.code == EXIT_OK
     out = capsys.readouterr().out
     assert [name for name in cli.COMMANDS[command][2] if name not in out] == []
+
+
+TOP_LEVEL_HELP = """\
+usage: deferauction [-h] [--version]
+                    {run,sweep,gen-data,validate,extrapolate} ...
+
+Deferred-payment conservation auction simulator
+
+positional arguments:
+  {run,sweep,gen-data,validate,extrapolate}
+    run                 run a scenario (or re-run a manifest)
+    sweep               run a scenario over parameter grids
+    gen-data            generate a synthetic site CSV
+    validate            validate a site CSV and print the issue report
+    extrapolate         program-scale cost projection
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "run"]])
+def test_top_level_help_names_every_command(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out == TOP_LEVEL_HELP
+
+
+def test_usage_marks_the_required_flag_that_main_checks(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = [
+        "usage: deferauction gen-data [-h] [--n N] [--seed SEED] --out OUT",
+        "                             [--profile PROFILE]",
+    ]
+    for argv, stream in [(["gen-data", "--help"], "out"), (["gen-data", "--n", "5"], "err")]:
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert getattr(capsys.readouterr(), stream).splitlines()[:2] == usage
 
 
 def test_format_flag_replaces_a_malformed_format_key(tmp_path):
@@ -1305,3 +1350,27 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"deferauction {cli.__version__}\n"
+
+
+# Run in a child process: it caps its own address space a little above what it
+# holds after its imports, then asks for a dataset far larger than that.
+OUT_OF_MEMORY = """\
+import resource, sys
+from deferauction.cli import main
+with open("/proc/self/status", encoding="ascii") as fh:
+    size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + 64 * 2**20, resource.RLIM_INFINITY))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads its address space from /proc")
+def test_running_out_of_memory_exits_3_naming_the_command_and_the_sites(tmp_path):
+    scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 2_000_000}})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY, "run", str(scenario), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_IO, "error: run ran out of memory on 2,000,000 sites\n")

@@ -493,9 +493,9 @@ def harvest_searches(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(harvest_searches())
-def test_harvest_search_equals_the_unpruned_search_bit_for_bit(search):
-    with np.errstate(all="ignore"):
+@given(harvest_searches(), st.sampled_from([1, 3, 4096]))
+def test_harvest_search_equals_the_unpruned_search_bit_for_bit(search, stands):
+    with np.errstate(all="ignore"), mock.patch.object(dataio, "_HARVEST_BLOCK", (stands, 32)):
         best = dataio._best_harvest_value(*search)
         expected = oracle.best_harvest_value(*search)
     assert best.tobytes() == expected.tobytes()

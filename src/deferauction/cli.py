@@ -26,11 +26,13 @@ from .dataio import (
     SWEEP_POINT_COLUMNS,
     LoadError,
     Run,
+    SiteText,
     SyntheticProfile,
     format_console_summary,
     generate_synthetic,
     load_sites,
     report_cells,
+    site_text,
     sweep_cells,
     write_json,
     write_report,
@@ -411,7 +413,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not group:
             continue
         seed_scenario = scenarios[group[0]]
-        dataset = inputs = None  # the previous seed's, freed before this seed's are built
+        dataset = inputs = text = None  # the previous seed's, freed before this seed's are built
         dataset = csv_sites if has_csv else _or_error(_load_dataset, seed_scenario, args)
         failed = [loaded for loaded in (dataset, table) if isinstance(loaded, Exception)]
         if failed:
@@ -419,9 +421,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rows[index].update(sweep_cells(failed[0]))
             continue
         inputs = seed_inputs(seed_scenario, dataset, table)
+        # Every point directory of the seed holds the same ledger cells per site.
+        text = site_text(inputs[0]) if args.point_dirs else None
         for index in group:
             point_dir = out_dir / f"point_{index:04d}" if args.point_dirs else None
-            rows[index].update(_run_sweep_point(scenarios[index], inputs, point_dir))
+            rows[index].update(_run_sweep_point(scenarios[index], inputs, point_dir, text))
 
     sweep_path = out_dir / "sweep.csv"
     write_sweep(sweep_path, [Mechanism(name) for name in scenario.mechanisms], rows)
@@ -430,12 +434,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_sweep_point(scenario: Scenario, inputs: SeedInputs, point_dir: Path | None) -> dict:
-    """Run one sweep point, into `point_dir` if given; returns its status and result cells."""
+def _run_sweep_point(
+    scenario: Scenario, inputs: SeedInputs, point_dir: Path | None, text: SiteText | None
+) -> dict:
+    """Run one sweep point, into `point_dir` if given; returns its status and result cells.
+
+    `text` is the site_text of the seed's site columns, or None.
+    """
     try:
         runs = execute_scenario(scenario, inputs)
         if point_dir is not None:
-            write_report(runs, scenario.scheme, point_dir, scenario.format)
+            write_report(runs, scenario.scheme, point_dir, scenario.format, text)
             _write_manifest(point_dir, "run", scenario)
     except INPUT_ERRORS as err:
         return sweep_cells(err)

@@ -13,8 +13,8 @@ import dataclasses
 import json
 import math
 import re
-import weakref
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
@@ -75,7 +75,8 @@ _COLUMN_DTYPES = {"type_code": np.intp, "broadleaf": bool, **dict.fromkeys(NUMBE
 # A site CSV is parsed this many rows at a time, so the text of a large file
 # is never held whole.
 _LOAD_CHUNK_ROWS = 500
-# Site CSVs and ledgers are formatted and written this many rows at a time.
+# Site CSVs are formatted and written this many rows at a time, a report's
+# ledgers this many sites at a time.
 _CHUNK_ROWS = 1000
 # Stands and candidate years per block of the harvest search (8 bytes a value).
 _HARVEST_BLOCK = (4096, 32)
@@ -223,6 +224,9 @@ def _best_harvest_value(
             np.add(value, bare[live, None], out=value)
             np.multiply(value, discounts[start : start + years], out=value)
             best[live] = np.maximum(best[live], value.max(axis=1))
+    # A product of two NaNs (say a NaN age and 0 * inf timber) keeps either one's sign,
+    # by the length of the loop numpy runs; a stand without a value gets the same NaN.
+    best[np.isnan(best)] = np.nan
     return best
 
 
@@ -424,27 +428,32 @@ def load_sites(path: str | Path) -> tuple[SiteTable, list[RowIssue]]:
         for name, values in columns.items():
             parts[name].append(values)
     # Each column's chunk parts go as it is joined, so the table is never held twice.
-    sites = SiteTable(ids, **{name: np.concatenate(parts.pop(name)) for name in _COLUMN_DTYPES})
+    columns = {name: np.concatenate(parts.pop(name)) for name in _COLUMN_DTYPES}
 
     issues = list(first_error.values())
-    parsed = np.ones(len(sites), dtype=bool)
+    parsed = np.ones(len(ids), dtype=bool)
     parsed[list(first_error)] = False
     keep = parsed.copy()
-    for column, rule, broken in _violations(sites):
+    for column, rule, broken in _violations(SiteTable(ids, **columns)):
         broken &= parsed
         keep &= ~broken
         issues.extend(RowIssue(row + 1, column, rule) for row in np.flatnonzero(broken).tolist())
     kept = np.flatnonzero(keep).tolist()
-    if len(set(map(sites.ids.__getitem__, kept))) < len(kept):  # an id repeats: keep its first row
+    if len(set(map(ids.__getitem__, kept))) < len(kept):  # an id repeats: keep its first row
         first: dict[str, int] = {}
         for row in kept:
-            site_id = sites.ids[row]
+            site_id = ids[row]
             if first.setdefault(site_id, row) != row:
                 message = f"duplicate site id '{site_id}' (first on row {first[site_id] + 1})"
                 issues.append(RowIssue(row + 1, "id", message))
         kept = list(first.values())
     issues.sort(key=lambda issue: issue.row)
-    return (sites if len(kept) == len(sites) else sites.take(np.array(kept, dtype=np.intp))), issues
+    if len(kept) < len(ids):  # each joined column goes as its kept copy is made
+        rows = np.array(kept, dtype=np.intp)
+        for name in columns:
+            columns[name] = columns[name][rows]
+        ids = list(map(ids.__getitem__, kept))
+    return SiteTable(ids, **columns), issues
 
 
 def _sites_text(sites: SiteTable, header: Sequence[str]) -> Iterator[list[list[str]]]:
@@ -461,7 +470,7 @@ def _sites_text(sites: SiteTable, header: Sequence[str]) -> Iterator[list[list[s
 def write_sites(sites: SiteTable, path: str | Path) -> None:
     """Write a site table in the ingestion schema, full float precision."""
     header = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
-    _write_csv(Path(path), header, _sites_text(sites, header))
+    _write_csv([Path(path)], header, zip(_sites_text(sites, header)))
 
 
 # Report columns, each declared once. summary.csv and every sweep.csv
@@ -531,58 +540,90 @@ def _text(rows: list[dict[str, object]], header: Sequence[str]) -> list[list[str
     return [["%.2f" % v if isinstance(v, float) else _quote(str(v)) for v in col] for col in cells]
 
 
-# Per SiteColumns, so per seed: each site's ledger cells that no run changes,
-# as CSV text, shared by both mechanisms and every sweep point of the seed.
-# SiteColumns hash by identity, and an entry goes when its columns do.
-_SITE_TEXT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+SiteText = tuple[np.ndarray, ...]  # per site, its fixed ledger cells; see _site_text
 
 
-def _site_text(columns: SiteColumns) -> tuple[np.ndarray, ...]:
-    """Per site, as CSV text: site_id; area_ha,elite; stand_age,site_type."""
+def _site_text(columns: SiteColumns, rows: np.ndarray) -> SiteText:
+    """Per site at `rows`, as CSV text: site_id; area_ha,elite; stand_age,site_type."""
     sites = columns.sites
-    ages = zip(sites.stand_age.tolist(), sites.type_code.tolist())
+    ids = list(map(sites.ids.__getitem__, rows.tolist()))
+    area_elite = zip(sites.area_ha[rows].tolist(), columns.elite[rows].tolist())
+    ages = zip(sites.stand_age[rows].tolist(), sites.type_code[rows].tolist())
     text = (  # the rule's characters are single: the joined ids hold one when some id does
-        list(map(_quote, sites.ids)) if _NEEDS_QUOTES("".join(sites.ids)) else sites.ids,
-        ["%.2f,%.2f" % cells for cells in zip(sites.area_ha.tolist(), columns.elite.tolist())],
+        list(map(_quote, ids)) if _NEEDS_QUOTES("".join(ids)) else ids,
+        ["%.2f,%.2f" % cells for cells in area_elite],
         ["%.2f,%s" % (age, _TYPE_NAMES[code]) for age, code in ages],  # names need no quotes
     )
     return tuple(np.array(column, dtype=object) for column in text)
 
 
-def _ledger_text(outcome: RunOutcome) -> Iterator[list[list[str]]]:
-    """LEDGER_COLUMNS as CSV text, in chunks of offers in site-id order; see _SITE_TEXT."""
-    offers = outcome.offers
-    columns = offers.columns
-    if (site_text := _SITE_TEXT.get(columns)) is None:
-        site_text = _SITE_TEXT[columns] = _site_text(columns)
-    years = ["", *map(str, range(outcome.year.max(initial=-1) + 1))]  # by year + 1
-    cells = np.array([[f"{name},{year}" for name in FATES] for year in years], dtype=object)
-    fate = cells[outcome.year + 1, outcome.fate]  # one text per (year, fate), shared by its rows
-    paid = (offers.downpayment_per_ha, offers.instalment_per_ha, offers.total_payment_npv_per_ha)
-    down, instalment, total = paid
-    # Up-front offers pay the downpayment alone: it is their total, and every instalment is +0.0.
-    paid_once = down.tobytes() == total.tobytes() and not instalment.view(np.int64).any()
-    order = np.argsort(columns.id_rank[offers.site])
-    for start in range(0, len(order), _CHUNK_ROWS):
-        rows = order[start : start + _CHUNK_ROWS]
-        site_id, area_elite, age_type = (text[offers.site[rows]].tolist() for text in site_text)
-        if paid_once:
-            payments = [f"{cell},0.00,{cell}" for cell in ["%.2f" % v for v in down[rows].tolist()]]
-        else:
-            payments = ["%.2f,%.2f,%.2f" % c for c in zip(*(column[rows].tolist() for column in paid))]
-        yield [site_id, fate[rows].tolist(), area_elite, payments, age_type]
+def site_text(columns: SiteColumns) -> SiteText:
+    """Every site's fixed ledger cells, in id order: what write_report can reuse at each sweep point."""
+    return _site_text(columns, np.argsort(columns.id_rank))
 
 
-def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[list[Sequence[str]]]) -> None:
-    """Write `header`, then each chunk of rows.
+def _ledger_text(
+    outcomes: Sequence[RunOutcome], site_text: SiteText | None
+) -> Iterator[list[list[list[str]]]]:
+    """Each outcome's LEDGER_COLUMNS as CSV text, in one pass over the sites in id order.
 
-    A chunk is columns of CSV text; a column may hold several cells joined by
-    commas. Large tables come a chunk at a time, so their text is never held whole.
+    A chunk holds one text per outcome: its offers on the chunk's _CHUNK_ROWS sites.
+    The chunk's fixed cells are formatted once for every outcome on the same site
+    columns, or sliced from `site_text`, that of the outcomes' columns, if given.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(_quote, header)) + "\n")
-        for text in chunks:
-            fh.write("".join([",".join(row) + "\n" for row in zip(*text)]))
+    ledgers = []
+    for outcome in outcomes:
+        offers = outcome.offers
+        rank = offers.columns.id_rank[offers.site]
+        order = np.argsort(rank)
+        years = ["", *map(str, range(outcome.year.max(initial=-1) + 1))]  # by year + 1
+        cells = np.array([[f"{name},{year}" for name in FATES] for year in years], dtype=object)
+        fate = cells[outcome.year + 1, outcome.fate]  # one text per (year, fate), shared by its rows
+        paid = (offers.downpayment_per_ha, offers.instalment_per_ha, offers.total_payment_npv_per_ha)
+        down, instalment, total = paid
+        # Up-front offers pay the downpayment alone: it is their total, and every instalment is +0.0.
+        paid_once = down.tobytes() == total.tobytes() and not instalment.view(np.int64).any()
+        ledgers.append((offers.columns, order, rank[order], fate, paid, paid_once))
+    by_id = dict.fromkeys(columns for columns, *_ in ledgers)  # SiteColumns hash by identity
+    if site_text is None:
+        by_id = {columns: np.argsort(columns.id_rank) for columns in by_id}
+    for start in range(0, max(map(len, by_id), default=0), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        if site_text is None:
+            chunk = {columns: _site_text(columns, rows[start:stop]) for columns, rows in by_id.items()}
+        else:
+            chunk = dict.fromkeys(by_id, tuple(text[start:stop] for text in site_text))
+        texts = []
+        for columns, order, ranks, fate, paid, paid_once in ledgers:
+            within = slice(*np.searchsorted(ranks, (start, stop)))
+            rows, local = order[within], ranks[within] - start
+            site_id, area_elite, age_type = (column[local].tolist() for column in chunk[columns])
+            if paid_once:
+                once = ["%.2f" % v for v in paid[0][rows].tolist()]
+                payments = [f"{cell},0.00,{cell}" for cell in once]
+            else:
+                by_row = zip(*(column[rows].tolist() for column in paid))
+                payments = ["%.2f,%.2f,%.2f" % cells for cells in by_row]
+            texts.append([site_id, fate[rows].tolist(), area_elite, payments, age_type])
+        yield texts
+
+
+def _write_csv(
+    paths: Sequence[Path], header: Sequence[str], chunks: Iterable[Sequence[list[Sequence[str]]]]
+) -> None:
+    """Write `header` to each of `paths`, then each chunk of rows: a chunk holds one text per path.
+
+    A text is columns of CSV text; a column may hold several cells joined by
+    commas. Large tables come a chunk at a time, so their text is never held
+    whole, and tables written in one pass share each chunk's work.
+    """
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="", encoding="utf-8")) for path in paths]
+        for fh in files:
+            fh.write(",".join(map(_quote, header)) + "\n")
+        for texts in chunks:
+            for fh, text in zip(files, texts, strict=True):
+                fh.write("".join([",".join(row) + "\n" for row in zip(*text)]))
 
 
 def write_json(path: Path, payload: object) -> None:
@@ -593,38 +634,44 @@ def write_json(path: Path, payload: object) -> None:
 
 
 def write_report(
-    runs: list[Run], cfg: SchemeConfig, out_dir: str | Path, fmt: str = "both"
+    runs: list[Run],
+    cfg: SchemeConfig,
+    out_dir: str | Path,
+    fmt: str = "both",
+    site_text: SiteText | None = None,
 ) -> list[Path]:
     """Write the summary table, per-year series, and per-site ledger.
 
-    The ledger is sites_<mech>.csv in every format. The csv format adds the
-    summary and timeseries tables, rounded to 0.01; the json format adds
-    summary.json, the same at full precision with a schema version. Returns
-    the written paths.
+    The ledger is sites_<mech>.csv in every format. The ledgers are written
+    in one pass over the sites; `site_text`, if given, must be site_text() of
+    the runs' site columns, and their fixed cells are then not formatted
+    again. The csv format adds the summary and timeseries tables, rounded to
+    0.01; the json format adds summary.json, the same at full precision with a
+    schema version. Returns the written paths.
     """
     if fmt not in FORMATS:
         raise ValueError("format must be csv, json, or both")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = [(outcome, supply, _timeseries(outcome, cfg)) for outcome, supply in runs]
-    # Each CSV file in write order; a ledger's text chunks are made as they are written.
-    files: list[tuple[str, Sequence[str], Iterable[list[Sequence[str]]]]] = []
+    written: list[Path] = []
     if fmt != "json":
         header = ("mechanism",) + REPORT_COLUMNS
         rows = [
             {"mechanism": outcome.mechanism.value, **report_cells(outcome, supply)}
             for outcome, supply, _ in reports
         ]
-        files.append(("summary.csv", header, [_text(rows, header)]))
+        written.append(out_dir / "summary.csv")
+        _write_csv(written[-1:], header, [[_text(rows, header)]])
+    ledgers = []
     for outcome, _, timeseries in reports:
         mech = outcome.mechanism.value
         if fmt != "json":
-            text = [_text(timeseries, TIMESERIES_COLUMNS)]
-            files.append((f"timeseries_{mech}.csv", TIMESERIES_COLUMNS, text))
-        files.append((f"sites_{mech}.csv", LEDGER_COLUMNS, _ledger_text(outcome)))
-    for name, header, chunks in files:
-        _write_csv(out_dir / name, header, chunks)
-    written = [out_dir / name for name, _, _ in files]
+            written.append(out_dir / f"timeseries_{mech}.csv")
+            _write_csv(written[-1:], TIMESERIES_COLUMNS, [[_text(timeseries, TIMESERIES_COLUMNS)]])
+        written.append(out_dir / f"sites_{mech}.csv")
+        ledgers.append(written[-1])
+    _write_csv(ledgers, LEDGER_COLUMNS, _ledger_text([outcome for outcome, _ in runs], site_text))
 
     if fmt != "csv":
         runs = [
@@ -660,7 +707,7 @@ def write_sweep(path: Path, mechanisms: Sequence[Mechanism], rows: list[dict[str
     """
     columns = SWEEP_POINT_COLUMNS + tuple(chain.from_iterable(map(RESULT_COLUMNS.get, mechanisms)))
     exact = [{**row, **{name: str(row[name]) for name in SWEEP_AXIS_COLUMNS}} for row in rows]
-    _write_csv(path, columns, [_text(exact, columns)])
+    _write_csv([path], columns, [[_text(exact, columns)]])
 
 
 def _euros(value: float) -> str:

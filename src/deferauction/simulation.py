@@ -394,10 +394,15 @@ def account(
         for rows in (conserved, lost)
     )
     lost_benefits = -lost_total if lost_total > 0 else 0.0
-    totals = dataclasses.asdict(summarize_supply(offers, conserved))
+    supply = summarize_supply(offers, conserved)
     return RunSummary(
-        sites_conserved=totals.pop("sites"),
-        **totals,
+        area_ha=supply.area_ha,
+        sites_conserved=supply.sites,
+        bd_index_sum=supply.bd_index_sum,
+        avg_stand_age=supply.avg_stand_age,
+        avg_downpayment=supply.avg_downpayment,
+        avg_instalment=supply.avg_instalment,
+        avg_total_payment_npv=supply.avg_total_payment_npv,
         harvested_area_ha=ordered_sum(area[lost]),
         instalment_cost_per_year=ordered_sum(offers.instalment_per_ha[conserved] * area[conserved]),
         budget=budget,

@@ -448,6 +448,7 @@ def best_harvest_value(
         np.add(value, bare, out=value)
         np.multiply(value, discounts[start : start + 32], out=value)
         np.maximum(best, value.max(axis=1), out=best)
+    best[np.isnan(best)] = np.nan
     return best
 
 

@@ -96,7 +96,31 @@ def write_scenario(tmp_path, name="scenario.json", **overrides):
     return path
 
 
+def count_site_text(monkeypatch):
+    """The site count of each call of dataio._site_text, which formats fixed ledger cells."""
+    built = []
+    site_text = dataio._site_text
+
+    def counted(columns, rows):
+        built.append(len(rows))
+        return site_text(columns, rows)
+
+    monkeypatch.setattr(dataio, "_site_text", counted)
+    return built
+
+
 class TestRun:
+    def test_ledger_cells_of_a_site_are_formatted_once_per_report(self, tmp_path, monkeypatch):
+        # One pass writes both ledgers a chunk of sites at a time, formatting each chunk once.
+        built = count_site_text(monkeypatch)
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", 16)
+        scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 60}})
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        for mechanism in ("deferred", "upfront"):
+            with open(tmp_path / "out" / f"sites_{mechanism}.csv", newline="", encoding="utf-8") as fh:
+                assert len(list(csv.DictReader(fh))) > 16
+        assert built == [16, 16, 16, 12]
+
     def test_default_scenario_shape(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
         out_dir = tmp_path / "out"
@@ -728,21 +752,14 @@ class TestSweep:
         assert [row["status"] for row in rows] == [message] * 2
 
     def test_ledger_text_of_a_site_is_built_once_per_seed(self, tmp_path, monkeypatch):
-        built = []
-
-        def counted(columns):
-            built.append(len(columns))
-            return site_text(columns)
-
-        site_text = dataio._site_text
-        monkeypatch.setattr(dataio, "_site_text", counted)
+        # Whole, once per seed, and reused by each of the seed's six point directories.
+        built = count_site_text(monkeypatch)
         scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 60}})
         argv = ["sweep", str(scenario), "--out-dir", str(tmp_path / "sweep"), "--seeds", "3,4"]
         assert main(argv + ["--interest-rates", "0.02,0.03,0.04", "--point-dirs"]) == EXIT_OK
         with open(tmp_path / "sweep" / "sweep.csv", newline="", encoding="utf-8") as fh:
             assert [row["status"] for row in csv.DictReader(fh)] == ["ok"] * 12
         assert built == [60, 60]
-        assert len(dataio._SITE_TEXT) == 0  # freed with the last seed's inputs
 
     @pytest.mark.parametrize(
         "axes, override",

@@ -5,12 +5,13 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -51,7 +52,38 @@ a3,barren_heath,150,90,conifer,0.1,20,2900,3100,140,10,400
 """
 
 
+def traced_peak(call, *args):
+    """What `call(*args)` returns, and the most memory it held at once beyond what was held before.
+
+    Measured by tracemalloc.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestLoadSites:
+    def test_a_rejected_row_costs_about_one_column_of_memory(self, tmp_path):
+        # The kept rows are copied a column at a time, each joined column freed as it goes,
+        # so the table is not held twice (that cost about four columns more at 4e4 rows).
+        n = 40_000
+        write_sites(generate_synthetic(SyntheticProfile(n_sites=n), 5), tmp_path / "clean.csv")
+        lines = (tmp_path / "clean.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[7].split(",")
+        cells[REQUIRED_COLUMNS.index("stand_age")] = "-1"
+        lines[7] = ",".join(cells)
+        (tmp_path / "bad.csv").write_text("".join(lines), encoding="utf-8")
+        _, clean = traced_peak(load_sites, tmp_path / "clean.csv")
+        (sites, issues), bad = traced_peak(load_sites, tmp_path / "bad.csv")
+        assert len(sites) == n - 1
+        assert [(issue.row, issue.column) for issue in issues] == [(7, "stand_age")]
+        assert bad <= clean + 8 * n  # one float column
+
     def test_well_formed_file(self, tmp_path):
         path = tmp_path / "sites.csv"
         path.write_text(WELL_FORMED, encoding="utf-8")
@@ -492,8 +524,26 @@ def harvest_searches(draw):
     return profile, type_idx, *(np.array(column, dtype=float) for column in columns)
 
 
+# Every value is NaN (0 / 0 at age 0, a NaN age times 0 * inf timber), and numpy keeps
+# either NaN operand's sign by the length of its loop: a 1-stand block differed from 19.
+_TWO_NANS = (
+    SyntheticProfile(
+        volume_growth=(0.0,) * 6,
+        v0_bare_land=(0.0,) * 6,
+        v0_discount_rate=0.0,
+        v0_horizon=0,
+        v0_harvest_net_factor=0.0,
+    ),
+    np.zeros(19, dtype=np.intp),
+    np.array([0.0] * 18 + [math.nan]),
+    np.array([0.0] * 18 + [math.inf]),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(harvest_searches(), st.sampled_from([1, 3, 4096]))
+@example(_TWO_NANS, 1)
+@example(_TWO_NANS, 4096)
 def test_harvest_search_equals_the_unpruned_search_bit_for_bit(search, stands):
     with np.errstate(all="ignore"), mock.patch.object(dataio, "_HARVEST_BLOCK", (stands, 32)):
         best = dataio._best_harvest_value(*search)
@@ -566,6 +616,12 @@ class TestWriteReport:
         cfg, runs = _paired_runs()
         with pytest.raises(ValueError):
             write_report(runs, cfg, tmp_path, fmt="xml")
+
+    def test_holds_no_text_per_site(self, tmp_path):
+        # The ledgers are formatted a chunk of sites at a time; holding three strings per
+        # site for the whole report took the peak to about 7 MB.
+        cfg, runs = _paired_runs(n_sites=40_000)
+        assert traced_peak(write_report, runs, cfg, tmp_path, "json")[1] < 4e6
 
 
 def _oracle_report(runs, cfg, out_dir, fmt):
@@ -666,6 +722,25 @@ class TestReportBytes:
         cfg, runs = _paired_runs(n_sites=3 * _CHUNK_ROWS)
         assert all(len(outcome.offers) > 2 * _CHUNK_ROWS for outcome, _ in runs)
         assert_same_report(tmp_path, runs, cfg)
+
+    @pytest.mark.parametrize(
+        "make_runs",
+        [
+            lambda: _paired_runs(initial=5e5),
+            _escaped_runs,
+            lambda: _paired_runs(n_sites=3 * _CHUNK_ROWS),
+        ],
+        ids=["every-fate", "escaped-ids", "three-chunks"],
+    )
+    def test_site_text_given_writes_the_same_ledgers(self, tmp_path, make_runs):
+        # What a sweep with point directories passes: its seed's text, made once.
+        cfg, runs = make_runs()
+        text = dataio.site_text(runs[0][0].offers.columns)
+        for fmt in ("csv", "json"):
+            ours = write_report(runs, cfg, tmp_path / f"text-{fmt}", fmt, text)
+            streamed = write_report(runs, cfg, tmp_path / f"streamed-{fmt}", fmt)
+            assert [path.name for path in ours] == [path.name for path in streamed]
+            assert [path.read_bytes() for path in ours] == [path.read_bytes() for path in streamed]
 
     def test_non_finite_ledger_numbers(self, tmp_path):
         cfg, runs = _paired_runs()

@@ -16,7 +16,7 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -194,10 +194,11 @@ def _best_harvest_value(
     net_timber = profile.v0_harvest_net_factor * timber_values
     # No later year beats ceiling * (its largest discount): with growth, age and
     # net timber >= 0, (1 - exp(-growth (age + wait)))^2 <= 1, and + * / round
-    # monotonically. Elsewhere the bound is NaN, which prunes nothing.
+    # monotonically. Elsewhere the bound is NaN, which prunes nothing. curve_now, a
+    # square, is >= 0 or NaN; at 0 the ceiling is +inf or NaN. A NaN one fails
+    # `ceiling >= 0`, and +inf * later[start] is +inf or NaN, which no best exceeds.
     ceiling = net_timber * (1.0 / curve_now) + bare
-    bounded = (growth >= 0) & (ages >= 0) & (net_timber >= 0) & (curve_now > 0) & (ceiling >= 0)
-    bounded &= np.isfinite(ceiling) & bool((discounts >= 0).all())
+    bounded = (growth >= 0) & (ages >= 0) & (net_timber >= 0) & (ceiling >= 0) & (discounts >= 0).all()
     ceiling[~bounded] = np.nan
     later = np.maximum.accumulate(discounts[::-1])[::-1]
     # The search runs over blocks of stands and of candidate years, so that its buffer
@@ -540,36 +541,37 @@ def _text(rows: list[dict[str, object]], header: Sequence[str]) -> list[list[str
     return [["%.2f" % v if isinstance(v, float) else _quote(str(v)) for v in col] for col in cells]
 
 
-SiteText = tuple[np.ndarray, ...]  # per site, its fixed ledger cells; see _site_text
+SiteText = list[tuple[np.ndarray, ...]]  # every site's fixed ledger cells, by chunk; see _site_chunks
 
 
-def _site_text(columns: SiteColumns, rows: np.ndarray) -> SiteText:
-    """Per site at `rows`, as CSV text: site_id; area_ha,elite; stand_age,site_type."""
-    sites = columns.sites
-    ids = list(map(sites.ids.__getitem__, rows.tolist()))
-    area_elite = zip(sites.area_ha[rows].tolist(), columns.elite[rows].tolist())
-    ages = zip(sites.stand_age[rows].tolist(), sites.type_code[rows].tolist())
-    text = (  # the rule's characters are single: the joined ids hold one when some id does
-        list(map(_quote, ids)) if _NEEDS_QUOTES("".join(ids)) else ids,
-        ["%.2f,%.2f" % cells for cells in area_elite],
-        ["%.2f,%s" % (age, _TYPE_NAMES[code]) for age, code in ages],  # names need no quotes
-    )
-    return tuple(np.array(column, dtype=object) for column in text)
+def _site_chunks(columns: SiteColumns) -> Iterator[tuple[np.ndarray, ...]]:
+    """Each _CHUNK_ROWS sites in id order as CSV text: site_id; area_ha,elite; stand_age,site_type."""
+    sites, order = columns.sites, np.argsort(columns.id_rank)
+    for start in range(0, len(order), _CHUNK_ROWS):
+        rows = order[start : start + _CHUNK_ROWS]
+        ids = list(map(sites.ids.__getitem__, rows.tolist()))
+        area_elite = zip(sites.area_ha[rows].tolist(), columns.elite[rows].tolist())
+        ages = zip(sites.stand_age[rows].tolist(), sites.type_code[rows].tolist())
+        text = (  # the rule's characters are single: the joined ids hold one when some id does
+            list(map(_quote, ids)) if _NEEDS_QUOTES("".join(ids)) else ids,
+            ["%.2f,%.2f" % cells for cells in area_elite],
+            ["%.2f,%s" % (age, _TYPE_NAMES[code]) for age, code in ages],  # names need no quotes
+        )
+        yield tuple(np.array(column, dtype=object) for column in text)
 
 
 def site_text(columns: SiteColumns) -> SiteText:
-    """Every site's fixed ledger cells, in id order: what write_report can reuse at each sweep point."""
-    return _site_text(columns, np.argsort(columns.id_rank))
+    """Every site's fixed ledger cells, by chunk: what write_report can reuse at each sweep point."""
+    return list(_site_chunks(columns))
 
 
 def _ledger_text(
-    outcomes: Sequence[RunOutcome], site_text: SiteText | None
+    outcomes: Sequence[RunOutcome], site_text: Iterable[tuple[np.ndarray, ...]]
 ) -> Iterator[list[list[list[str]]]]:
     """Each outcome's LEDGER_COLUMNS as CSV text, in one pass over the sites in id order.
 
-    A chunk holds one text per outcome: its offers on the chunk's _CHUNK_ROWS sites.
-    The chunk's fixed cells are formatted once for every outcome on the same site
-    columns, or sliced from `site_text`, that of the outcomes' columns, if given.
+    A chunk holds one text per outcome: its offers on the chunk's _CHUNK_ROWS sites,
+    whose fixed cells come from `site_text`, the chunks of the outcomes' one dataset.
     """
     ledgers = []
     for outcome in outcomes:
@@ -583,21 +585,13 @@ def _ledger_text(
         down, instalment, total = paid
         # Up-front offers pay the downpayment alone: it is their total, and every instalment is +0.0.
         paid_once = down.tobytes() == total.tobytes() and not instalment.view(np.int64).any()
-        ledgers.append((offers.columns, order, rank[order], fate, paid, paid_once))
-    by_id = dict.fromkeys(columns for columns, *_ in ledgers)  # SiteColumns hash by identity
-    if site_text is None:
-        by_id = {columns: np.argsort(columns.id_rank) for columns in by_id}
-    for start in range(0, max(map(len, by_id), default=0), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        if site_text is None:
-            chunk = {columns: _site_text(columns, rows[start:stop]) for columns, rows in by_id.items()}
-        else:
-            chunk = dict.fromkeys(by_id, tuple(text[start:stop] for text in site_text))
+        ledgers.append((order, rank[order], fate, paid, paid_once))
+    for start, chunk in zip(count(0, _CHUNK_ROWS), site_text):
         texts = []
-        for columns, order, ranks, fate, paid, paid_once in ledgers:
-            within = slice(*np.searchsorted(ranks, (start, stop)))
+        for order, ranks, fate, paid, paid_once in ledgers:
+            within = slice(*np.searchsorted(ranks, (start, start + _CHUNK_ROWS)))
             rows, local = order[within], ranks[within] - start
-            site_id, area_elite, age_type = (column[local].tolist() for column in chunk[columns])
+            site_id, area_elite, age_type = (column[local].tolist() for column in chunk)
             if paid_once:
                 once = ["%.2f" % v for v in paid[0][rows].tolist()]
                 payments = [f"{cell},0.00,{cell}" for cell in once]
@@ -642,15 +636,18 @@ def write_report(
 ) -> list[Path]:
     """Write the summary table, per-year series, and per-site ledger.
 
-    The ledger is sites_<mech>.csv in every format. The ledgers are written
-    in one pass over the sites; `site_text`, if given, must be site_text() of
-    the runs' site columns, and their fixed cells are then not formatted
-    again. The csv format adds the summary and timeseries tables, rounded to
-    0.01; the json format adds summary.json, the same at full precision with a
-    schema version. Returns the written paths.
+    The ledger is sites_<mech>.csv in every format; the runs must be on one
+    dataset, whose ledgers are written in one pass over the sites. `site_text`,
+    if given, must be site_text() of its site columns, which are then not
+    formatted again. The csv format adds the summary and timeseries tables,
+    rounded to 0.01; the json format adds summary.json, the same at full
+    precision with a schema version. Returns the written paths.
     """
     if fmt not in FORMATS:
         raise ValueError("format must be csv, json, or both")
+    datasets = dict.fromkeys(outcome.offers.columns for outcome, _ in runs)  # hashed by identity
+    if len(datasets) > 1:
+        raise ValueError("a report's runs must share one dataset's site columns")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = [(outcome, supply, _timeseries(outcome, cfg)) for outcome, supply in runs]
@@ -671,6 +668,8 @@ def write_report(
             _write_csv(written[-1:], TIMESERIES_COLUMNS, [[_text(timeseries, TIMESERIES_COLUMNS)]])
         written.append(out_dir / f"sites_{mech}.csv")
         ledgers.append(written[-1])
+    if site_text is None:
+        site_text = (chunk for columns in datasets for chunk in _site_chunks(columns))
     _write_csv(ledgers, LEDGER_COLUMNS, _ledger_text([outcome for outcome, _ in runs], site_text))
 
     if fmt != "csv":

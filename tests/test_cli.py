@@ -97,21 +97,23 @@ def write_scenario(tmp_path, name="scenario.json", **overrides):
 
 
 def count_site_text(monkeypatch):
-    """The site count of each call of dataio._site_text, which formats fixed ledger cells."""
+    """The sites that each call of dataio._site_chunks yields, which formats fixed ledger cells."""
     built = []
-    site_text = dataio._site_text
+    site_chunks = dataio._site_chunks
 
-    def counted(columns, rows):
-        built.append(len(rows))
-        return site_text(columns, rows)
+    def counted(columns):
+        built.append(0)
+        for chunk in site_chunks(columns):
+            built[-1] += len(chunk[0])
+            yield chunk
 
-    monkeypatch.setattr(dataio, "_site_text", counted)
+    monkeypatch.setattr(dataio, "_site_chunks", counted)
     return built
 
 
 class TestRun:
     def test_ledger_cells_of_a_site_are_formatted_once_per_report(self, tmp_path, monkeypatch):
-        # One pass writes both ledgers a chunk of sites at a time, formatting each chunk once.
+        # One pass writes both ledgers a chunk of sites at a time, formatting each site once.
         built = count_site_text(monkeypatch)
         monkeypatch.setattr(dataio, "_CHUNK_ROWS", 16)
         scenario = write_scenario(tmp_path, dataset={"synthetic": {"n_sites": 60}})
@@ -119,7 +121,7 @@ class TestRun:
         for mechanism in ("deferred", "upfront"):
             with open(tmp_path / "out" / f"sites_{mechanism}.csv", newline="", encoding="utf-8") as fh:
                 assert len(list(csv.DictReader(fh))) > 16
-        assert built == [16, 16, 16, 12]
+        assert built == [60]
 
     def test_default_scenario_shape(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)

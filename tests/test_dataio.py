@@ -540,10 +540,26 @@ _TWO_NANS = (
 )
 
 
+def _one_stand(growth, bare, net_factor, discount_rate, horizon, age, timber):
+    """A harvest search of one stand of type 2, with every type's growth and bare land value alike."""
+    profile = SyntheticProfile(
+        volume_growth=(growth,) * 6,
+        v0_bare_land=(bare,) * 6,
+        v0_harvest_net_factor=net_factor,
+        v0_discount_rate=discount_rate,
+        v0_horizon=horizon,
+    )
+    return profile, np.array([2], dtype=np.intp), np.array([age]), np.array([timber])
+
+
 @settings(max_examples=300, deadline=None)
 @given(harvest_searches(), st.sampled_from([1, 3, 4096]))
 @example(_TWO_NANS, 1)
 @example(_TWO_NANS, 4096)
+# Each of these needs one pruning guard: without it the best value is not the unpruned one.
+@example(_one_stand(0.03, 0.0, 1.0, -0.1, 150, -300.0, 100.0), 4096)  # ages >= 0: 88 181.46
+@example(_one_stand(0.01, 500.0, -0.5, -0.05, 64, 60.0, 100.0), 4096)  # net_timber >= 0: 10 019.44
+@example(_one_stand(0.03, -5000.0, 0.1, -0.002, 150, 1.0, 10.0), 4096)  # ceiling >= 0: -4 726.09
 def test_harvest_search_equals_the_unpruned_search_bit_for_bit(search, stands):
     with np.errstate(all="ignore"), mock.patch.object(dataio, "_HARVEST_BLOCK", (stands, 32)):
         best = dataio._best_harvest_value(*search)
@@ -616,6 +632,16 @@ class TestWriteReport:
         cfg, runs = _paired_runs()
         with pytest.raises(ValueError):
             write_report(runs, cfg, tmp_path, fmt="xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+    def test_runs_on_two_datasets_rejected_before_any_file(self, tmp_path, fmt):
+        cfg, runs = _paired_runs()
+        _, other = _paired_runs(seed=7)
+        mixed = [runs[0], other[1]]
+        assert mixed[0][0].offers.columns is not mixed[1][0].offers.columns
+        with pytest.raises(ValueError, match="one dataset"):
+            write_report(mixed, cfg, tmp_path / "out", fmt)
+        assert not (tmp_path / "out").exists()
 
     def test_holds_no_text_per_site(self, tmp_path):
         # The ledgers are formatted a chunk of sites at a time; holding three strings per
@@ -743,22 +769,26 @@ class TestReportBytes:
             assert [path.read_bytes() for path in ours] == [path.read_bytes() for path in streamed]
 
     def test_non_finite_ledger_numbers(self, tmp_path):
+        # Both runs on the edited site columns; the up-front run's instalments edited too.
         cfg, runs = _paired_runs()
-        _, (upfront, upfront_supply) = runs
-        offers = upfront.offers
+        upfront_offers = runs[1][0].offers
         odd = [math.nan, math.inf, -math.inf, -0.0]
-        elite = offers.columns.elite.copy()
-        stand_age = offers.columns.sites.stand_age.copy()
-        elite[offers.site[:4]] = stand_age[offers.site[:4]] = odd
-        sites = dataclasses.replace(offers.columns.sites, stand_age=stand_age)
-        columns = dataclasses.replace(offers.columns, sites=sites, elite=elite)
-        instalment = offers.instalment_per_ha.copy()
+        elite = upfront_offers.columns.elite.copy()
+        stand_age = upfront_offers.columns.sites.stand_age.copy()
+        elite[upfront_offers.site[:4]] = stand_age[upfront_offers.site[:4]] = odd
+        sites = dataclasses.replace(upfront_offers.columns.sites, stand_age=stand_age)
+        columns = dataclasses.replace(upfront_offers.columns, sites=sites, elite=elite)
+        instalment = upfront_offers.instalment_per_ha.copy()
         instalment[:4] = odd
-        offers = dataclasses.replace(
-            offers, columns=columns, elite=elite[offers.site], instalment_per_ha=instalment
-        )
-        outcome = dataclasses.replace(upfront, offers=offers)
-        assert_same_report(tmp_path, [runs[0], (outcome, upfront_supply)], cfg)
+        edited = []
+        for outcome, supply in runs:
+            offers = dataclasses.replace(
+                outcome.offers, columns=columns, elite=elite[outcome.offers.site]
+            )
+            if outcome.offers is upfront_offers:
+                offers = dataclasses.replace(offers, instalment_per_ha=instalment)
+            edited.append((dataclasses.replace(outcome, offers=offers), supply))
+        assert_same_report(tmp_path, edited, cfg)
         with open(tmp_path / "ours-json" / "sites_upfront.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         for column in ("elite", "stand_age", "instalment_per_ha"):

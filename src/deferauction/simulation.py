@@ -70,9 +70,10 @@ class SiteColumns:
     is the conservation payment per hectare (timber value plus land
     payment), ``amenity_gain`` a1 - a0 (zero for Faustmannian owners),
     ``elite`` the habitat index, ``id_rank`` each site's position when the
-    ids are sorted, and ``old_growth`` whether the stand meets its old-growth
-    age threshold. None of them depends on r, x or the bid caps, so one set
-    serves every mechanism and sweep point of a seed.
+    ids are sorted (int32: a dataset holds at most dataio.MAX_SITES), and
+    ``old_growth`` whether the stand meets its old-growth age threshold. None
+    of them depends on r, x or the bid caps, so one set serves every
+    mechanism and sweep point of a seed.
     """
 
     sites: SiteTable
@@ -92,12 +93,11 @@ class OfferTable:
 
     ``site`` is each offer's row in ``columns``. ``downpayment_per_ha`` is the
     outlay at the year of conservation: the downpayment bid under the deferred
-    mechanism, the full payment up front.
+    mechanism, the full payment up front, where one array is also the total.
     """
 
     columns: SiteColumns
     site: np.ndarray
-    elite: np.ndarray
     downpayment_per_ha: np.ndarray
     instalment_per_ha: np.ndarray
     total_payment_npv_per_ha: np.ndarray
@@ -106,13 +106,19 @@ class OfferTable:
         return len(self.site)
 
     def take(self, rows: np.ndarray) -> OfferTable:
-        """The offers at `rows` (indices or a mask), in that order."""
-        arrays = (getattr(self, field.name)[rows] for field in dataclasses.fields(self)[1:])
-        return OfferTable(self.columns, *arrays)
+        """The offers at `rows` (indices or a mask), in that order; a shared column stays shared."""
+        arrays = [getattr(self, field.name) for field in dataclasses.fields(self)[1:]]
+        distinct = {id(array): array for array in arrays}
+        taken = {key: array[rows] for key, array in distinct.items()}
+        return OfferTable(self.columns, *(taken[id(array)] for array in arrays))
 
     @property
     def area(self) -> np.ndarray:
         return self.columns.sites.area_ha[self.site]
+
+    @property
+    def elite(self) -> np.ndarray:
+        return self.columns.elite[self.site]
 
     @property
     def cost(self) -> np.ndarray:
@@ -129,9 +135,10 @@ class RunOutcome:
     """Everything one mechanism run produced: site fates, yearly spending, and accounting.
 
     ``offers`` are in funding order. ``fate[row]`` is the offer's fate code
-    (UNFUNDED, CONSERVED or LOST), ``year[row]`` the year of that fate, -1 while
-    unfunded. Runs decide fates a year at a time, each year in funding order:
-    that is `decision_order`. ``spending[y]`` is the outlay in year y.
+    (UNFUNDED, CONSERVED or LOST), ``year[row]`` the year of that fate (int32:
+    at most MAX_YEARS), -1 while unfunded. Runs decide fates a year at a time,
+    each year in funding order: that is `decision_order`. ``spending[y]`` is
+    the outlay in year y.
     """
 
     mechanism: Mechanism
@@ -180,7 +187,7 @@ def site_columns(
     for first, second in zip(by_id, by_id[1:]):
         if ids[first] == ids[second]:
             raise ValueError(f"duplicate site id {ids[first]!r}")
-    id_rank = np.empty(len(ids), np.intp)
+    id_rank = np.empty(len(ids), np.int32)
     id_rank[by_id] = np.arange(len(ids))
 
     stand_age = sites.stand_age
@@ -221,13 +228,13 @@ def build_offers(columns: SiteColumns, cfg: SchemeConfig, mechanism: Mechanism) 
         keep = np.flatnonzero(joins)
         outlay = total = payment[keep]
         instalment = np.zeros(len(keep))
-    return OfferTable(columns, keep, columns.elite[keep], outlay, instalment, total)
+    return OfferTable(columns, keep, outlay, instalment, total)
 
 
 def draw_harvest_schedule(
     columns: SiteColumns, cfg: SchemeConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """One harvest realization: each site's harvest year, NEVER_CUT for sites not cut.
+    """One harvest realization: each site's harvest year (int32), NEVER_CUT for sites not cut.
 
     Every stand maturing within the window is cut. A stand first eligible in
     year y0 (when it reaches its rotation age, 0 if already past it) draws a
@@ -237,7 +244,7 @@ def draw_harvest_schedule(
     sites = columns.sites
     first_year = np.maximum(0.0, np.ceil(sites.commercial_rotation_age - sites.stand_age))
     eligible = first_year < cfg.harvest_window
-    years = np.full(len(columns), NEVER_CUT, dtype=np.int64)
+    years = np.full(len(columns), NEVER_CUT, dtype=np.int32)
     years[eligible] = rng.integers(first_year[eligible].astype(np.int64), cfg.harvest_window)
     return years
 
@@ -324,7 +331,7 @@ def run_deferred(
     if initial_budget < 0:
         raise ValueError("initial_budget must be >= 0")
     fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
-    year = np.full(len(ranking), -1, dtype=np.int64)
+    year = np.full(len(ranking), -1, dtype=np.int32)
     available = np.flatnonzero(schedule[ranking.site] != 0)
     funded, spent = fund(ranking.cost, available, initial_budget)
     fate[funded], year[funded] = CONSERVED, 0
@@ -354,7 +361,7 @@ def run_upfront(
     harvest = schedule[ranking.site]
     cut = np.where(harvest >= 0, harvest, cfg.horizon)  # the year a waiting offer is lost
     fate = np.full(len(ranking), UNFUNDED, dtype=np.int8)
-    year = np.full(len(ranking), -1, dtype=np.int64)
+    year = np.full(len(ranking), -1, dtype=np.int32)
     waiting = np.arange(len(ranking))  # the offers neither funded nor cut, in funding order
     spending: list[float] = []
     for now in range(cfg.horizon):
@@ -427,7 +434,7 @@ def summarize_supply(offers: OfferTable, rows: np.ndarray | slice = slice(None))
     return SupplySummary(
         sites=len(site),
         area_ha=total_area,
-        bd_index_sum=ordered_sum(offers.elite[rows] * area),
+        bd_index_sum=ordered_sum(offers.columns.elite[site] * area),
         avg_stand_age=per_ha_average(offers.columns.sites.stand_age[site]),
         avg_downpayment=per_ha_average(offers.downpayment_per_ha[rows]),
         avg_instalment=per_ha_average(offers.instalment_per_ha[rows]),

@@ -1,4 +1,4 @@
-"""Check that each guard mutant in mutants.json is killed by the tests named for it.
+"""Check that each mutant in mutants.json is killed by the tests named for it.
 
 A mutant replaces one text, which must occur exactly once, in a file under
 src/. The runner first runs every named test on src/ as it is, where each

@@ -399,6 +399,21 @@ def assert_loads_like_the_oracle(path):
     return table, issues
 
 
+def load_counting_csv_rows(path, chunk_rows=None):
+    """load_sites(path), in chunks of `chunk_rows` if given, and the rows csv.reader read."""
+    read, reader = [], csv.reader
+
+    def counting_reader(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            read.append(row)
+            yield row
+
+    chunk_rows = chunk_rows or dataio._LOAD_CHUNK_ROWS
+    with mock.patch.object(csv, "reader", counting_reader):
+        with mock.patch.object(dataio, "_LOAD_CHUNK_ROWS", chunk_rows):
+            return load_sites(path), read
+
+
 class TestTableLoaderAgainstOracle:
     @settings(
         max_examples=300,
@@ -436,18 +451,33 @@ class TestTableLoaderAgainstOracle:
     def test_clean_input_is_split_without_the_csv_module(self, tmp_path):
         sites = generate_synthetic(SyntheticProfile(n_sites=2 * dataio._LOAD_CHUNK_ROWS + 1), 4)
         write_sites(sites, tmp_path / "sites.csv")
-        read = []
-        reader = csv.reader
-
-        def counting_reader(*args, **kwargs):
-            for row in reader(*args, **kwargs):
-                read.append(row)
-                yield row
-
-        with mock.patch.object(csv, "reader", counting_reader):
-            loaded, issues = load_sites(tmp_path / "sites.csv")
+        (loaded, issues), read = load_counting_csv_rows(tmp_path / "sites.csv")
         assert len(read) <= 1  # at most the header
         assert issues == [] and oracle.site_records(loaded) == oracle.site_records(sites)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2000])
+    def test_quoted_cells_are_read_as_csv_reads_them(self, tmp_path, chunk_rows):
+        # Quoted cells with no comma or line end in them: only the quotes send them to csv.
+        text = WELL_FORMED.replace("a2,", '"a""2",').replace(",60,", ',"60",')
+        path = tmp_path / "sites.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(dataio, "_LOAD_CHUNK_ROWS", chunk_rows):
+            table, issues = assert_loads_like_the_oracle(path)
+        assert issues == [] and table.ids == ["a1", 'a"2', "a3"]
+        assert table.stand_age.tolist() == [100.0, 60.0, 150.0]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2000])
+    def test_a_line_holding_a_nul_is_read_by_the_csv_module(self, tmp_path, chunk_rows):
+        # Python 3.10's csv module rejects a NUL, so the plain split leaves such lines to it.
+        path = tmp_path / "sites.csv"
+        path.write_text(WELL_FORMED.replace("a2,", "a\0" "2,"), encoding="utf-8")
+        if sys.version_info < (3, 11):
+            with pytest.raises(LoadError, match="line contains NUL"):
+                load_counting_csv_rows(path, chunk_rows)
+            return
+        (table, issues), read = load_counting_csv_rows(path, chunk_rows)
+        assert "a\0" "2" in [row[0] for row in read]
+        assert issues == [] and table.ids == ["a1", "a\0" "2", "a3"]
 
     def test_cell_over_a_lowered_field_limit_named_by_its_line_in_the_file(self, tmp_path, capsys):
         path = tmp_path / "sites.csv"
@@ -782,9 +812,7 @@ class TestReportBytes:
         instalment[:4] = odd
         edited = []
         for outcome, supply in runs:
-            offers = dataclasses.replace(
-                outcome.offers, columns=columns, elite=elite[outcome.offers.site]
-            )
+            offers = dataclasses.replace(outcome.offers, columns=columns)
             if outcome.offers is upfront_offers:
                 offers = dataclasses.replace(offers, instalment_per_ha=instalment)
             edited.append((dataclasses.replace(outcome, offers=offers), supply))

@@ -14,14 +14,16 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
 from conftest import make_site
 from oracle import site_ledger, site_table
+from deferauction import dataio
 from deferauction.dataio import _timeseries
-from deferauction.model import Mechanism, SchemeConfig, SiteType
+from deferauction.model import MAX_YEARS, Mechanism, SchemeConfig, SiteType
 from deferauction.simulation import (
     CONSERVED,
     LOST,
@@ -227,6 +229,18 @@ RANKING_VALUES = st.one_of(
 )
 
 
+def assert_ranked_like_lexsort(sites, elite, outlay):
+    """rank_benefit_cost's order is lexsort's: ratio descending, then cost, then site id."""
+    columns = site_columns(site_table(sites), SchemeConfig(), rng_stream(1, PHI_STREAM))
+    columns = dataclasses.replace(columns, elite=elite)
+    offers = OfferTable(columns, np.arange(len(sites)), outlay, np.zeros(len(sites)), outlay)
+    cost, benefit = offers.cost, elite * offers.area
+    with np.errstate(all="ignore"):
+        ratio = np.where(cost > 0, benefit / cost, np.where(benefit > 0, np.inf, 0.0))
+    expected = np.lexsort((columns.id_rank, cost, -ratio))
+    assert rank_benefit_cost(offers).site.tolist() == expected.tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_ranking_matches_lexsort(data):
@@ -234,14 +248,40 @@ def test_ranking_matches_lexsort(data):
     sites = [make_site(site_id=f"s{data.draw(st.integers(0, 99)):02d}-{i}",
                        area_ha=data.draw(st.sampled_from([1.0, 2.5, 10.0])))
              for i in range(n)]
-    columns = site_columns(site_table(sites), SchemeConfig(), rng_stream(1, PHI_STREAM))
     # Each column draws from a pool of values, small ones giving many ties.
     pools = [data.draw(st.lists(RANKING_VALUES, min_size=1, max_size=max(n, 1))) for _ in range(2)]
     elite, outlay = (np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
                      for pool in pools)
-    offers = OfferTable(columns, np.arange(n), elite, outlay, np.zeros(n), outlay)
-    cost, benefit = offers.cost, elite * offers.area
-    with np.errstate(all="ignore"):
-        ratio = np.where(cost > 0, benefit / cost, np.where(benefit > 0, np.inf, 0.0))
-    expected = np.lexsort((columns.id_rank, cost, -ratio))
-    assert rank_benefit_cost(offers).site.tolist() == expected.tolist()
+    assert_ranked_like_lexsort(sites, elite, outlay)
+
+
+@pytest.mark.parametrize(
+    "ids, elite, outlay",
+    [
+        (["a", "b"], [math.nan, math.nan], [2.0, 1.0]),  # NaN ratios order by cost
+        (["b", "a"], [1.0, 1.0], [1.0, 1.0]),  # equal ratios and costs order by id
+    ],
+    ids=["nan-ratios", "equal-costs"],
+)
+def test_ranking_of_ties_one_stable_sort_gets_wrong(ids, elite, outlay):
+    # In table order each pair stands wrong for lexsort, so the one sort must give way to it.
+    sites = [make_site(site_id=site_id) for site_id in ids]
+    assert_ranked_like_lexsort(sites, np.array(elite), np.array(outlay))
+
+
+def test_int32_years_and_ranks_hold_every_bound():
+    # Fate years, harvest years and id ranks are int32: a site count is at most
+    # MAX_SITES and a year at most MAX_YEARS.
+    assert np.iinfo(np.int32).max > max(dataio.MAX_SITES, MAX_YEARS)
+    cfg = SchemeConfig(seed=3, horizon_years=MAX_YEARS, harvest_window=MAX_YEARS)
+    sites = dataio.generate_synthetic(dataio.SyntheticProfile(n_sites=2_000), cfg.seed)
+    columns = site_columns(sites, cfg, rng_stream(cfg.seed, PHI_STREAM))
+    schedule = draw_harvest_schedule(columns, cfg, rng_stream(cfg.seed, HARVEST_STREAM))
+    assert schedule.max() > MAX_YEARS // 2
+    offers = {m: rank_benefit_cost(build_offers(columns, cfg, m)) for m in Mechanism}
+    deferred = run_deferred(cfg, 2e6, offers[Mechanism.DEFERRED], schedule)
+    upfront = run_upfront(cfg, 1e5, offers[Mechanism.UPFRONT], schedule)
+    for outcome in (deferred, upfront):
+        check_invariants(outcome, cfg)
+    for code in (CONSERVED, LOST):  # years late in the horizon are reached
+        assert upfront.year[upfront.fate == code].max() > MAX_YEARS // 2

@@ -42,7 +42,8 @@ def offer_table(offers):
     """An offer table with one row per make_offer row, over exactly those sites."""
     columns = columns_of(site_table([site for site, *_ in offers]), CFG, 1)
     elite, outlay, instalment = (np.array([o[k] for o in offers], dtype=float) for k in (1, 2, 3))
-    return OfferTable(columns, np.arange(len(offers)), elite, outlay, instalment, outlay)
+    columns = dataclasses.replace(columns, elite=elite)  # the habitat index is the site's
+    return OfferTable(columns, np.arange(len(offers)), outlay, instalment, outlay)
 
 
 def schedule_for(offers, years):
@@ -455,3 +456,28 @@ def test_npv_matched_budgets_round_trip():
     budget = match_upfront_budget(spent0, instalment, cfg.instalment_count_x, cfg.discount_rate, cfg.horizon)
     matched_npv = npv([budget] * cfg.horizon, cfg.discount_rate)
     assert matched_npv == pytest.approx(deferred.summary.costs_npv, abs=0.01)
+
+
+def owned_bytes_per_offer(outcome):
+    """Bytes per offer of the distinct arrays a ranked offer table and its run own."""
+    offers = outcome.offers
+    arrays = [getattr(offers, field.name) for field in dataclasses.fields(offers)[1:]]
+    arrays += [outcome.fate, outcome.year]
+    assert all(isinstance(array, np.ndarray) for array in arrays)
+    return sum(array.nbytes for array in {id(array): array for array in arrays}.values()) / len(offers)
+
+
+def test_offers_and_fates_hold_each_column_once_at_its_width():
+    # The habitat index stays in the site columns, fate years are int32, and an up-front
+    # offer's outlay is its total: one array. Copying the habitat index per offer, int64
+    # years and a second copy of the up-front outlay took either mechanism to 49 B.
+    dataset = generate_synthetic(SyntheticProfile(n_sites=40_000), 5)
+    cfg = SchemeConfig(seed=5)
+    columns = columns_of(dataset, cfg, 5)
+    schedule = draw_harvest_schedule(columns, cfg, rng_stream(5, HARVEST_STREAM))
+    offers = {m: rank_benefit_cost(build_offers(columns, cfg, m)) for m in Mechanism}
+    deferred = run_deferred(cfg, 5e6, offers[Mechanism.DEFERRED], schedule)
+    upfront = run_upfront(cfg, 2e5, offers[Mechanism.UPFRONT], schedule)
+    assert len(deferred.offers) > 1_000 and len(upfront.offers) > 1_000
+    assert owned_bytes_per_offer(deferred) <= 37
+    assert owned_bytes_per_offer(upfront) <= 29
